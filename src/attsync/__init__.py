@@ -18,7 +18,6 @@ from .errors import ConfigError, SimulationDiverged
 from .config import ScenarioConfig, preset, preset_names
 from .rigid_body import InertiaParams, SpacecraftState
 from .simulator import (
-    LagBuffer,
     Scenario,
     Simulation,
     Spacecraft,
@@ -26,8 +25,6 @@ from .simulator import (
     lyapunov_value,
     metrics,
     random_initial_states,
-    run,
-    step,
 )
 from .topology import CommTopology
 
@@ -38,7 +35,6 @@ __all__ = [
     "ConfigError",
     "GainSet",
     "InertiaParams",
-    "LagBuffer",
     "NeighborhoodSignals",
     "ReferenceTrajectory",
     "Scenario",
@@ -53,7 +49,5 @@ __all__ = [
     "preset",
     "preset_names",
     "random_initial_states",
-    "run",
-    "step",
     "__version__",
 ]

@@ -218,14 +218,18 @@ def mrp_from_axis_angle(axis, angle):
     return axis / norm * np.tan(angle / 4.0)
 
 
-def mrp_shadow(sigma):
+def mrp_shadow(sigma, sigma_dot=None):
     """Shadow-set counterpart -sigma / (sigma.sigma) of the same attitude.
 
     Maps the unit sphere to itself and swaps inside/outside; used to keep
-    |sigma| <= 1 when shadow switching is enabled.  Undefined at sigma = 0.
+    |sigma| <= 1 when shadow switching is enabled.  Given the rate
+    sigma_dot, returns (shadow, shadow_dot) with the shadow's rate along
+    that trajectory.  Not finite at sigma = 0.
     """
     sigma = np.asarray(sigma, dtype=float)
-    ss = np.einsum("...i,...i->...", sigma, sigma)
-    if np.any(ss == 0.0):
-        raise ValueError("shadow map undefined at sigma = 0")
-    return -sigma / np.asarray(ss)[..., None]
+    ss = np.einsum("...i,...i->...", sigma, sigma)[..., None]
+    shadow = -sigma / ss
+    if sigma_dot is None:
+        return shadow
+    radial = np.einsum("...i,...i->...", sigma, sigma_dot)[..., None]
+    return shadow, (-sigma_dot * ss + 2.0 * sigma * radial) / np.square(ss)

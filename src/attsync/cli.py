@@ -24,12 +24,10 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
 from .simulator import Simulation, metrics
-from .topology import CommTopology, has_directed_spanning_tree, leader_reachable
+from .topology import CommTopology, graph_checks
 
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
@@ -38,52 +36,38 @@ DEFAULT_CONVERGED_TOL = 1e-2
 
 # -- validity reporting --------------------------------------------------
 
-def validity_report(cfg: ScenarioConfig) -> dict:
-    """Structured preflight checks; `valid` is the conjunction of all of them."""
-    checks = []
+def validity_report(cfg: ScenarioConfig, scenario=None) -> dict:
+    """Structured preflight checks; `valid` is the conjunction of all of them.
 
-    def check(ok, text):
-        checks.append({"ok": bool(ok), "text": text})
-        return bool(ok)
-
-    in_degrees = cfg.adjacency.sum(axis=1)
+    `scenario` is the Scenario already built from `cfg`; without one the
+    report builds it to check that construction succeeds.
+    """
     report = {
         "mode": cfg.mode,
         "spacecraft": cfg.n,
-        "in_degrees": [float(d) for d in in_degrees],
-        "checks": checks,
+        "in_degrees": [float(d) for d in cfg.adjacency.sum(axis=1)],
     }
     try:
         topo = CommTopology(cfg.adjacency, cfg.leader_weights)
-        check(True, "adjacency is square, nonnegative, zero-diagonal")
     except ValueError as exc:
-        check(False, "adjacency invalid: %s" % exc)
-        report["valid"] = False
-        return report
-    # inertia and gain matrices were validated while parsing the config
-    check(True, "inertia matrices symmetric positive definite")
-    check(True, "gains valid (Lambda, K symmetric positive definite; Gamma diagonal)")
-    if cfg.mode == "leaderless":
-        for i in np.nonzero(in_degrees == 0.0)[0]:
-            check(False, "node %d has no in-neighbor" % (i + 1))
-        check(has_directed_spanning_tree(topo), "directed spanning tree exists")
+        checks = [(False, "adjacency invalid: %s" % exc)]
     else:
-        if topo.leader_weights is None:
-            check(False, "tracking mode requires leader weights")
-        elif not np.any(topo.leader_weights > 0.0):
-            check(False, "leader reaches no node")
-        else:
-            reached = leader_reachable(topo)
-            for i in np.nonzero(~reached)[0]:
-                check(False, "leader does not reach node %d" % (i + 1))
-            check(reached.all(), "leader reaches every node")
-        check(cfg.reference is not None, "reference trajectory present")
-    try:
-        cfg.to_scenario()
-        check(True, "scenario constructible")
-    except (ConfigError, ValueError) as exc:
-        check(False, "scenario construction failed: %s" % exc)
-    report["valid"] = all(c["ok"] for c in checks)
+        # inertia and gain matrices were validated while parsing the config
+        checks = [(True, "adjacency is square, nonnegative, zero-diagonal"),
+                  (True, "inertia matrices symmetric positive definite"),
+                  (True, "gains valid (Lambda, K symmetric positive definite; "
+                         "Gamma diagonal)")]
+        checks += graph_checks(topo, cfg.mode)
+        if cfg.mode == "tracking":
+            checks.append((cfg.reference is not None, "reference trajectory present"))
+        try:
+            if scenario is None:
+                cfg.to_scenario()
+            checks.append((True, "scenario constructible"))
+        except (ConfigError, ValueError) as exc:
+            checks.append((False, "scenario construction failed: %s" % exc))
+    report["checks"] = [{"ok": bool(ok), "text": text} for ok, text in checks]
+    report["valid"] = all(ok for ok, _ in checks)
     return report
 
 
@@ -186,7 +170,7 @@ def _run_one(cfg: ScenarioConfig, out_dir, assert_tol) -> int:
         "step_count": scenario.n_steps,
         "records": log.n_records,
         "wall_clock_s": wall,
-        "validity": validity_report(cfg),
+        "validity": validity_report(cfg, scenario),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

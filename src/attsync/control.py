@@ -139,11 +139,6 @@ class ReferenceTrajectory:
         return sigma_r, rate, accel
 
 
-def reference_at(ref: ReferenceTrajectory, t: float):
-    """Evaluate a reference trajectory; see ReferenceTrajectory.at."""
-    return ref.at(t)
-
-
 @dataclass(frozen=True)
 class NeighborhoodSignals:
     """Aggregated neighbor attitude, rate, and acceleration seen by a craft.
@@ -172,40 +167,12 @@ def filtered_error(e, e_dot, lam):
     return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
 
 
-def _reference_args(signals: NeighborhoodSignals, e, e_dot, lam):
-    """Reference velocity and acceleration the regressor is evaluated at."""
-    v_r = signals.sigma_d_dot - mat_vec(lam, e)
-    a_r = signals.sigma_d_ddot - mat_vec(lam, e_dot)
-    return v_r, a_r
-
-
-def control_torque(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains: GainSet):
-    """Body torque u = G^T (Y theta_hat - K s)."""
-    v_r, a_r = _reference_args(signals, e, e_dot, gains.Lambda)
-    y = regression(sigma, sigma_dot, v_r, a_r)
-    s = filtered_error(e, e_dot, gains.Lambda)
-    g_t = np.swapaxes(kinematics_matrix(sigma), -1, -2)
-    return mat_vec(g_t, mat_vec(y, theta_hat) - mat_vec(gains.K, s))
-
-
-def adaptation_rate(sigma, sigma_dot, signals, e, e_dot, s, gains: GainSet):
-    """Inertia estimate update theta_hat_dot = -Gamma Y^T s.
-
-    Takes the full GainSet because the regressor arguments v_r, a_r depend
-    on Lambda as well as the adaptation gain Gamma.
-    """
-    v_r, a_r = _reference_args(signals, e, e_dot, gains.Lambda)
-    y = regression(sigma, sigma_dot, v_r, a_r)
-    return -gains.gamma_diag * mat_vec(np.swapaxes(y, -1, -2), np.asarray(s, dtype=float))
-
-
 def controller_outputs(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains: GainSet):
-    """Torque, filtered error, and adaptation rate in one pass.
-
-    Shares one regressor evaluation between the torque and the update law;
-    equality with `control_torque` and `adaptation_rate` is pinned in tests.
+    """Torque u = G^T (Y theta_hat - K s), filtered error s, and adaptation
+    rate theta_hat_dot = -Gamma Y^T s, sharing one regressor evaluation.
     """
-    v_r, a_r = _reference_args(signals, e, e_dot, gains.Lambda)
+    v_r = signals.sigma_d_dot - mat_vec(gains.Lambda, e)
+    a_r = signals.sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
     y = regression(sigma, sigma_dot, v_r, a_r)
     s = filtered_error(e, e_dot, gains.Lambda)
     g_t = np.swapaxes(kinematics_matrix(sigma), -1, -2)

@@ -20,12 +20,12 @@ choice in the loop.  Two sources are implemented:
     keeping whatever common spin the initial conditions left.
 
 ``held``
-    Each craft's broadcast acceleration is held one step in a `LagBuffer`
-    (zero-order hold, initialized to zero) and refreshed after each step
-    from the torques just applied.  The hold closes a discrete feedback
-    loop through the inertia-estimate feedforward whose per-step gain does
-    not shrink with the step size; it can diverge while the estimates are
-    swinging, which is why it is not the default.
+    Each craft's broadcast acceleration is held one step (zero-order hold,
+    initialized to zero) and refreshed after each step from the torques just
+    applied.  The hold closes a discrete feedback loop through the
+    inertia-estimate feedforward whose per-step gain does not shrink with
+    the step size; it can diverge while the estimates are swinging, which
+    is why it is not the default.
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control-law functions used for a single craft; there is no
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attmath import kinematics_matrix, kinematics_matrix_dot, mat_vec
+from .attmath import mrp_shadow
 from .control import (
     GainSet,
     NeighborhoodSignals,
@@ -55,14 +55,10 @@ from .rigid_body import (
     angular_acceleration,
     h_star,
     inertia_from_theta,
+    mrp_acceleration,
     mrp_rate,
 )
-from .topology import (
-    CommTopology,
-    aggregate_weights,
-    leader_rooted_valid,
-    leaderless_valid,
-)
+from .topology import CommTopology, aggregate_weights, graph_checks
 
 MODES = ("leaderless", "tracking")
 ACCEL_SOURCES = ("smoothed", "held")
@@ -152,22 +148,17 @@ class Scenario:
             raise ConfigError("dt must be positive and finite")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError("duration must be at least one step")
-        if self.mode == "leaderless":
-            if self.reference is not None:
-                raise ConfigError("leaderless mode takes no reference trajectory")
-            if not leaderless_valid(self.topology):
-                raise ConfigError(
-                    "leaderless topology invalid: every spacecraft needs an "
-                    "in-neighbor and the graph must contain a directed spanning tree")
-        else:
-            if self.reference is None:
-                raise ConfigError("tracking mode requires a reference trajectory")
-            if self.topology.leader_weights is None:
-                raise ConfigError("tracking mode requires leader weights")
-            if not leader_rooted_valid(self.topology):
-                raise ConfigError(
-                    "tracking topology invalid: the leader must reach every "
-                    "spacecraft through directed edges")
+        if self.duration / self.dt - self.n_steps > 1e-9:
+            raise ConfigError("duration %r is not a whole number of steps of dt %r"
+                              % (self.duration, self.dt))
+        if self.mode == "leaderless" and self.reference is not None:
+            raise ConfigError("leaderless mode takes no reference trajectory")
+        if self.mode == "tracking" and self.reference is None:
+            raise ConfigError("tracking mode requires a reference trajectory")
+        failed = [text for ok, text in graph_checks(self.topology, self.mode) if not ok]
+        if failed:
+            raise ConfigError("%s topology invalid, failed checks: %s"
+                              % (self.mode, "; ".join(failed)))
 
     @property
     def n(self) -> int:
@@ -176,60 +167,6 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return int(math.floor(self.duration / self.dt + 1e-9))
-
-
-@dataclass
-class LagBuffer:
-    """Per-craft desired-acceleration state carried between steps.
-
-    sigma_ddot is the one-step hold of each craft's broadcast acceleration
-    (the "held" source reads it; both sources refresh it after each step so
-    it always holds the latest desired-acceleration values).  chi / chi_dot
-    are the desired-trajectory generator states used by the "smoothed"
-    source; they default to zero and are seated at the current aggregates
-    by Simulation.initial_buffer.
-    """
-
-    sigma_ddot: np.ndarray
-    chi: np.ndarray = None
-    chi_dot: np.ndarray = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.sigma_ddot, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("sigma_ddot must have shape (n, 3)")
-        self.sigma_ddot = arr
-        for name in ("chi", "chi_dot"):
-            val = getattr(self, name)
-            val = np.zeros_like(arr) if val is None else np.asarray(val, dtype=float)
-            if val.shape != arr.shape:
-                raise ValueError("%s must have the same shape as sigma_ddot" % name)
-            setattr(self, name, val)
-
-    @classmethod
-    def zeros(cls, n: int) -> "LagBuffer":
-        return cls(np.zeros((n, 3)))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Fleet snapshot after one step, controller signals included.
-
-    Controller quantities (torque, errors, Lyapunov value) are evaluated at
-    the stored state with the desired-acceleration state available at that
-    instant.
-    """
-
-    t: float
-    sigma: np.ndarray
-    omega: np.ndarray
-    torque: np.ndarray
-    theta_hat: np.ndarray
-    sync_error: np.ndarray
-    filtered_error: np.ndarray
-    lyapunov: float
-    disagreement: float
-    tracking_error: float | None = None
 
 
 @dataclass
@@ -304,24 +241,17 @@ class Simulation:
         """Weighted neighbor position/rate sums, chart-aligned if enabled.
 
         Alignment maps each neighbor's attitude to whichever of its two
-        equivalent representations (sigma or -sigma/|sigma|^2) lies closer
-        to the receiving craft, so a neighbor's representation flip never
-        jumps the aggregate.
+        equivalent representations (sigma or its shadow) lies closer to the
+        receiving craft, so a neighbor's representation flip never jumps
+        the aggregate.
         """
         if not self.aligned:
             return self.weights @ sigma, self.weights @ sigma_dot
-        norm2 = np.einsum("ni,ni->n", sigma, sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shadow = -sigma / norm2[:, None]
-            radial = np.einsum("ni,ni->n", sigma, sigma_dot)
-            shadow_dot = (-sigma_dot * norm2[:, None]
-                          + 2.0 * sigma * radial[:, None]) / np.square(norm2)[:, None]
-        d_raw = np.einsum("ijk,ijk->ij",
-                          sigma[:, None, :] - sigma[None, :, :],
-                          sigma[:, None, :] - sigma[None, :, :])
+        shadow, shadow_dot = mrp_shadow(sigma, sigma_dot)
+        diff = sigma[:, None, :] - sigma[None, :, :]
+        d_raw = np.einsum("ijk,ijk->ij", diff, diff)
         diff_sh = sigma[:, None, :] - shadow[None, :, :]
-        with np.errstate(invalid="ignore"):
-            d_sh = np.einsum("ijk,ijk->ij", diff_sh, diff_sh)
+        d_sh = np.einsum("ijk,ijk->ij", diff_sh, diff_sh)
         d_sh = np.where(np.isfinite(d_sh), d_sh, np.inf)
         use_shadow = (d_sh < d_raw) & (self.weights > 0.0)
         img = np.where(use_shadow[:, :, None], shadow[None, :, :],
@@ -338,15 +268,13 @@ class Simulation:
         if self.tracking:
             sr, srd, srdd = self.ref.at(t)
             if self.aligned:
-                sr_n2 = float(sr @ sr)
-                if sr_n2 > 0.0:
-                    sh = -sr / sr_n2
-                    sh_dot = (-srd * sr_n2 + 2.0 * sr * float(sr @ srd)) / sr_n2 ** 2
-                    closer = (np.einsum("ni,ni->n", sigma - sh, sigma - sh)
-                              < np.einsum("ni,ni->n", sigma - sr, sigma - sr))
-                    pick = closer & (self.leader_coeff > 0.0)
-                    sr = np.where(pick[:, None], sh, sr)
-                    srd = np.where(pick[:, None], sh_dot, srd)
+                # a zero reference has no shadow: NaN distances never pick it
+                sh, sh_dot = mrp_shadow(sr, srd)
+                closer = (np.einsum("ni,ni->n", sigma - sh, sigma - sh)
+                          < np.einsum("ni,ni->n", sigma - sr, sigma - sr))
+                pick = (closer & (self.leader_coeff > 0.0))[:, None]
+                sr = np.where(pick, sh, sr)
+                srd = np.where(pick, sh_dot, srd)
             lc = self.leader_coeff[:, None]
             sigma_d = sigma_d + lc * sr
             sigma_d_dot = sigma_d_dot + lc * srd
@@ -410,169 +338,101 @@ class Simulation:
         The desired-trajectory generator state is mapped through the same
         transform so the craft's errors stay continuous across its flip.
         """
-        norm2 = np.einsum("ni,ni->n", sigma, sigma)
-        mask = norm2 > 1.0
+        mask = np.einsum("ni,ni->n", sigma, sigma) > 1.0
         if mask.any():
-            sigma = sigma.copy()
-            sigma[mask] = -sigma[mask] / norm2[mask, None]
+            sigma = np.where(mask[:, None], mrp_shadow(sigma), sigma)
             if self.smoothed:
-                chi = chi.copy()
-                chi_dot = chi_dot.copy()
-                c_norm2 = np.einsum("ni,ni->n", chi[mask], chi[mask])
-                ok = c_norm2 > 0.0
-                rows = np.nonzero(mask)[0][ok]
-                c_norm2 = c_norm2[ok][:, None]
-                radial = np.einsum("ni,ni->n", chi[rows], chi_dot[rows])[:, None]
-                chi_dot[rows] = (-chi_dot[rows] * c_norm2
-                                 + 2.0 * chi[rows] * radial) / np.square(c_norm2)
-                chi[rows] = -chi[rows] / c_norm2
+                rows = (mask & (np.einsum("ni,ni->n", chi, chi) > 0.0))[:, None]
+                chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
+                chi = np.where(rows, chi_sh, chi)
+                chi_dot = np.where(rows, chi_sh_dot, chi_dot)
         return sigma, chi, chi_dot
 
     def _check_state(self, t, sigma, omega, theta_hat):
-        finite = (np.isfinite(sigma).all(axis=1)
-                  & np.isfinite(omega).all(axis=1)
-                  & np.isfinite(theta_hat).all(axis=1))
-        with np.errstate(invalid="ignore"):
-            norms = np.sqrt(np.einsum("ni,ni->n", sigma, sigma))
-        bad = ~finite | (norms > DIVERGENCE_SIGMA_NORM)
+        """Raise SimulationDiverged naming the first bad craft and quantity."""
+        finite = {name: np.isfinite(x).all(axis=1) for name, x in
+                  (("sigma", sigma), ("omega", omega), ("theta_hat", theta_hat))}
+        norms = np.sqrt(np.einsum("ni,ni->n", sigma, sigma))
+        bad = (~(finite["sigma"] & finite["omega"] & finite["theta_hat"])
+               | (norms > DIVERGENCE_SIGMA_NORM))
         if bad.any():
-            i = int(np.nonzero(bad)[0][0])
+            i = int(np.flatnonzero(bad)[0])
+            name = next((k for k, ok in finite.items() if not ok[i]), None)
+            what = ("%s is not finite" % name if name else
+                    "|sigma| = %.3g > %g" % (norms[i], DIVERGENCE_SIGMA_NORM))
             raise SimulationDiverged(
-                "spacecraft %d diverged at t = %.6g s (|sigma| = %.3g)"
-                % (i + 1, t, norms[i]),
-                craft_index=i, time=t)
+                "spacecraft %d diverged at t = %.6g s (%s)" % (i + 1, t, what),
+                craft_index=i, time=t, quantity=name or "sigma")
 
-    def _advance(self, t, t_next, sigma, omega, theta_hat, lag: LagBuffer):
-        """One RK4 step plus the end-of-step evaluation that refreshes the lag."""
-        sigma_n, omega_n, theta_n, chi_n, chi_dot_n = self._rk4(
-            t, sigma, omega, theta_hat, lag.chi, lag.chi_dot, lag.sigma_ddot)
-        if self.scenario.shadow_switch:
-            sigma_n, chi_n, chi_dot_n = self._apply_shadow(sigma_n, chi_n, chi_dot_n)
-        self._check_state(t_next, sigma_n, omega_n, theta_n)
-        extras = self._eval(t_next, sigma_n, omega_n, theta_n, chi_n, chi_dot_n,
-                            lag.sigma_ddot)
-        if self.smoothed:
-            # hold the generator's own acceleration output
-            sdd = extras[4]
-        else:
-            sigma_dot, omega_dot = extras[0], extras[1]
-            sdd = (mat_vec(kinematics_matrix_dot(sigma_n, sigma_dot), omega_n)
-                   + mat_vec(kinematics_matrix(sigma_n), omega_dot))
-        new_lag = LagBuffer(sdd, chi_n, chi_dot_n)
-        return sigma_n, omega_n, theta_n, new_lag, extras
-
-    def _make_record(self, t, sigma, omega, theta_hat, extras):
-        u, e, s = extras[5], extras[6], extras[7]
-        v = _lyapunov_core(self.j_stack, self.gains.gamma_diag, self.theta_true,
-                           sigma, s, theta_hat)
-        tracking_error = None
+    def _record(self, log, r, t, sigma, omega, theta_hat, ev):
+        """Write record r of the log from the state and its evaluation."""
+        u, e, s = ev[5], ev[6], ev[7]
+        log.times[r] = t
+        log.sigma[r], log.omega[r], log.torque[r] = sigma, omega, u
+        log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = theta_hat, e, s
+        log.lyapunov[r] = _lyapunov_core(self.j_stack, self.gains.gamma_diag,
+                                         self.theta_true, sigma, s, theta_hat)
+        log.disagreement[r] = _max_pairwise(sigma)
         if self.tracking:
             sr = self.ref.at(t)[0]
-            tracking_error = float(np.linalg.norm(sigma - sr, axis=1).max())
-        return StepRecord(
-            t=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
-            sync_error=e, filtered_error=s, lyapunov=v,
-            disagreement=_max_pairwise(sigma), tracking_error=tracking_error)
+            log.tracking_error[r] = float(np.linalg.norm(sigma - sr, axis=1).max())
 
     # -- public stepping -------------------------------------------------
-
-    def initial_arrays(self):
-        craft = self.scenario.spacecraft
-        sigma = np.stack([c.initial_state.sigma for c in craft])
-        omega = np.stack([c.initial_state.omega for c in craft])
-        theta = np.stack([c.theta_hat0 for c in craft])
-        return sigma, omega, theta
-
-    def initial_buffer(self, sigma, omega, t: float = 0.0) -> LagBuffer:
-        """Desired-state generator seated on each craft's own state.
-
-        chi(0) = sigma(0) and chi_dot(0) = sigma_dot(0), so the initial
-        reference error is exactly zero and the reference slides toward the
-        neighborhood aggregate at the generator bandwidth instead of
-        demanding an instantaneous jump.  Commanded rates then stay at the
-        generator's own scale, which keeps the early torque transient tame.
-        The acceleration hold (used by the held source) starts at zero.
-        """
-        sigma = np.asarray(sigma, dtype=float)
-        omega = np.asarray(omega, dtype=float)
-        return LagBuffer(np.zeros_like(sigma), sigma.copy(),
-                         mrp_rate(sigma, omega))
-
-    def step(self, states, adaptive_states, lag: LagBuffer, t: float):
-        """Advance the fleet one step from time t.
-
-        states : sequence of SpacecraftState, one per craft.
-        adaptive_states : (n, 6) current inertia estimates.
-        Returns (new_states, new_adaptive_states, new_lag, record).
-
-        Build the first `lag` with initial_buffer to seat the generator on
-        the craft's own state; LagBuffer.zeros starts it from rest at the
-        origin instead.
-        """
-        sigma = np.stack([s.sigma for s in states])
-        omega = np.stack([s.omega for s in states])
-        theta = np.asarray(adaptive_states, dtype=float)
-        if sigma.shape[0] != self.n or theta.shape != (self.n, 6):
-            raise ValueError("state arrays do not match the scenario size")
-        sigma_n, omega_n, theta_n, new_lag, extras = self._advance(
-            t, t + self.dt, sigma, omega, theta, lag)
-        record = self._make_record(t + self.dt, sigma_n, omega_n, theta_n, extras)
-        new_states = [SpacecraftState(sigma_n[i], omega_n[i]) for i in range(self.n)]
-        return new_states, theta_n, new_lag, record
 
     def run(self, decimate: int = 10) -> TrajectoryLog:
         """Integrate the full horizon and return the decimated history.
 
         Records are kept every `decimate` steps, always including the
-        initial and final states.
+        initial and final states.  The generator starts seated on each
+        craft's own state, chi(0) = sigma(0) and chi_dot(0) = sigma_dot(0),
+        so the initial reference error is exactly zero and the reference
+        slides toward the neighborhood aggregate at the generator
+        bandwidth; the held acceleration starts at zero.
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
-        sigma, omega, theta = self.initial_arrays()
-        self._check_state(0.0, sigma, omega, theta)
-        lag = self.initial_buffer(sigma, omega, 0.0)
+        craft = self.scenario.spacecraft
+        sigma = np.stack([c.initial_state.sigma for c in craft])
+        omega = np.stack([c.initial_state.omega for c in craft])
+        theta = np.stack([c.theta_hat0 for c in craft])
         n_steps = self.scenario.n_steps
-        records = [self._make_record(
-            0.0, sigma, omega, theta,
-            self._eval(0.0, sigma, omega, theta, lag.chi, lag.chi_dot,
-                       lag.sigma_ddot))]
-        for k in range(n_steps):
-            t = k * self.dt
-            t_next = (k + 1) * self.dt
-            sigma, omega, theta, lag, extras = self._advance(
-                t, t_next, sigma, omega, theta, lag)
-            if (k + 1) % decimate == 0 or k == n_steps - 1:
-                records.append(self._make_record(t_next, sigma, omega, theta, extras))
-        return self._collect(records, decimate)
+        n_rec = 1 + -(-n_steps // decimate)  # initial state + ceil(n_steps / k)
 
-    def _collect(self, records, decimate):
-        tracking_error = None
-        if self.tracking:
-            tracking_error = np.array([r.tracking_error for r in records])
-        return TrajectoryLog(
-            scenario=self.scenario,
-            decimate=decimate,
-            times=np.array([r.t for r in records]),
-            sigma=np.stack([r.sigma for r in records]),
-            omega=np.stack([r.omega for r in records]),
-            torque=np.stack([r.torque for r in records]),
-            theta_hat=np.stack([r.theta_hat for r in records]),
-            sync_error=np.stack([r.sync_error for r in records]),
-            filtered_error=np.stack([r.filtered_error for r in records]),
-            lyapunov=np.array([r.lyapunov for r in records]),
-            disagreement=np.array([r.disagreement for r in records]),
-            tracking_error=tracking_error,
-        )
+        def rows(*shape):
+            return np.empty((n_rec,) + shape)
 
-
-def step(scenario: Scenario, states, adaptive_states, lag: LagBuffer, t: float):
-    """One fleet step; convenience wrapper over Simulation(scenario).step."""
-    return Simulation(scenario).step(states, adaptive_states, lag, t)
-
-
-def run(scenario: Scenario, decimate: int = 10) -> TrajectoryLog:
-    """Simulate a scenario start to finish; see Simulation.run."""
-    return Simulation(scenario).run(decimate=decimate)
+        log = TrajectoryLog(
+            scenario=self.scenario, decimate=decimate, times=rows(),
+            sigma=rows(self.n, 3), omega=rows(self.n, 3), torque=rows(self.n, 3),
+            theta_hat=rows(self.n, 6), sync_error=rows(self.n, 3),
+            filtered_error=rows(self.n, 3), lyapunov=rows(), disagreement=rows(),
+            tracking_error=rows() if self.tracking else None)
+        chi, chi_dot = sigma.copy(), mrp_rate(sigma, omega)
+        held_sdd = np.zeros_like(sigma)
+        # a diverging state overflows before the guard stops the run
+        with np.errstate(all="ignore"):
+            self._check_state(0.0, sigma, omega, theta)
+            ev = self._eval(0.0, sigma, omega, theta, chi, chi_dot, held_sdd)
+            self._record(log, 0, 0.0, sigma, omega, theta, ev)
+            r = 1
+            for k in range(n_steps):
+                t_next = (k + 1) * self.dt
+                sigma, omega, theta, chi, chi_dot = self._rk4(
+                    k * self.dt, sigma, omega, theta, chi, chi_dot, held_sdd)
+                if self.scenario.shadow_switch:
+                    sigma, chi, chi_dot = self._apply_shadow(sigma, chi, chi_dot)
+                self._check_state(t_next, sigma, omega, theta)
+                recorded = (k + 1) % decimate == 0 or k == n_steps - 1
+                # the end-of-step evaluation feeds the record and the hold
+                if recorded or not self.smoothed:
+                    ev = self._eval(t_next, sigma, omega, theta, chi, chi_dot,
+                                    held_sdd)
+                if recorded:
+                    self._record(log, r, t_next, sigma, omega, theta, ev)
+                    r += 1
+                if not self.smoothed:
+                    held_sdd = mrp_acceleration(self.j_stack, sigma, omega, ev[5])
+        return log
 
 
 def _draw_in_ball(rng, bound):

@@ -103,13 +103,6 @@ def has_directed_spanning_tree(topo: CommTopology) -> bool:
     return any(_reach_from(mask, [r]).all() for r in range(topo.n))
 
 
-def leaderless_valid(topo: CommTopology) -> bool:
-    """Every node has an in-neighbor and a directed spanning tree exists."""
-    if np.any(topo.adjacency.sum(axis=1) == 0.0):
-        return False
-    return has_directed_spanning_tree(topo)
-
-
 def leader_reachable(topo: CommTopology) -> np.ndarray:
     """Boolean mask of spacecraft the virtual leader reaches.
 
@@ -124,9 +117,37 @@ def leader_reachable(topo: CommTopology) -> np.ndarray:
     return _reach_from(topo.adjacency > 0.0, roots)
 
 
+def graph_checks(topo: CommTopology, mode: str) -> list:
+    """The graph condition of a control mode as a list of (ok, text) checks.
+
+    The topology is valid for the mode exactly when every check is ok; the
+    texts name each failure (craft numbers are 1-based).
+    """
+    checks = []
+    if mode == "leaderless":
+        for i in np.nonzero(topo.adjacency.sum(axis=1) == 0.0)[0]:
+            checks.append((False, "node %d has no in-neighbor" % (i + 1)))
+        checks.append((has_directed_spanning_tree(topo), "directed spanning tree exists"))
+    elif topo.leader_weights is None:
+        checks.append((False, "tracking mode requires leader weights"))
+    elif not np.any(topo.leader_weights > 0.0):
+        checks.append((False, "leader reaches no node"))
+    else:
+        reached = leader_reachable(topo)
+        for i in np.nonzero(~reached)[0]:
+            checks.append((False, "leader does not reach node %d" % (i + 1)))
+        checks.append((bool(reached.all()), "leader reaches every node"))
+    return checks
+
+
+def leaderless_valid(topo: CommTopology) -> bool:
+    """Every node has an in-neighbor and a directed spanning tree exists."""
+    return all(ok for ok, _ in graph_checks(topo, "leaderless"))
+
+
 def leader_rooted_valid(topo: CommTopology) -> bool:
     """The virtual leader reaches every spacecraft in the augmented graph."""
-    return bool(leader_reachable(topo).all())
+    return all(ok for ok, _ in graph_checks(topo, "tracking"))
 
 
 def neighborhood_aggregate(topo: CommTopology, i: int, values, leader_value=None):

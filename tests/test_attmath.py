@@ -1,6 +1,7 @@
 """Attitude math: kinematics matrix, operators, parameter packing."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from attsync.attmath import (
     f_operator,
@@ -124,6 +125,36 @@ def test_mrp_shadow_properties():
     # on the unit sphere the shadow is the antipode
     u = np.array([0.6, 0.8, 0.0])
     assert np.allclose(mrp_shadow(u), -u, atol=1e-14)
+
+
+# attitudes with |x| spread log-uniformly over [1e-3, 1e3], and a rate
+vectors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+directions = vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
+attitudes = st.builds(lambda d, m: 10.0 ** m * d / np.linalg.norm(d),
+                      directions, st.floats(-3.0, 3.0))
+
+
+@given(attitudes)
+def test_mrp_shadow_is_an_involution_swapping_the_unit_ball(x):
+    sh = mrp_shadow(x)
+    r, r_sh = np.linalg.norm(x), np.linalg.norm(sh)
+    assert np.allclose(mrp_shadow(sh), x, rtol=0.0, atol=1e-13 * r)
+    assert abs(r * r_sh - 1.0) <= 1e-13
+    if r < 1.0 - 1e-9:
+        assert r_sh > 1.0
+    if r > 1.0 + 1e-9:
+        assert r_sh < 1.0
+
+
+@given(attitudes, directions)
+def test_mrp_shadow_rate_matches_central_difference(x, x_dot):
+    r = np.linalg.norm(x)
+    sh, sh_dot = mrp_shadow(x, x_dot)
+    assert np.array_equal(sh, mrp_shadow(x))
+    h = 1e-6 * r / np.linalg.norm(x_dot)
+    fd = (mrp_shadow(x + h * x_dot) - mrp_shadow(x - h * x_dot)) / (2.0 * h)
+    scale = np.linalg.norm(x_dot) / r ** 2  # |d shadow / dt| is at most this
+    assert np.abs(fd - sh_dot).max() <= 1e-7 * scale
 
 
 def test_mat_vec_broadcasts():

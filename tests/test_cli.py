@@ -1,14 +1,32 @@
 """Command-line front end: exit codes, file outputs, overrides, schemas."""
 import json
 import os
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from attsync.cli import csv_header, main
-from attsync.config import preset
+from attsync.cli import (
+    _apply_overrides,
+    _load_config,
+    _parse_seeds,
+    build_parser,
+    csv_header,
+    main,
+)
+from attsync.config import ScenarioConfig, preset
 from tests.conftest import FLEET_J
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"```%s\n(.*?)```" % lang, text, re.S)
 
 
 def pair_config_dict(**extra):
@@ -82,13 +100,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_partial_step_duration_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--preset", "paper-leaderless", "--duration", "1.0025",
+                 "--out", out]) == 2
+    assert "not a whole number of steps" in capsys.readouterr().err
+
+
 def test_divergence_exits_3(tmp_path, capsys):
     # mutual coupling under the one-step acceleration hold blows up quickly
     path = write_config(tmp_path, accel_source="held", smoothing_rate=6.0,
                         rate_leak=0.0, shadow_switch=False)
-    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning leaks
+        code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    assert re.search(r"\((sigma|omega|theta_hat) is not finite|\|sigma\| = ", err)
 
 
 # ---------------------------------------------------------- run outputs
@@ -227,3 +256,33 @@ def test_csv_values_are_full_precision(tmp_path, capsys):
     # repr round-trips doubles exactly; re-parsing must reproduce the value
     assert repr(last[1]) in lines[-1]
     assert "," not in lines[-1].replace(",", "", len(last) - 1)  # '.' decimal
+
+
+# --------------------------------------------------------- documentation
+
+
+def test_readme_yaml_blocks_build_scenarios():
+    blocks = readme_blocks("yaml")
+    assert blocks
+    for text in blocks:
+        ScenarioConfig.from_yaml(text).to_scenario()
+
+
+def test_readme_commands_validate(tmp_path, monkeypatch):
+    # every documented run/validate line, with the README's YAML standing in
+    # for my_scenario.yaml, must build its scenario for every seed it names
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_scenario.yaml").write_text(readme_blocks("yaml")[0], encoding="utf-8")
+    lines = [line.split("#")[0].split()
+             for block in readme_blocks("sh") for line in block.splitlines()]
+    commands = [words[1:] for words in lines
+                if words[:1] == ["attsync"] and words[1] in ("run", "validate")]
+    assert len(commands) >= 6
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        cfg = _load_config(args)
+        if argv[0] == "run":
+            cfg = _apply_overrides(cfg, args)
+        seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else [cfg.seed]
+        for seed in seeds:
+            cfg.with_overrides(seed=seed).to_scenario()

@@ -7,11 +7,8 @@ from attsync.control import (
     GainSet,
     NeighborhoodSignals,
     ReferenceTrajectory,
-    adaptation_rate,
-    control_torque,
     controller_outputs,
     filtered_error,
-    reference_at,
     sync_error,
 )
 from attsync.rigid_body import (
@@ -32,6 +29,10 @@ RNG = np.random.default_rng(5)
 def random_spd(rng):
     m = rng.normal(size=(3, 3))
     return m @ m.T + 3.0 * np.eye(3)
+
+
+def torque(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains):
+    return controller_outputs(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains)[0]
 
 
 def signals_from(sigma_d, sigma_d_dot=None, sigma_d_ddot=None):
@@ -91,7 +92,7 @@ def test_gain_set_is_immutable():
 def test_reference_constant():
     ref = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
     for t in (0.0, 1.7, 40.0):
-        sigma_r, rate, accel = reference_at(ref, t)
+        sigma_r, rate, accel = ref.at(t)
         assert np.array_equal(sigma_r, [0.1, 0.3, 0.5])
         assert np.array_equal(rate, np.zeros(3))
         assert np.array_equal(accel, np.zeros(3))
@@ -180,12 +181,12 @@ def test_torque_zero_cases():
     # s = 0 (signals equal own state) and theta_hat = 0 kill both terms
     sig = signals_from(sigma, sigma_dot)
     e, e_dot = sync_error(sigma, sigma_dot, sig)
-    u = control_torque(sigma, sigma_dot, sig, e, e_dot, np.zeros(6), gains)
+    u = torque(sigma, sigma_dot, sig, e, e_dot, np.zeros(6), gains)
     assert np.abs(u).max() <= 1e-15
     # at rest with zero signals the regressor arguments vanish for any theta_hat
     zero = np.zeros(3)
     sig = signals_from(zero, zero, zero)
-    u = control_torque(zero, zero, sig, zero, zero, RNG.normal(size=6), gains)
+    u = torque(zero, zero, sig, zero, zero, RNG.normal(size=6), gains)
     assert np.abs(u).max() <= 1e-15
 
 
@@ -197,7 +198,7 @@ def test_torque_linear_in_theta_hat():
     e, e_dot = sync_error(sigma, sigma_dot, sig)
 
     def u(th):
-        return control_torque(sigma, sigma_dot, sig, e, e_dot, th, gains)
+        return torque(sigma, sigma_dot, sig, e, e_dot, th, gains)
 
     a, b = RNG.normal(size=6), RNG.normal(size=6)
     lhs = u(2.0 * a - 3.0 * b)
@@ -216,14 +217,16 @@ def test_adaptation_rate_matches_regressor_product():
     a_r = sig.sigma_d_ddot - gains.Lambda @ e_dot
     y = regression(sigma, sigma_dot, v_r, a_r)
     want = -3.0 * (y.T @ s)
-    got = adaptation_rate(sigma, sigma_dot, sig, e, e_dot, s, gains)
+    got = controller_outputs(sigma, sigma_dot, sig, e, e_dot, np.zeros(6), gains)[2]
     assert np.allclose(got, want, atol=1e-13)
-    # s = 0 silences adaptation regardless of the state
-    zero_rate = adaptation_rate(sigma, sigma_dot, sig, e, e_dot, np.zeros(3), gains)
+    # s = 0 (e_dot = -Lambda e) silences adaptation regardless of the state
+    zero_rate = controller_outputs(sigma, sigma_dot, sig, e, -e, np.zeros(6), gains)[2]
     assert np.array_equal(zero_rate, np.zeros(6))
 
 
 def test_controller_outputs_match_separate_calls():
+    # u = G^T (Y theta_hat - K s) and theta_hat_dot = -Gamma Y^T s, with Y
+    # from the `regression` oracle and s from `filtered_error`
     gains = GainSet(random_spd(RNG), random_spd(RNG), np.diag(RNG.uniform(1, 3, 6)))
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
     sigma_dot = mrp_rate(sigma, omega)
@@ -231,9 +234,13 @@ def test_controller_outputs_match_separate_calls():
     e, e_dot = sync_error(sigma, sigma_dot, sig)
     theta_hat = RNG.normal(size=6)
     u, s, th_dot = controller_outputs(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
-    assert np.array_equal(u, control_torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains))
-    assert np.array_equal(s, filtered_error(e, e_dot, gains.Lambda))
-    assert np.array_equal(th_dot, adaptation_rate(sigma, sigma_dot, sig, e, e_dot, s, gains))
+    want_s = filtered_error(e, e_dot, gains.Lambda)
+    y = regression(sigma, sigma_dot, sig.sigma_d_dot - gains.Lambda @ e,
+                   sig.sigma_d_ddot - gains.Lambda @ e_dot)
+    want_u = kinematics_matrix(sigma).T @ (y @ theta_hat - gains.K @ want_s)
+    assert np.array_equal(s, want_s)
+    assert np.allclose(u, want_u, atol=1e-12)
+    assert np.allclose(th_dot, -np.diag(gains.Gamma) * (y.T @ want_s), atol=1e-12)
 
 
 def test_controller_single_arithmetic_path_for_both_modes():
@@ -248,7 +255,7 @@ def test_controller_single_arithmetic_path_for_both_modes():
     for _ in range(2):
         sig = NeighborhoodSignals(*(a.copy() for a in agg))
         e, e_dot = sync_error(sigma, sigma_dot, sig)
-        results.append(control_torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains))
+        results.append(torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains))
     assert np.array_equal(results[0], results[1])
 
 
@@ -279,7 +286,7 @@ def test_perfect_knowledge_closed_loop_cancellation():
             )
             e, e_dot = sync_error(sigma, sigma_dot, sig)
             s = filtered_error(e, e_dot, gains.Lambda)
-            u = control_torque(sigma, sigma_dot, sig, e, e_dot, theta, gains)
+            u = torque(sigma, sigma_dot, sig, e, e_dot, theta, gains)
             s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, sig, gains.Lambda)
             h = h_star(j_mat, sigma)
             c = c_star(j_mat, sigma, sigma_dot)
@@ -304,7 +311,7 @@ def test_estimation_error_closed_loop_residual():
         )
         e, e_dot = sync_error(sigma, sigma_dot, sig)
         s = filtered_error(e, e_dot, gains.Lambda)
-        u = control_torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
+        u = torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
         s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, sig, gains.Lambda)
         v_r = sig.sigma_d_dot - gains.Lambda @ e
         a_r = sig.sigma_d_ddot - gains.Lambda @ e_dot

@@ -1,5 +1,6 @@
 """Closed-loop fleet integration: stepping, logging, metrics, divergence."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,12 @@ from attsync.control import GainSet, ReferenceTrajectory
 from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import InertiaParams, SpacecraftState, mrp_rate
 from attsync.simulator import (
-    LagBuffer,
     Scenario,
     Simulation,
     Spacecraft,
     lyapunov_value,
     metrics,
     random_initial_states,
-    run,
-    step,
 )
 from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import FLEET_J, pair_scenario, single_craft_scenario
@@ -75,13 +73,24 @@ def test_scenario_validation_errors():
         dataclasses.replace(base, spacecraft=base.spacecraft[:1])
 
 
+def test_duration_must_be_a_whole_number_of_steps():
+    base = pair_scenario()
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        dataclasses.replace(base, duration=1.0025, dt=0.005)
+    # preset and benchmark horizons, and ones whose ratio rounds below n
+    for duration, dt, steps in ((40.0, 0.005, 8000), (4.0, 0.005, 800),
+                                (2.0, 0.005, 400), (1.0, 0.005, 200),
+                                (20.0, 0.0025, 8000), (0.6, 0.01, 60)):
+        assert dataclasses.replace(base, duration=duration, dt=dt).n_steps == steps
+
+
 def test_single_craft_leaderless_is_invalid():
     craft = Spacecraft(
         inertia=InertiaParams.from_matrix(np.eye(3)),
         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
         gains=GainSet.from_scalars(1.0, 3.0, 3.0),
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="failed checks: node 1 has no in-neighbor$"):
         Scenario(
             spacecraft=(craft,),
             topology=CommTopology(np.zeros((1, 1))),
@@ -101,17 +110,6 @@ def test_tracking_needs_reference_and_rooted_leader():
         dataclasses.replace(tracking, topology=unrooted)
     with pytest.raises(ConfigError):
         dataclasses.replace(tracking, topology=CommTopology(np.array([[0.0, 1.0], [1.0, 0.0]])))
-
-
-def test_lag_buffer_shapes():
-    buf = LagBuffer.zeros(3)
-    assert buf.sigma_ddot.shape == (3, 3)
-    assert np.array_equal(buf.chi, np.zeros((3, 3)))
-    assert np.array_equal(buf.chi_dot, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        LagBuffer(np.zeros(3))
-    with pytest.raises(ValueError):
-        LagBuffer(np.zeros((2, 3)), chi=np.zeros((3, 3)))
 
 
 # ------------------------------------------------ random initial states
@@ -159,7 +157,7 @@ def test_equilibrium_holds(accel_source):
         sigma0=ref, omega0=(0.0, 0.0, 0.0), sigma_ref=ref, perfect=True,
         duration=1.0, accel_source=accel_source,
     )
-    log = run(sc, decimate=1)
+    log = Simulation(sc).run(decimate=1)
     drift = np.abs(log.sigma - np.array(ref)).max()
     assert drift <= 1e-9
     assert np.abs(log.omega).max() <= 1e-9
@@ -171,7 +169,7 @@ def test_spherical_free_body_keeps_omega():
         j=np.eye(3), omega0=(0.3, -0.2, 0.4), control_enabled=False, duration=10.0,
         shadow_switch=True,
     )
-    log = run(sc, decimate=1)
+    log = Simulation(sc).run(decimate=1)
     assert np.abs(log.omega - log.omega[0]).max() <= 1e-10
     assert np.abs(log.torque).max() == 0.0
 
@@ -182,7 +180,7 @@ def test_free_body_conserves_momentum_and_energy():
         j=j, omega0=(0.4, -0.3, 0.5), control_enabled=False, duration=10.0,
         shadow_switch=True,
     )
-    log = run(sc, decimate=1)
+    log = Simulation(sc).run(decimate=1)
     h = log.omega[:, 0, :] @ j.T
     h_norm = np.linalg.norm(h, axis=1)
     energy = np.einsum("ri,ij,rj->r", log.omega[:, 0, :], j, log.omega[:, 0, :])
@@ -195,7 +193,7 @@ def test_free_body_conserves_momentum_and_energy():
 
 def test_run_is_deterministic():
     sc = pair_scenario(duration=2.0)
-    a, b = run(sc), run(sc)
+    a, b = Simulation(sc).run(), Simulation(sc).run()
     for name in ("times", "sigma", "omega", "torque", "theta_hat",
                  "sync_error", "filtered_error", "lyapunov", "disagreement"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -203,51 +201,62 @@ def test_run_is_deterministic():
 
 def test_record_counts_and_times():
     sc = pair_scenario(duration=2.0)  # 400 steps at dt = 0.005
-    full = run(sc, decimate=1)
+    full = Simulation(sc).run(decimate=1)
     assert full.n_records == 401
     assert np.all(np.diff(full.times) > 0)
     assert full.times[0] == 0.0 and abs(full.times[-1] - 2.0) < 1e-12
-    dec = run(sc, decimate=10)
+    dec = Simulation(sc).run(decimate=10)
     assert dec.n_records == 41  # initial record + every 10th of 400 steps
-    dec7 = run(sc, decimate=7)
+    dec7 = Simulation(sc).run(decimate=7)
     kept = len([k for k in range(1, 401) if k % 7 == 0])
     assert dec7.n_records == 1 + kept + 1  # final step logged despite 400 % 7 != 0
     with pytest.raises(ValueError):
-        run(sc, decimate=0)
-
-
-def test_step_wrapper_advances_one_step():
-    sc = single_craft_scenario(duration=1.0)
-    sim = Simulation(sc)
-    sigma, omega, theta = sim.initial_arrays()
-    lag = sim.initial_buffer(sigma, omega)
-    states = [SpacecraftState(sigma[0], omega[0])]
-    new_states, new_theta, new_lag, record = step(sc, states, theta, lag, 0.0)
-    assert len(new_states) == 1 and new_theta.shape == (1, 6)
-    assert isinstance(new_lag, LagBuffer)
-    assert record.t == sc.dt
-    assert record.sigma.shape == (1, 3)
-    assert np.isfinite(record.lyapunov)
+        Simulation(sc).run(decimate=0)
 
 
 def test_divergence_guard_reports_craft_and_time():
     # mutual coupling with one-step-held accelerations is violently unstable;
-    # the guard must stop the run and say who went where
+    # the guard must stop the run and say who went where, without letting
+    # numpy's overflow warnings out first
     sc = pair_scenario(duration=2.0, accel_source="held")
-    with pytest.raises(SimulationDiverged) as exc:
-        run(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationDiverged) as exc:
+            Simulation(sc).run()
     assert exc.value.craft_index in (0, 1)
     assert 0.0 < exc.value.time <= 2.0
-    assert "spacecraft" in str(exc.value) and "diverged" in str(exc.value)
+    assert exc.value.quantity in ("sigma", "omega", "theta_hat")
+    text = str(exc.value)
+    assert "spacecraft" in text and "diverged" in text
+    assert exc.value.quantity in text
+    assert "is not finite" in text or "|sigma| = " in text
+
+
+@pytest.mark.parametrize("bad, quantity, how", [
+    ((0, "sigma", 2000.0), "sigma", "|sigma| = 2e+03 > 1000"),
+    ((1, "omega", np.inf), "omega", "omega is not finite"),
+    ((0, "theta_hat", np.nan), "theta_hat", "theta_hat is not finite"),
+])
+def test_divergence_guard_names_the_quantity(bad, quantity, how):
+    i, name, value = bad
+    sc = pair_scenario(duration=1.0)
+    state = {"sigma": np.zeros((2, 3)), "omega": np.zeros((2, 3)),
+             "theta_hat": np.zeros((2, 6))}
+    state[name][i, 0] = value
+    with pytest.raises(SimulationDiverged) as exc:
+        Simulation(sc)._check_state(0.25, **state)
+    assert exc.value.craft_index == i and exc.value.quantity == quantity
+    assert str(exc.value) == "spacecraft %d diverged at t = 0.25 s (%s)" % (i + 1, how)
 
 
 def test_shadow_switch_keeps_attitude_in_unit_ball():
     tumble = dict(omega0=(0.0, 0.0, 1.0), sigma0=(0.0, 0.0, 0.0),
                   control_enabled=False, duration=5.0)
-    free = run(single_craft_scenario(**tumble), decimate=1)
+    free = Simulation(single_craft_scenario(**tumble)).run(decimate=1)
     norms = np.linalg.norm(free.sigma[:, 0, :], axis=1)
     assert norms.max() > 1.1  # the long rotation leaves the unit ball
-    switched = run(single_craft_scenario(shadow_switch=True, **tumble), decimate=1)
+    switched = Simulation(single_craft_scenario(shadow_switch=True, **tumble)).run(
+        decimate=1)
     norms = np.linalg.norm(switched.sigma[:, 0, :], axis=1)
     assert norms.max() <= 1.0 + 1e-12
 
@@ -259,7 +268,7 @@ def test_logged_errors_match_offline_recomputation():
     # on an acyclic graph the held source has no causality gap, so the
     # logged errors must equal the aggregates recomputed from the log alone
     sc = chain_scenario(duration=3.0)
-    log = run(sc, decimate=1)
+    log = Simulation(sc).run(decimate=1)
     w, c = aggregate_weights(sc.topology, with_leader=True)
     sigma_dot = mrp_rate(log.sigma, log.omega)
     sigma_d = np.einsum("ij,rjk->rik", w, log.sigma)
@@ -278,7 +287,7 @@ def test_logged_filtered_error_consistent_under_smoothing():
     # smoothed runs measure errors against the generator state, which is not
     # logged; but s - Lambda e must still be the time derivative of e
     sc = pair_scenario(duration=2.0)
-    log = run(sc, decimate=1)
+    log = Simulation(sc).run(decimate=1)
     e_dot_implied = log.filtered_error - log.sync_error  # Lambda = I
     e_dot_fd = np.gradient(log.sync_error, log.times, axis=0)
     settled = slice(100, -5)  # skip the high-curvature transient
@@ -287,7 +296,7 @@ def test_logged_filtered_error_consistent_under_smoothing():
 
 def test_lyapunov_value_matches_logged_initial_value_held():
     sc = chain_scenario(duration=1.0)
-    log = run(sc)
+    log = Simulation(sc).run()
     states = [c.initial_state for c in sc.spacecraft]
     thetas = [c.inertia.theta for c in sc.spacecraft]
     v0 = lyapunov_value(
@@ -301,7 +310,7 @@ def test_lyapunov_initial_value_smoothed_is_estimate_term_only():
     # the generator starts seated on each craft's own state, so s(0) = 0 and
     # V(0) is purely the estimation error: 1/2 sum theta^T Gamma^-1 theta
     sc = pair_scenario(duration=1.0)
-    log = run(sc)
+    log = Simulation(sc).run()
     want = sum(
         0.5 * c.inertia.theta @ c.inertia.theta / 3.0 for c in sc.spacecraft
     )
@@ -328,7 +337,7 @@ def stable_pair_scenario(duration=5.0):
 
 
 def test_lyapunov_nonincreasing_on_short_adaptive_run():
-    log = run(stable_pair_scenario(), decimate=1)
+    log = Simulation(stable_pair_scenario()).run(decimate=1)
     v = log.lyapunov
     assert np.all(v[1:] <= v[:-1] + 1e-4 * (1.0 + v[:-1]))
 
@@ -337,7 +346,7 @@ def test_filtered_error_bounded_by_initial_lyapunov_level():
     # |s_i|^2 <= 2 V / lambda_min(H*), with lambda_min(H*) at attitude sigma
     # at least 16 lambda_min(J) / (1 + |sigma|^2)^2
     sc = stable_pair_scenario()
-    log = run(sc)
+    log = Simulation(sc).run()
     v0 = log.lyapunov[0]
     for i, c in enumerate(sc.spacecraft):
         lam_min_j = np.linalg.eigvalsh(c.inertia.matrix)[0]
@@ -360,12 +369,12 @@ def test_disagreement_examples():
         dataclasses.replace(c, initial_state=st)
         for c, st in zip(sc.spacecraft, states)
     )
-    log = run(dataclasses.replace(sc, spacecraft=craft))
+    log = Simulation(dataclasses.replace(sc, spacecraft=craft)).run()
     assert abs(log.disagreement[0] - 0.3) <= 1e-15
     same = tuple(
         dataclasses.replace(c, initial_state=states[0]) for c in sc.spacecraft
     )
-    log = run(dataclasses.replace(sc, spacecraft=same))
+    log = Simulation(dataclasses.replace(sc, spacecraft=same)).run()
     assert log.disagreement[0] == 0.0
 
 
@@ -373,14 +382,14 @@ def test_tracking_error_zero_on_reference():
     ref = (0.1, 0.3, 0.5)
     sc = single_craft_scenario(sigma0=ref, omega0=(0, 0, 0), sigma_ref=ref,
                                perfect=True, duration=1.0)
-    log = run(sc)
+    log = Simulation(sc).run()
     assert log.tracking_error[0] == 0.0
     assert log.tracking_error.max() <= 1e-9
 
 
 def test_metrics_summary_consistent_with_log():
     sc = pair_scenario(duration=2.0)
-    log = run(sc)
+    log = Simulation(sc).run()
     out = metrics(log)
     assert out["mode"] == "leaderless"
     assert out["records"] == log.n_records
@@ -393,7 +402,7 @@ def test_metrics_summary_consistent_with_log():
     assert "tracking_error_final" not in out
     assert np.array_equal(out["series"]["disagreement"], log.disagreement)
 
-    tlog = run(chain_scenario(duration=1.0))
+    tlog = Simulation(chain_scenario(duration=1.0)).run()
     tout = metrics(tlog)
     assert tout["tracking_error_final"] == tlog.tracking_error[-1]
     assert np.isfinite(tout["tracking_rate_final"])
