@@ -5,9 +5,10 @@ Library layout:
 * `attsync.attmath`: MRP kinematics and the inertia-factoring operators.
 * `attsync.rigid_body`: single-craft dynamics, the transformed
   Euler-Lagrange matrices H* and C*, and the adaptive regressor.
-* `attsync.topology`: directed communication graphs and validity checks.
-* `attsync.control`: neighborhood aggregates, the synchronization and
-  tracking control laws, and the adaptation law.
+* `attsync.topology`: directed communication graphs, validity checks, and
+  the neighborhood-average weights.
+* `attsync.control`: reference trajectories, the synchronization and
+  tracking control law, and the adaptation law.
 * `attsync.simulator`: fixed-step closed-loop fleet simulation.
 * `attsync.config`: YAML scenario descriptions and built-in presets.
 * `attsync.cli`: the `attsync` command line tool.
@@ -22,7 +23,6 @@ from .simulator import (
     Simulation,
     Spacecraft,
     TrajectoryLog,
-    lyapunov_value,
     metrics,
     random_initial_states,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "Spacecraft",
     "SpacecraftState",
     "TrajectoryLog",
-    "lyapunov_value",
     "metrics",
     "preset",
     "preset_names",

@@ -52,14 +52,7 @@ def validity_report(cfg: ScenarioConfig, scenario=None) -> dict:
     except ValueError as exc:
         checks = [(False, "adjacency invalid: %s" % exc)]
     else:
-        # inertia and gain matrices were validated while parsing the config
-        checks = [(True, "adjacency is square, nonnegative, zero-diagonal"),
-                  (True, "inertia matrices symmetric positive definite"),
-                  (True, "gains valid (Lambda, K symmetric positive definite; "
-                         "Gamma diagonal)")]
-        checks += graph_checks(topo, cfg.mode)
-        if cfg.mode == "tracking":
-            checks.append((cfg.reference is not None, "reference trajectory present"))
+        checks = graph_checks(topo, cfg.mode)
         try:
             if scenario is None:
                 cfg.to_scenario()

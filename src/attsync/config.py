@@ -346,7 +346,7 @@ class ScenarioConfig:
         return Scenario(
             spacecraft=craft, topology=topology, mode=self.mode,
             reference=self.reference, dt=self.dt, duration=self.duration,
-            seed=self.seed, shadow_switch=self.shadow_switch,
+            shadow_switch=self.shadow_switch,
             accel_source=self.accel_source, smoothing_rate=self.smoothing_rate,
             rate_leak=self.rate_leak)
 

@@ -54,7 +54,6 @@ from .rigid_body import (
     SpacecraftState,
     angular_acceleration,
     h_star,
-    inertia_from_theta,
     mrp_acceleration,
     mrp_rate,
 )
@@ -118,7 +117,6 @@ class Scenario:
     reference: ReferenceTrajectory | None = None
     dt: float = 0.005
     duration: float = 40.0
-    seed: int | None = None
     shadow_switch: bool = False
     control_enabled: bool = True
     adaptation_enabled: bool = True
@@ -174,7 +172,6 @@ class TrajectoryLog:
     """Decimated time history of a run; arrays indexed (record, craft, axis)."""
 
     scenario: Scenario
-    decimate: int
     times: np.ndarray
     sigma: np.ndarray
     omega: np.ndarray
@@ -191,19 +188,10 @@ class TrajectoryLog:
         return self.times.shape[0]
 
 
-def _max_pairwise(sigma):
-    """Largest attitude distance between any two craft, max_ij |sigma_i - sigma_j|."""
-    diff = sigma[:, None, :] - sigma[None, :, :]
+def _max_pairwise(x):
+    """Largest distance between any two craft's vectors, max_ij |x_i - x_j|."""
+    diff = x[:, None, :] - x[None, :, :]
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
-
-
-def _lyapunov_core(j_stack, gamma_diag, theta_true, sigma, s, theta_hat):
-    """V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^{-1} err_i."""
-    h = h_star(j_stack, sigma)
-    v_s = 0.5 * float(np.einsum("ni,nij,nj->", s, h, s))
-    err = theta_true - theta_hat
-    v_t = 0.5 * float(np.sum(err * err / gamma_diag))
-    return v_s + v_t
 
 
 class Simulation:
@@ -222,8 +210,9 @@ class Simulation:
             np.stack([c.gains.Gamma for c in craft]),
         )
         self.tracking = scenario.mode == "tracking"
-        self.weights, self.leader_coeff = aggregate_weights(
-            scenario.topology, with_leader=self.tracking)
+        w, c = aggregate_weights(scenario.topology, with_leader=self.tracking)
+        # in tracking mode the leader is source N+1 of every neighbourhood
+        self.weights = np.hstack([w, c[:, None]]) if self.tracking else w
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"
         # when coordinates may flip representation, aggregate over each
@@ -237,48 +226,38 @@ class Simulation:
 
     # -- core evaluations ------------------------------------------------
 
-    def _neighbor_sums(self, sigma, sigma_dot):
-        """Weighted neighbor position/rate sums, chart-aligned if enabled.
+    def _aggregates(self, t, sigma, sigma_dot, held_sdd):
+        """Weighted neighborhood averages of attitude, rate and acceleration.
 
-        Alignment maps each neighbor's attitude to whichever of its two
-        equivalent representations (sigma or its shadow) lies closer to the
-        receiving craft, so a neighbor's representation flip never jumps
-        the aggregate.
+        The sources are the craft, plus the reference as leader in tracking
+        mode.  held_sdd holds the craft's held accelerations under the
+        "held" source; it is None under "smoothed", which needs no
+        acceleration aggregate.  Chart alignment maps each source's attitude to whichever
+        of its two equivalent representations (sigma or its shadow) lies
+        closer to the receiving craft, so a source's representation flip
+        never jumps the aggregate.
         """
+        src, src_dot, src_ddot = sigma, sigma_dot, held_sdd
+        if self.tracking:
+            sr, srd, srdd = self.ref.at(t)
+            src, src_dot = np.vstack([sigma, sr]), np.vstack([sigma_dot, srd])
+            if held_sdd is not None:
+                src_ddot = np.vstack([held_sdd, srdd])
+        w = self.weights
         if not self.aligned:
-            return self.weights @ sigma, self.weights @ sigma_dot
-        shadow, shadow_dot = mrp_shadow(sigma, sigma_dot)
-        diff = sigma[:, None, :] - sigma[None, :, :]
+            return w @ src, w @ src_dot, None if src_ddot is None else w @ src_ddot
+        shadow, shadow_dot = mrp_shadow(src, src_dot)
+        diff = sigma[:, None, :] - src[None, :, :]
         d_raw = np.einsum("ijk,ijk->ij", diff, diff)
         diff_sh = sigma[:, None, :] - shadow[None, :, :]
         d_sh = np.einsum("ijk,ijk->ij", diff_sh, diff_sh)
+        # a zero attitude has no shadow: its non-finite distance never wins
         d_sh = np.where(np.isfinite(d_sh), d_sh, np.inf)
-        use_shadow = (d_sh < d_raw) & (self.weights > 0.0)
-        img = np.where(use_shadow[:, :, None], shadow[None, :, :],
-                       sigma[None, :, :])
-        img_dot = np.where(use_shadow[:, :, None], shadow_dot[None, :, :],
-                           sigma_dot[None, :, :])
-        return (np.einsum("ij,ijk->ik", self.weights, img),
-                np.einsum("ij,ijk->ik", self.weights, img_dot))
-
-    def _aggregates(self, t, sigma, sigma_dot):
-        """Neighborhood position/rate aggregates (leader folded in)."""
-        sigma_d, sigma_d_dot = self._neighbor_sums(sigma, sigma_dot)
-        srdd = None
-        if self.tracking:
-            sr, srd, srdd = self.ref.at(t)
-            if self.aligned:
-                # a zero reference has no shadow: NaN distances never pick it
-                sh, sh_dot = mrp_shadow(sr, srd)
-                closer = (np.einsum("ni,ni->n", sigma - sh, sigma - sh)
-                          < np.einsum("ni,ni->n", sigma - sr, sigma - sr))
-                pick = (closer & (self.leader_coeff > 0.0))[:, None]
-                sr = np.where(pick, sh, sr)
-                srd = np.where(pick, sh_dot, srd)
-            lc = self.leader_coeff[:, None]
-            sigma_d = sigma_d + lc * sr
-            sigma_d_dot = sigma_d_dot + lc * srd
-        return sigma_d, sigma_d_dot, srdd
+        use_shadow = ((d_sh < d_raw) & (w > 0.0))[:, :, None]
+        img = np.where(use_shadow, shadow[None, :, :], src[None, :, :])
+        img_dot = np.where(use_shadow, shadow_dot[None, :, :], src_dot[None, :, :])
+        return (np.einsum("ij,ijk->ik", w, img),
+                np.einsum("ij,ijk->ik", w, img_dot), None)
 
     def _eval(self, t, sigma, omega, theta_hat, chi, chi_dot, held_sdd):
         """Closed-loop derivatives and controller signals at one instant.
@@ -287,7 +266,8 @@ class Simulation:
         the chi derivatives are zero under the "held" source.
         """
         sigma_dot = mrp_rate(sigma, omega)
-        sigma_d, sigma_d_dot, srdd = self._aggregates(t, sigma, sigma_dot)
+        sigma_d, sigma_d_dot, sigma_d_ddot = self._aggregates(
+            t, sigma, sigma_dot, held_sdd)
         if self.smoothed:
             chi_ddot = (self._gen_kd * (sigma_d_dot - chi_dot)
                         + self._gen_kp * (sigma_d - chi)
@@ -295,9 +275,6 @@ class Simulation:
             signals = NeighborhoodSignals(chi, chi_dot, chi_ddot)
             d_chi, d_chi_dot = chi_dot, chi_ddot
         else:
-            sigma_d_ddot = self.weights @ held_sdd
-            if self.tracking:
-                sigma_d_ddot = sigma_d_ddot + self.leader_coeff[:, None] * srdd
             signals = NeighborhoodSignals(sigma_d, sigma_d_dot, sigma_d_ddot)
             d_chi = d_chi_dot = np.zeros_like(sigma)
         e, e_dot = sync_error(sigma, sigma_dot, signals)
@@ -370,8 +347,11 @@ class Simulation:
         log.times[r] = t
         log.sigma[r], log.omega[r], log.torque[r] = sigma, omega, u
         log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = theta_hat, e, s
-        log.lyapunov[r] = _lyapunov_core(self.j_stack, self.gains.gamma_diag,
-                                         self.theta_true, sigma, s, theta_hat)
+        # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
+        err = self.theta_true - theta_hat
+        log.lyapunov[r] = (
+            0.5 * float(np.einsum("ni,nij,nj->", s, h_star(self.j_stack, sigma), s))
+            + 0.5 * float(np.sum(err * err / self.gains.gamma_diag)))
         log.disagreement[r] = _max_pairwise(sigma)
         if self.tracking:
             sr = self.ref.at(t)[0]
@@ -402,13 +382,13 @@ class Simulation:
             return np.empty((n_rec,) + shape)
 
         log = TrajectoryLog(
-            scenario=self.scenario, decimate=decimate, times=rows(),
+            scenario=self.scenario, times=rows(),
             sigma=rows(self.n, 3), omega=rows(self.n, 3), torque=rows(self.n, 3),
             theta_hat=rows(self.n, 6), sync_error=rows(self.n, 3),
             filtered_error=rows(self.n, 3), lyapunov=rows(), disagreement=rows(),
             tracking_error=rows() if self.tracking else None)
         chi, chi_dot = sigma.copy(), mrp_rate(sigma, omega)
-        held_sdd = np.zeros_like(sigma)
+        held_sdd = None if self.smoothed else np.zeros_like(sigma)
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):
             self._check_state(0.0, sigma, omega, theta)
@@ -466,56 +446,13 @@ def random_initial_states(seed, n, sigma_bound=0.5, omega_bound=0.5):
     return out
 
 
-def lyapunov_value(states, adaptive_states, true_thetas, mode, gains, topo,
-                   ref=None, t=0.0):
-    """Fleet Lyapunov function at one instant.
-
-    V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i (theta_i - theta_hat_i)^T
-    Gamma_i^{-1} (theta_i - theta_hat_i), with s_i built from the raw
-    neighborhood aggregates (acceleration terms do not enter).  Matches a
-    run's logged value under the "held" source, where the control law reads
-    the raw aggregates directly; a "smoothed" run logs V built from its
-    generator state instead (equal to this once the generator has settled
-    on the aggregates).  `gains` may be a list of per-craft GainSet or one
-    stacked set.
-    """
-    if mode not in MODES:
-        raise ConfigError("mode must be one of %r" % (MODES,))
-    sigma = np.stack([s.sigma for s in states])
-    omega = np.stack([s.omega for s in states])
-    theta_hat = np.asarray(adaptive_states, dtype=float)
-    theta_true = np.asarray(true_thetas, dtype=float)
-    if isinstance(gains, GainSet):
-        lam, gamma_diag = gains.Lambda, gains.gamma_diag
-    else:
-        lam = np.stack([g.Lambda for g in gains])
-        gamma_diag = np.stack([g.gamma_diag for g in gains])
-    tracking = mode == "tracking"
-    weights, leader_coeff = aggregate_weights(topo, with_leader=tracking)
-    sigma_dot = mrp_rate(sigma, omega)
-    sigma_d = weights @ sigma
-    sigma_d_dot = weights @ sigma_dot
-    if tracking:
-        if ref is None:
-            raise ConfigError("tracking mode requires a reference trajectory")
-        sr, srd, _ = ref.at(t)
-        sigma_d = sigma_d + leader_coeff[:, None] * sr
-        sigma_d_dot = sigma_d_dot + leader_coeff[:, None] * srd
-    e = sigma - sigma_d
-    e_dot = sigma_dot - sigma_d_dot
-    s = filtered_error(e, e_dot, lam)
-    j_stack = inertia_from_theta(theta_true)
-    return _lyapunov_core(j_stack, gamma_diag, theta_true, sigma, s, theta_hat)
-
-
 def metrics(log: TrajectoryLog) -> dict:
     """Summary metrics of a run: disagreement, tracking error, bounds.
 
     Finals are scalars; full series come back under "series" as arrays.
     """
     sigma_dot = mrp_rate(log.sigma, log.omega)
-    diff = sigma_dot[:, :, None, :] - sigma_dot[:, None, :, :]
-    d_rate = np.sqrt(np.einsum("rijk,rijk->rij", diff, diff).max(axis=(1, 2)))
+    d_rate = np.array([_max_pairwise(v) for v in sigma_dot])
     torque_norm = np.linalg.norm(log.torque, axis=2)
     theta_norm = np.linalg.norm(log.theta_hat, axis=2)
     out = {

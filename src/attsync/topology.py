@@ -59,18 +59,9 @@ class CommTopology:
         return self.adjacency.shape[0]
 
 
-def degree_matrix(topo: CommTopology, with_leader: bool = False) -> np.ndarray:
-    """Diagonal matrix of weighted in-degrees (row sums of the adjacency).
-
-    With ``with_leader`` the leader weight b_i is added to row i, matching
-    the denominator of the leader-coupled neighborhood average.
-    """
-    deg = topo.adjacency.sum(axis=1)
-    if with_leader:
-        if topo.leader_weights is None:
-            raise ConfigError("topology has no leader weights")
-        deg = deg + topo.leader_weights
-    return np.diag(deg)
+def degree_matrix(topo: CommTopology) -> np.ndarray:
+    """Diagonal matrix of weighted in-degrees (row sums of the adjacency)."""
+    return np.diag(topo.adjacency.sum(axis=1))
 
 
 def laplacian(topo: CommTopology) -> np.ndarray:

@@ -88,6 +88,17 @@ def test_validate_reports_unreachable_leader(tmp_path, capsys):
     assert "leader reaches no node" in capsys.readouterr().out
 
 
+def test_validate_reports_missing_reference(tmp_path, capsys):
+    cfg = preset("paper-tracking").to_dict()
+    del cfg["reference"]
+    path = tmp_path / "no_reference.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "tracking mode requires a reference trajectory" in out
+    assert "valid: no" in out
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["validate", "--preset", "no-such-preset"]) == 2
     assert main(["validate"]) == 2  # neither source given

@@ -28,9 +28,9 @@ def minimal_dict(mode="leaderless", n=2, **extra):
 
 
 def scenarios_equal(a, b):
-    if (a.mode, a.dt, a.duration, a.seed, a.shadow_switch, a.accel_source,
+    if (a.mode, a.dt, a.duration, a.shadow_switch, a.accel_source,
             a.smoothing_rate, a.rate_leak) != \
-       (b.mode, b.dt, b.duration, b.seed, b.shadow_switch, b.accel_source,
+       (b.mode, b.dt, b.duration, b.shadow_switch, b.accel_source,
             b.smoothing_rate, b.rate_leak):
         return False
     if not np.array_equal(a.topology.adjacency, b.topology.adjacency):

@@ -13,15 +13,14 @@ from attsync.control import (
 )
 from attsync.rigid_body import (
     InertiaParams,
-    SpacecraftState,
     c_star,
     h_star,
     mrp_rate,
     regression,
 )
-from attsync.simulator import lyapunov_value
+from attsync.simulator import Simulation
 from attsync.topology import CommTopology
-from tests.conftest import FLEET_J
+from tests.conftest import FLEET_J, single_craft_scenario
 
 RNG = np.random.default_rng(5)
 
@@ -356,11 +355,9 @@ def test_fleet_stacked_evaluation_matches_per_craft():
 def test_lyapunov_value_oracle():
     # sigma = 0, omega = [4,0,0]: G(0) = I/4 so sigma_dot = [1,0,0]; a
     # constant zero reference makes s = [1,0,0]; H*(0) = 16 J = 16 I, and
-    # with theta_hat = theta the estimate term drops out: V = 8 exactly.
-    j = InertiaParams.from_matrix(np.eye(3))
-    state = SpacecraftState(np.zeros(3), np.array([4.0, 0.0, 0.0]))
-    topo = CommTopology(np.zeros((1, 1)), leader_weights=np.array([1.0]))
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
-    ref = ReferenceTrajectory.constant(np.zeros(3))
-    v = lyapunov_value([state], [j.theta], [j.theta], "tracking", gains, topo, ref=ref)
-    assert abs(v - 8.0) <= 1e-12
+    # with theta_hat = theta the estimate term drops out: the logged
+    # V(0) = 8 exactly.
+    sc = single_craft_scenario(j=np.eye(3), sigma0=(0.0, 0.0, 0.0),
+                               omega0=(4.0, 0.0, 0.0), sigma_ref=(0.0, 0.0, 0.0),
+                               perfect=True, duration=0.005)
+    assert Simulation(sc).run().lyapunov[0] == 8.0

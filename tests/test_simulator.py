@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from attsync.attmath import mrp_shadow
 from attsync.control import GainSet, ReferenceTrajectory
 from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import InertiaParams, SpacecraftState, mrp_rate
@@ -12,11 +15,10 @@ from attsync.simulator import (
     Scenario,
     Simulation,
     Spacecraft,
-    lyapunov_value,
     metrics,
     random_initial_states,
 )
-from attsync.topology import CommTopology, aggregate_weights
+from attsync.topology import CommTopology, aggregate_weights, neighborhood_aggregate
 from tests.conftest import FLEET_J, pair_scenario, single_craft_scenario
 
 
@@ -261,6 +263,91 @@ def test_shadow_switch_keeps_attitude_in_unit_ball():
     assert norms.max() <= 1.0 + 1e-12
 
 
+# ----------------------------------------------- neighborhood aggregation
+
+weights = st.floats(0.1, 2.0)
+
+
+@st.composite
+def tracking_fleets(draw):
+    """A leader-rooted fleet state, with the reference inside, outside or at
+    zero of the unit ball; returns (topology, reference, t, sigma, rate, accel)."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    adj, b = np.zeros((n, n)), np.zeros(n)
+    for k, i in enumerate(order):
+        # a tree rooted at the leader: each craft hears it or an earlier craft
+        parent = draw(st.integers(-1, k - 1))
+        if parent < 0:
+            b[i] = draw(weights)
+        else:
+            adj[i, order[parent]] = draw(weights)
+    for i in range(n):
+        for j in range(n):
+            if i != j and draw(st.booleans()):
+                adj[i, j] = draw(weights)
+        if draw(st.booleans()):
+            b[i] = draw(weights)
+    where = draw(st.sampled_from(["inside", "outside", "zero"]))
+    t = draw(st.floats(0.0, 10.0))
+    if where == "zero":
+        ref = ReferenceTrajectory.constant(np.zeros(3))
+    else:
+        direction = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+        assume(np.linalg.norm(direction) > 0.1)
+        radius = draw(st.floats(0.1, 0.9) if where == "inside" else st.floats(1.1, 3.0))
+        amplitude = draw(arrays(float, 3, elements=st.floats(-0.03, 0.03)))
+        ref = ReferenceTrajectory.sinusoid(
+            amplitude, 2.0, offset=radius * direction / np.linalg.norm(direction))
+    fleet = arrays(float, (n, 3), elements=st.floats(-2.0, 2.0))
+    return (CommTopology(adj, leader_weights=b), ref, t,
+            draw(fleet), draw(fleet), draw(fleet))
+
+
+@pytest.mark.parametrize("accel_source, shadow_switch",
+                         [("smoothed", True), ("smoothed", False), ("held", False)])
+@settings(deadline=None)
+@given(tracking_fleets())
+def test_aggregates_align_the_leader_by_the_neighbor_rule(
+        accel_source, shadow_switch, fleet):
+    topo, ref, t, sigma, sigma_dot, held_sdd = fleet
+    n = topo.n
+    craft = [Spacecraft(inertia=InertiaParams.from_matrix(np.array(j)),
+                        initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
+                        gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+             for j in FLEET_J[:n]]
+    sim = Simulation(Scenario(spacecraft=craft, topology=topo, mode="tracking",
+                              reference=ref, accel_source=accel_source,
+                              shadow_switch=shadow_switch))
+    held = accel_source == "held"
+    sr, srd, srdd = ref.at(t)
+    with np.errstate(all="ignore"):  # a zero attitude has no finite shadow
+        got = sim._aggregates(t, sigma, sigma_dot, held_sdd if held else None)
+
+        # oracle: each receiver takes each source's closer image, then averages
+        for i in range(n):
+            def image(x, x_dot):
+                if not sim.aligned:
+                    return x, x_dot
+                sh, sh_dot = mrp_shadow(x, x_dot)
+                d_raw, d_sh = np.sum((sigma[i] - x) ** 2), np.sum((sigma[i] - sh) ** 2)
+                if not np.isfinite(d_sh):
+                    return x, x_dot
+                assume(abs(d_sh - d_raw) > 1e-9 * (d_sh + d_raw))  # no near-tie
+                return (sh, sh_dot) if d_sh < d_raw else (x, x_dot)
+
+            imgs = [image(sigma[j], sigma_dot[j]) for j in range(n)]
+            lead, lead_dot = image(sr, srd)
+            want = [neighborhood_aggregate(topo, i, [x for x, _ in imgs], lead),
+                    neighborhood_aggregate(topo, i, [v for _, v in imgs], lead_dot)]
+            if held:
+                want.append(neighborhood_aggregate(topo, i, held_sdd, srdd))
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(
+                    g[i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
+    assert (got[2] is None) == (not held)
+
+
 # ------------------------------------------------- logged-signal checks
 
 
@@ -294,18 +381,6 @@ def test_logged_filtered_error_consistent_under_smoothing():
     assert np.abs((e_dot_implied - e_dot_fd)[settled]).max() <= 1e-3
 
 
-def test_lyapunov_value_matches_logged_initial_value_held():
-    sc = chain_scenario(duration=1.0)
-    log = Simulation(sc).run()
-    states = [c.initial_state for c in sc.spacecraft]
-    thetas = [c.inertia.theta for c in sc.spacecraft]
-    v0 = lyapunov_value(
-        states, np.zeros((2, 6)), thetas, "tracking",
-        [c.gains for c in sc.spacecraft], sc.topology, ref=sc.reference, t=0.0,
-    )
-    assert abs(v0 - log.lyapunov[0]) <= 1e-12 * (1.0 + abs(v0))
-
-
 def test_lyapunov_initial_value_smoothed_is_estimate_term_only():
     # the generator starts seated on each craft's own state, so s(0) = 0 and
     # V(0) is purely the estimation error: 1/2 sum theta^T Gamma^-1 theta
@@ -318,16 +393,14 @@ def test_lyapunov_initial_value_smoothed_is_estimate_term_only():
 
 
 def test_lyapunov_positive_and_zero_exactly_at_rest():
-    topo = CommTopology(np.zeros((1, 1)), leader_weights=np.array([1.0]))
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
-    ref = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
-    j = InertiaParams.from_matrix(np.array(FLEET_J[0]))
-    resting = SpacecraftState(np.array([0.1, 0.3, 0.5]), np.zeros(3))
-    v = lyapunov_value([resting], [j.theta], [j.theta], "tracking", gains, topo, ref=ref)
-    assert v == 0.0
-    moving = SpacecraftState(np.array([0.1, 0.3, 0.5]), np.array([0.1, 0.0, 0.0]))
-    v = lyapunov_value([moving], [j.theta], [j.theta], "tracking", gains, topo, ref=ref)
-    assert v > 0.0
+    def v0(omega0):
+        sc = single_craft_scenario(j=FLEET_J[0], sigma0=(0.1, 0.3, 0.5), omega0=omega0,
+                                   sigma_ref=(0.1, 0.3, 0.5), perfect=True,
+                                   duration=0.005)
+        return Simulation(sc).run().lyapunov[0]
+
+    assert v0((0.0, 0.0, 0.0)) == 0.0
+    assert v0((0.1, 0.0, 0.0)) > 0.0
 
 
 def stable_pair_scenario(duration=5.0):
@@ -401,6 +474,10 @@ def test_metrics_summary_consistent_with_log():
     assert out["theta_hat_norm_max"] == np.linalg.norm(log.theta_hat, axis=2).max()
     assert "tracking_error_final" not in out
     assert np.array_equal(out["series"]["disagreement"], log.disagreement)
+    sigma_dot = mrp_rate(log.sigma, log.omega)
+    d_rate = [max(np.linalg.norm(a - b) for a in v for b in v) for v in sigma_dot]
+    assert np.allclose(out["series"]["disagreement_rate"], d_rate, rtol=1e-14, atol=0.0)
+    assert out["disagreement_rate_final"] == out["series"]["disagreement_rate"][-1]
 
     tlog = Simulation(chain_scenario(duration=1.0)).run()
     tout = metrics(tlog)

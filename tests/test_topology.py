@@ -103,11 +103,6 @@ def test_laplacian_fleet_graph():
 def test_degree_matrix_fleet_graph():
     topo = CommTopology(FLEET_ADJ.copy(), leader_weights=FLEET_LEADER_B.copy())
     assert np.array_equal(degree_matrix(topo), np.diag([3.0, 1, 2, 1, 1, 1]))
-    assert np.array_equal(
-        degree_matrix(topo, with_leader=True), np.diag([4.0, 1, 2, 1, 1, 1])
-    )
-    with pytest.raises(ConfigError):
-        degree_matrix(CommTopology(FLEET_ADJ.copy()), with_leader=True)
 
 
 def test_spanning_tree_matches_brute_force_all_3_node():
