@@ -8,8 +8,11 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   then V (Lyapunov), D (max pairwise attitude distance), and T (max
   distance to the reference) in tracking mode.  Full double precision,
   '.' decimal separator.
-* summary.json: final metrics, step count, wall-clock time, validity
-  checks, and the exact config the run used.
+* summary.json: the scenario description the run used (as written, with
+  defaults and flag overrides applied; `ScenarioConfig.from_dict` of it
+  reproduces the run), step count, validity checks, and either final
+  metrics, record count and wall-clock time or, when the run diverged, a
+  `diverged` block naming the craft (1-based), quantity and time.
 
 Exit status: 0 on success, 1 on a failed validity or convergence check,
 2 on config errors, 3 when a trajectory diverges.
@@ -27,7 +30,7 @@ import time
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
 from .simulator import Simulation, metrics
-from .topology import CommTopology, graph_checks
+from .topology import graph_checks
 
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
@@ -40,24 +43,21 @@ def validity_report(cfg: ScenarioConfig, scenario=None) -> dict:
     """Structured preflight checks; `valid` is the conjunction of all of them.
 
     `scenario` is the Scenario already built from `cfg`; without one the
-    report builds it to check that construction succeeds.
+    report builds it, once the graph checks pass, to check that the rest of
+    the construction succeeds.
     """
     report = {
         "mode": cfg.mode,
         "spacecraft": cfg.n,
-        "in_degrees": [float(d) for d in cfg.adjacency.sum(axis=1)],
+        "in_degrees": [float(d) for d in cfg.topology.adjacency.sum(axis=1)],
     }
-    try:
-        topo = CommTopology(cfg.adjacency, cfg.leader_weights)
-    except ValueError as exc:
-        checks = [(False, "adjacency invalid: %s" % exc)]
-    else:
-        checks = graph_checks(topo, cfg.mode)
+    checks = graph_checks(cfg.topology, cfg.mode)
+    if all(ok for ok, _ in checks):
         try:
             if scenario is None:
                 cfg.to_scenario()
             checks.append((True, "scenario constructible"))
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             checks.append((False, "scenario construction failed: %s" % exc))
     report["checks"] = [{"ok": bool(ok), "text": text} for ok, text in checks]
     report["valid"] = all(ok for ok, _ in checks)
@@ -119,15 +119,8 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.decimate is not None:
-        overrides["decimate"] = args.decimate
+    overrides = {key: getattr(args, key) for key in ("dt", "duration", "seed", "decimate")
+                 if getattr(args, key) is not None}
     if args.shadow_switch:
         overrides["shadow_switch"] = True
     return cfg.with_overrides(**overrides) if overrides else cfg
@@ -143,13 +136,24 @@ def _parse_seeds(text):
     return list(range(lo, hi + 1))
 
 
+def _write_summary(out_dir, summary) -> None:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+
 def _run_one(cfg: ScenarioConfig, out_dir, assert_tol) -> int:
     os.makedirs(out_dir, exist_ok=True)
     scenario = cfg.to_scenario()
+    summary = {"config": cfg.doc, "step_count": scenario.n_steps}
     t0 = time.perf_counter()
     try:
         log = Simulation(scenario).run(decimate=cfg.decimate)
     except SimulationDiverged as exc:
+        summary["validity"] = validity_report(cfg, scenario)
+        summary["diverged"] = {"craft": exc.craft_index + 1, "quantity": exc.quantity,
+                               "time": exc.time, "message": str(exc)}
+        _write_summary(out_dir, summary)
         print("error: %s" % exc, file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
@@ -157,17 +161,9 @@ def _run_one(cfg: ScenarioConfig, out_dir, assert_tol) -> int:
     finals = {k: v for k, v in m.items() if k != "series"}
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(log, csv_path)
-    summary = {
-        "config": cfg.to_dict(),
-        "metrics": finals,
-        "step_count": scenario.n_steps,
-        "records": log.n_records,
-        "wall_clock_s": wall,
-        "validity": validity_report(cfg, scenario),
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary.update(metrics=finals, records=log.n_records, wall_clock_s=wall,
+                   validity=validity_report(cfg, scenario))
+    _write_summary(out_dir, summary)
     print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, log.n_records, wall))
     for key in sorted(finals):
         print("  %s: %s" % (key, finals[key]))

@@ -1,12 +1,16 @@
 """Declarative scenario descriptions: YAML parsing, presets, serialization.
 
-A config file mirrors a `Scenario` field by field but stays human-editable:
-inertia may be given as a full symmetric 3x3 or a packed 6-vector, gains
-accept a scalar shorthand (``K: 3.0`` means 3 * identity), an initial state
-is either explicit or the string ``random`` (drawn from the configured
-bounds with the scenario seed).  Optional ``accel_source``,
-``smoothing_rate``, and ``rate_leak`` keys select and tune the
-desired-acceleration source (see the simulator module).  Every parse error carries the offending field
+A description is a mapping: a YAML file, a preset, or either with CLI
+overrides laid over its top-level keys.  `ScenarioConfig.from_dict` is the
+one parser for all of them.  The config keeps the mapping as given (`doc`,
+optional top-level keys filled from `DEFAULTS`) as its only serialized
+form, so `to_dict`/`to_yaml` return the description as written.  Inertia
+may be given as a full symmetric 3x3 or a packed 6-vector, gains accept a
+scalar shorthand (``K: 3.0`` means 3 * identity), an initial state is
+either explicit or the string ``random`` (drawn from the configured bounds
+with the scenario seed).  Optional ``accel_source``, ``smoothing_rate``,
+and ``rate_leak`` keys select and tune the desired-acceleration source
+(see the simulator module).  Every parse error carries the offending field
 path, e.g. ``spacecraft[2].inertia``.
 
 Two presets ship with the package: ``paper-leaderless`` and
@@ -17,7 +21,9 @@ K = 3 I, Gamma = 3 I, zero initial inertia estimates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -25,21 +31,47 @@ import yaml
 from .control import GainSet, ReferenceTrajectory
 from .errors import ConfigError
 from .rigid_body import InertiaParams, SpacecraftState
-from .simulator import Scenario, Spacecraft, random_initial_states
+from .simulator import (ACCEL_SOURCES, MODES, Scenario, Spacecraft,
+                        random_initial_states)
 from .topology import CommTopology
 
-DEFAULT_DT = 0.005
-DEFAULT_DURATION = 40.0
-DEFAULT_BOUND = 0.5
-DEFAULT_DECIMATE = 10
+# libyaml when PyYAML was built with it, the pure-Python classes otherwise
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_TOP_KEYS = {"mode", "dt", "duration", "seed", "shadow_switch", "decimate",
-             "random_bounds", "topology", "gains", "reference", "spacecraft",
-             "accel_source", "smoothing_rate", "rate_leak"}
+DEFAULT_BOUND = 0.5  # radius of the random initial sigma and omega draws
+
+# every optional top-level key and the value it takes when absent
+DEFAULTS = {
+    "dt": Scenario.dt,
+    "duration": Scenario.duration,
+    "seed": 0,
+    "shadow_switch": Scenario.shadow_switch,
+    "decimate": 10,
+    "random_bounds": {"sigma": DEFAULT_BOUND, "omega": DEFAULT_BOUND},
+    "gains": {},
+    "accel_source": Scenario.accel_source,
+    "smoothing_rate": Scenario.smoothing_rate,
+    "rate_leak": Scenario.rate_leak,
+}
+DEFAULT_DT, DEFAULT_DURATION = DEFAULTS["dt"], DEFAULTS["duration"]
+
+_TOP_KEYS = {"mode", "topology", "spacecraft", "reference", *DEFAULTS}
 
 
 def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message) if path else message)
+
+
+@contextmanager
+def _at(path):
+    """Re-raise a ValueError from a constructor as a ConfigError at `path`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _mapping(value, path, allowed=None):
@@ -52,12 +84,20 @@ def _mapping(value, path, allowed=None):
     return value
 
 
-def _number(value, path):
+def _number(value, path, least=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
     if not np.isfinite(value):
         _fail(path, "must be finite")
+    if least is not None and value < least:
+        _fail(path, "must be at least %g" % least)
     return float(value)
+
+
+def _integer(value, path, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        _fail(path, "expected an integer of at least %d" % least)
+    return value
 
 
 def _vector(value, length, path):
@@ -92,43 +132,36 @@ def _parse_gains(value, n, path):
     for i, entry in enumerate(entries):
         sub = path if not isinstance(value, list) else "%s[%d]" % (path, i)
         entry = _mapping(entry, sub, allowed={"Lambda", "K", "Gamma"})
-        try:
+        with _at(sub):
             out.append(GainSet(
                 Lambda=_gain_matrix(entry.get("Lambda", 1.0), 3, sub + ".Lambda"),
                 K=_gain_matrix(entry.get("K", 1.0), 3, sub + ".K"),
                 Gamma=_gain_matrix(entry.get("Gamma", 1.0), 6, sub + ".Gamma",
                                    diagonal_shorthand=True),
             ))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            _fail(sub, str(exc))
     return tuple(out)
 
 
 def _parse_reference(value, path):
-    value = _mapping(value, path, allowed={"kind", "value", "amplitude",
-                                           "frequency", "phase", "offset"})
-    kind = value.get("kind")
-    try:
+    kind = _mapping(value, path).get("kind")
+    if kind not in ("constant", "sinusoid"):
+        _fail(path + ".kind", "must be 'constant' or 'sinusoid'")
+    # fields the kind does not read are refused, so `doc` holds only checked values
+    _mapping(value, path, allowed={"kind", "value"} if kind == "constant" else
+             {"kind", "amplitude", "frequency", "phase", "offset"})
+    with _at(path):
         if kind == "constant":
             return ReferenceTrajectory.constant(
                 _vector(value.get("value", [0, 0, 0]), 3, path + ".value"))
-        if kind == "sinusoid":
-            def vec(name, default=None):
-                raw = value.get(name, default)
-                if raw is None:
-                    _fail(path + "." + name, "missing required field")
-                if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                    return _number(raw, path + "." + name)
-                return _vector(raw, 3, path + "." + name)
-            return ReferenceTrajectory.sinusoid(
-                vec("amplitude"), vec("frequency"), vec("phase", 0.0), vec("offset", 0.0))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(path + ".kind", "must be 'constant' or 'sinusoid'")
+        def vec(name, default=None):
+            raw = value.get(name, default)
+            if raw is None:
+                _fail(path + "." + name, "missing required field")
+            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+                return _number(raw, path + "." + name)
+            return _vector(raw, 3, path + "." + name)
+        return ReferenceTrajectory.sinusoid(
+            vec("amplitude"), vec("frequency"), vec("phase", 0.0), vec("offset", 0.0))
 
 
 def _parse_craft(entry, path):
@@ -137,15 +170,11 @@ def _parse_craft(entry, path):
     has_theta = "theta" in entry
     if has_inertia == has_theta:
         _fail(path, "give exactly one of 'inertia' (3x3) or 'theta' (6-vector)")
-    try:
+    with _at(path):
         if has_inertia:
             inertia = InertiaParams(_matrix(entry["inertia"], 3, 3, path + ".inertia"))
         else:
             inertia = InertiaParams.from_theta(_vector(entry["theta"], 6, path + ".theta"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
     initial = entry.get("initial", "random")
     if initial == "random":
         state = None
@@ -160,38 +189,29 @@ def _parse_craft(entry, path):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed, validated scenario description; `to_scenario` builds the real thing."""
+    """Parsed, validated scenario description; `to_scenario` builds the real thing.
 
+    Built only by `from_dict`; every field but `doc` is parsed from `doc`.
+    """
+
+    doc: dict
     mode: str
-    adjacency: np.ndarray
+    topology: CommTopology
     inertias: tuple
     gains: tuple
-    leader_weights: np.ndarray | None = None
-    reference: ReferenceTrajectory | None = None
-    initial_states: tuple | None = None      # per craft, None entry = random
-    theta_hat0: tuple | None = None
-    dt: float = DEFAULT_DT
-    duration: float = DEFAULT_DURATION
-    seed: int | None = 0
-    shadow_switch: bool = False
-    decimate: int = DEFAULT_DECIMATE
-    sigma_bound: float = DEFAULT_BOUND
-    omega_bound: float = DEFAULT_BOUND
-    accel_source: str = "smoothed"
-    smoothing_rate: float = 6.0
-    rate_leak: float = 0.0
-
-    def __post_init__(self):
-        n = len(self.inertias)
-        if self.initial_states is None:
-            object.__setattr__(self, "initial_states", (None,) * n)
-        if self.theta_hat0 is None:
-            object.__setattr__(self, "theta_hat0", tuple(np.zeros(6) for _ in range(n)))
-        for name in ("inertias", "gains", "initial_states", "theta_hat0"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not (len(self.gains) == len(self.initial_states)
-                == len(self.theta_hat0) == n):
-            raise ConfigError("per-spacecraft lists must all have length %d" % n)
+    reference: ReferenceTrajectory | None
+    initial_states: tuple      # per craft, None entry = random
+    theta_hat0: tuple
+    dt: float
+    duration: float
+    seed: int | None
+    shadow_switch: bool
+    decimate: int
+    sigma_bound: float
+    omega_bound: float
+    accel_source: str
+    smoothing_rate: float
+    rate_leak: float
 
     @property
     def n(self) -> int:
@@ -201,18 +221,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ScenarioConfig":
-        data = _mapping(data, "", allowed=_TOP_KEYS)
+        doc = dict(_mapping(data, "", allowed=_TOP_KEYS))
         for key in ("mode", "topology", "spacecraft"):
-            if key not in data:
+            if key not in doc:
                 _fail(key, "missing required field")
-        mode = data["mode"]
-        if mode not in ("leaderless", "tracking"):
-            _fail("mode", "must be 'leaderless' or 'tracking'")
-        topo = _mapping(data["topology"], "topology",
+        for key, value in DEFAULTS.items():
+            doc.setdefault(key, value)
+        doc["random_bounds"] = {**DEFAULTS["random_bounds"], **_mapping(
+            doc["random_bounds"], "random_bounds", allowed={"sigma", "omega"})}
+        if doc["mode"] not in MODES:
+            _fail("mode", "must be one of %s" % ", ".join(MODES))
+        topo = _mapping(doc["topology"], "topology",
                         allowed={"adjacency", "leader_weights"})
         if "adjacency" not in topo:
             _fail("topology.adjacency", "missing required field")
-        craft_entries = data["spacecraft"]
+        craft_entries = doc["spacecraft"]
         if not isinstance(craft_entries, list) or not craft_entries:
             _fail("spacecraft", "expected a non-empty list")
         n = len(craft_entries)
@@ -220,50 +243,43 @@ class ScenarioConfig:
         leader = None
         if topo.get("leader_weights") is not None:
             leader = _vector(topo["leader_weights"], n, "topology.leader_weights")
+        with _at("topology"):
+            topology = CommTopology(adjacency, leader)
         parsed = [_parse_craft(c, "spacecraft[%d]" % i)
                   for i, c in enumerate(craft_entries)]
-        bounds = _mapping(data.get("random_bounds", {}), "random_bounds",
-                          allowed={"sigma", "omega"})
-        seed = data.get("seed", 0)
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            _fail("seed", "expected an integer or null")
-        decimate = data.get("decimate", DEFAULT_DECIMATE)
-        if isinstance(decimate, bool) or not isinstance(decimate, int) or decimate < 1:
-            _fail("decimate", "expected a positive integer")
-        shadow = data.get("shadow_switch", False)
-        if not isinstance(shadow, bool):
+        if not isinstance(doc["shadow_switch"], bool):
             _fail("shadow_switch", "expected true or false")
+        if doc["accel_source"] not in ACCEL_SOURCES:
+            _fail("accel_source", "must be one of %s" % ", ".join(ACCEL_SOURCES))
         reference = None
-        if data.get("reference") is not None:
-            reference = _parse_reference(data["reference"], "reference")
-        accel_source = data.get("accel_source", "smoothed")
-        if accel_source not in ("smoothed", "held"):
-            _fail("accel_source", "must be 'smoothed' or 'held'")
+        if doc.get("reference") is not None:
+            reference = _parse_reference(doc["reference"], "reference")
+        bounds = doc["random_bounds"]
         return cls(
-            mode=mode,
-            adjacency=adjacency,
-            leader_weights=leader,
+            doc=doc,
+            mode=doc["mode"],
+            topology=topology,
             inertias=tuple(p[0] for p in parsed),
-            gains=_parse_gains(data.get("gains", {}), n, "gains"),
+            gains=_parse_gains(doc["gains"], n, "gains"),
             reference=reference,
             initial_states=tuple(p[1] for p in parsed),
             theta_hat0=tuple(p[2] for p in parsed),
-            dt=_number(data.get("dt", DEFAULT_DT), "dt"),
-            duration=_number(data.get("duration", DEFAULT_DURATION), "duration"),
-            seed=seed,
-            shadow_switch=shadow,
-            decimate=decimate,
-            sigma_bound=_number(bounds.get("sigma", DEFAULT_BOUND), "random_bounds.sigma"),
-            omega_bound=_number(bounds.get("omega", DEFAULT_BOUND), "random_bounds.omega"),
-            accel_source=accel_source,
-            smoothing_rate=_number(data.get("smoothing_rate", 6.0), "smoothing_rate"),
-            rate_leak=_number(data.get("rate_leak", 0.0), "rate_leak"),
+            dt=_number(doc["dt"], "dt"),
+            duration=_number(doc["duration"], "duration"),
+            seed=None if doc["seed"] is None else _integer(doc["seed"], "seed", 0),
+            shadow_switch=doc["shadow_switch"],
+            decimate=_integer(doc["decimate"], "decimate", 1),
+            sigma_bound=_number(bounds["sigma"], "random_bounds.sigma", least=0.0),
+            omega_bound=_number(bounds["omega"], "random_bounds.omega", least=0.0),
+            accel_source=doc["accel_source"],
+            smoothing_rate=_number(doc["smoothing_rate"], "smoothing_rate"),
+            rate_leak=_number(doc["rate_leak"], "rate_leak"),
         )
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
         try:
-            data = yaml.safe_load(text)
+            data = yaml.load(text, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError("invalid YAML: %s" % exc) from None
         return cls.from_dict(data)
@@ -276,56 +292,16 @@ class ScenarioConfig:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        topo = {"adjacency": self.adjacency.tolist()}
-        if self.leader_weights is not None:
-            topo["leader_weights"] = self.leader_weights.tolist()
-        craft = []
-        for inertia, state, th0 in zip(self.inertias, self.initial_states,
-                                       self.theta_hat0):
-            entry = {"inertia": inertia.matrix.tolist()}
-            if state is None:
-                entry["initial"] = "random"
-            else:
-                entry["initial"] = {"sigma": state.sigma.tolist(),
-                                    "omega": state.omega.tolist()}
-            entry["theta_hat0"] = np.asarray(th0).tolist()
-            craft.append(entry)
-        out = {
-            "mode": self.mode,
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": self.seed,
-            "shadow_switch": self.shadow_switch,
-            "decimate": self.decimate,
-            "random_bounds": {"sigma": self.sigma_bound, "omega": self.omega_bound},
-            "accel_source": self.accel_source,
-            "smoothing_rate": self.smoothing_rate,
-            "rate_leak": self.rate_leak,
-            "topology": topo,
-            "gains": [{"Lambda": g.Lambda.tolist(), "K": g.K.tolist(),
-                       "Gamma": g.Gamma.tolist()} for g in self.gains],
-            "spacecraft": craft,
-        }
-        if self.reference is not None:
-            ref = {"kind": self.reference.kind}
-            if self.reference.kind == "constant":
-                ref["value"] = self.reference.value.tolist()
-            else:
-                ref.update(amplitude=self.reference.amplitude.tolist(),
-                           frequency=self.reference.frequency.tolist(),
-                           phase=self.reference.phase.tolist(),
-                           offset=self.reference.offset.tolist())
-            out["reference"] = ref
-        return out
+        return copy.deepcopy(self.doc)
 
     def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
+        return yaml.dump(self.doc, Dumper=_DUMPER, sort_keys=False)
 
     # -- realization -----------------------------------------------------
 
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        """Copy with some fields replaced (CLI flag overrides)."""
-        return replace(self, **kwargs)
+    def with_overrides(self, **keys) -> "ScenarioConfig":
+        """The description with some top-level keys replaced, parsed again."""
+        return self.from_dict({**self.doc, **keys})
 
     def to_scenario(self) -> Scenario:
         """Build the validated Scenario, drawing any random initial states.
@@ -342,9 +318,8 @@ class ScenarioConfig:
             Spacecraft(inertia=self.inertias[i], initial_state=states[i],
                        gains=self.gains[i], theta_hat0=self.theta_hat0[i])
             for i in range(self.n))
-        topology = CommTopology(self.adjacency, self.leader_weights)
         return Scenario(
-            spacecraft=craft, topology=topology, mode=self.mode,
+            spacecraft=craft, topology=self.topology, mode=self.mode,
             reference=self.reference, dt=self.dt, duration=self.duration,
             shadow_switch=self.shadow_switch,
             accel_source=self.accel_source, smoothing_rate=self.smoothing_rate,
@@ -380,14 +355,10 @@ FLEET_REFERENCE_SIGMA = (0.1, 0.3, 0.5)
 def _fleet_dict(mode):
     out = {
         "mode": mode,
-        "dt": DEFAULT_DT,
-        "duration": DEFAULT_DURATION,
-        "seed": 0,
         "topology": {"adjacency": [list(r) for r in FLEET_ADJACENCY]},
         "gains": {"Lambda": 1.0, "K": 3.0, "Gamma": 3.0},
         "spacecraft": [{"inertia": [list(r) for r in j], "initial": "random"}
                        for j in FLEET_INERTIAS],
-        "random_bounds": {"sigma": DEFAULT_BOUND, "omega": DEFAULT_BOUND},
     }
     if mode == "tracking":
         out["topology"]["leader_weights"] = list(FLEET_LEADER_WEIGHTS)
@@ -406,10 +377,7 @@ def _fleet_dict(mode):
     return out
 
 
-_PRESETS = {
-    "paper-leaderless": lambda: _fleet_dict("leaderless"),
-    "paper-tracking": lambda: _fleet_dict("tracking"),
-}
+_PRESETS = {"paper-leaderless": "leaderless", "paper-tracking": "tracking"}
 
 
 def preset_names():
@@ -421,4 +389,4 @@ def preset(name: str) -> ScenarioConfig:
     if name not in _PRESETS:
         raise ConfigError("unknown preset %r; available: %s"
                           % (name, ", ".join(preset_names())))
-    return ScenarioConfig.from_dict(_PRESETS[name]())
+    return ScenarioConfig.from_dict(_fleet_dict(_PRESETS[name]))

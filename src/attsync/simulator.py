@@ -22,10 +22,11 @@ choice in the loop.  Two sources are implemented:
 ``held``
     Each craft's broadcast acceleration is held one step (zero-order hold,
     initialized to zero) and refreshed after each step from the torques just
-    applied.  The hold closes a discrete feedback loop through the
-    inertia-estimate feedforward whose per-step gain does not shrink with
-    the step size; it can diverge while the estimates are swinging, which
-    is why it is not the default.
+    applied.  Around a directed cycle of craft the hold closes a discrete
+    feedback loop through the inertia-estimate feedforward whose per-step
+    gain does not shrink with the step size, so `Scenario` accepts this
+    source only on an acyclic craft graph (a tracking fleet fed from the
+    leader; a leaderless graph always has a cycle).
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control-law functions used for a single craft; there is no
@@ -57,7 +58,7 @@ from .rigid_body import (
     mrp_acceleration,
     mrp_rate,
 )
-from .topology import CommTopology, aggregate_weights, graph_checks
+from .topology import CommTopology, aggregate_weights, graph_checks, has_directed_cycle
 
 MODES = ("leaderless", "tracking")
 ACCEL_SOURCES = ("smoothed", "held")
@@ -97,7 +98,8 @@ class Scenario:
 
     Construction checks that the topology matches the mode: leaderless runs
     need every craft to have an in-neighbor plus a directed spanning tree,
-    tracking runs need a reference and a leader that reaches every craft.
+    tracking runs need a reference and a leader that reaches every craft,
+    and the "held" source needs a craft graph without a directed cycle.
 
     accel_source picks how the desired acceleration is obtained ("smoothed"
     or "held", see the module docstring); smoothing_rate is the generator
@@ -157,6 +159,9 @@ class Scenario:
         if failed:
             raise ConfigError("%s topology invalid, failed checks: %s"
                               % (self.mode, "; ".join(failed)))
+        if self.accel_source == "held" and has_directed_cycle(self.topology):
+            raise ConfigError("accel_source 'held' needs an acyclic craft graph; "
+                              "this one has a directed cycle (use 'smoothed')")
 
     @property
     def n(self) -> int:

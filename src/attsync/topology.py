@@ -94,6 +94,12 @@ def has_directed_spanning_tree(topo: CommTopology) -> bool:
     return any(_reach_from(mask, [r]).all() for r in range(topo.n))
 
 
+def has_directed_cycle(topo: CommTopology) -> bool:
+    """True if some craft's state can travel back to it along directed edges."""
+    mask = topo.adjacency > 0.0
+    return any(_reach_from(mask, np.nonzero(mask[:, j])[0])[j] for j in range(topo.n))
+
+
 def leader_reachable(topo: CommTopology) -> np.ndarray:
     """Boolean mask of spacecraft the virtual leader reaches.
 

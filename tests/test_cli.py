@@ -75,7 +75,10 @@ def test_validate_reports_missing_in_neighbor(tmp_path, capsys):
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "node 1 has no in-neighbor" in out
+    # each failure is named once: the scenario is not built on a failed graph
+    assert out.count("node 1 has no in-neighbor") == 1
+    assert out.count("[fail]") == 1
+    assert "scenario construction" not in out
     assert "valid: no" in out
 
 
@@ -119,16 +122,53 @@ def test_partial_step_duration_exits_2(tmp_path, capsys):
 
 
 def test_divergence_exits_3(tmp_path, capsys):
-    # mutual coupling under the one-step acceleration hold blows up quickly
-    path = write_config(tmp_path, accel_source="held", smoothing_rate=6.0,
-                        rate_leak=0.0, shadow_switch=False)
+    # a step far past the stability limit of RK4 blows up within a few steps
+    path = write_config(tmp_path, dt=0.5, duration=5.0)
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning leaks
-        code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", path, "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert "diverged" in err
     assert re.search(r"\((sigma|omega|theta_hat) is not finite|\|sigma\| = ", err)
+    # the failed run can still be inspected
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert set(summary) == {"config", "step_count", "validity", "diverged"}
+    assert summary["config"] == ScenarioConfig.from_yaml_file(path).doc
+    assert summary["step_count"] == 10 and summary["validity"]["valid"] is True
+    diverged = summary["diverged"]
+    assert diverged["craft"] in (1, 2)
+    assert diverged["quantity"] in ("sigma", "omega", "theta_hat")
+    assert 0.0 < diverged["time"] <= 5.0
+    assert diverged["message"] == err.strip()[len("error: "):]
+    assert "spacecraft %d diverged" % diverged["craft"] in diverged["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys):
+    path = write_config(tmp_path, accel_source="held")
+    assert main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[fail]") == 1
+    assert "[fail] scenario construction failed: accel_source 'held'" in out
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "acyclic craft graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, extra, field", [
+    (["--decimate", "0"], {}, "decimate: "),
+    (["--seed", "-1"], {}, "seed: "),
+    ([], {"topology": {"adjacency": [[0.0, -1.0], [1.0, 0.0]]}}, "topology: "),
+    ([], {"topology": {"adjacency": [[1.0, 1.0], [1.0, 0.0]]}}, "topology: "),
+    ([], {"random_bounds": {"sigma": -0.5}}, "random_bounds.sigma: "),
+])
+def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, argv, extra, field):
+    path = write_config(tmp_path, **extra)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + field)
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------- run outputs
@@ -159,6 +199,41 @@ def test_run_writes_trajectory_and_summary(tmp_path, capsys):
     assert summary["config"]["duration"] == 1.0
     assert summary["metrics"]["disagreement_final"] == pytest.approx(
         float(csv_lines[-1].split(",")[-1]))
+
+
+def rerun_from_summary(tmp_path, out):
+    """Run the config a summary.json recorded; return the new trajectory bytes."""
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    path = tmp_path / "from_summary.yaml"
+    path.write_text(ScenarioConfig.from_dict(summary["config"]).to_yaml(), encoding="utf-8")
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(path), "--out", str(again)]) == 0
+    return summary["config"], (again / "trajectory.csv").read_bytes()
+
+
+def test_summary_config_reproduces_a_preset_run_with_overrides(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "paper-tracking", "--out", str(out), "--seed", "4",
+                 "--duration", "0.2", "--decimate", "1", "--shadow-switch"]) == 0
+    config, csv = rerun_from_summary(tmp_path, out)
+    capsys.readouterr()
+    assert csv == (out / "trajectory.csv").read_bytes()
+    assert config["seed"] == 4 and config["decimate"] == 1 and config["shadow_switch"]
+    assert config["gains"] == {"Lambda": 1.0, "K": 3.0, "Gamma": 3.0}  # as written
+
+
+def test_summary_config_reproduces_a_yaml_run_as_written(tmp_path, capsys):
+    # packed inertia, scalar gains and a partial random_bounds stay as given
+    craft = [{"theta": [1.2, 0.0, 0.0, 1.0, 0.1, 0.8]}, {"inertia": FLEET_J[1]}]
+    path = write_config(tmp_path, duration=0.5, spacecraft=craft,
+                        random_bounds={"omega": 0.1}, gains={"K": 2.0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    config, csv = rerun_from_summary(tmp_path, out)
+    capsys.readouterr()
+    assert csv == (out / "trajectory.csv").read_bytes()
+    assert config["spacecraft"] == craft and config["gains"] == {"K": 2.0}
+    assert config["random_bounds"] == {"sigma": 0.5, "omega": 0.1}
 
 
 def test_tracking_csv_has_reference_column(tmp_path):

@@ -84,9 +84,9 @@ def test_leaderless_preset_contents():
     cfg = preset("paper-leaderless")
     assert cfg.mode == "leaderless" and cfg.n == 6
     assert cfg.dt == DEFAULT_DT and cfg.duration == DEFAULT_DURATION
-    assert cfg.seed == 0 and cfg.leader_weights is None and cfg.reference is None
+    assert cfg.seed == 0 and cfg.topology.leader_weights is None and cfg.reference is None
     assert cfg.sigma_bound == DEFAULT_BOUND and cfg.omega_bound == DEFAULT_BOUND
-    assert np.array_equal(cfg.adjacency, FLEET_ADJ)
+    assert np.array_equal(cfg.topology.adjacency, FLEET_ADJ)
     for inertia, j in zip(cfg.inertias, FLEET_J):
         assert np.array_equal(inertia.matrix, np.array(j))
     for g in cfg.gains:
@@ -103,10 +103,10 @@ def test_leaderless_preset_contents():
 def test_tracking_preset_contents():
     cfg = preset("paper-tracking")
     assert cfg.mode == "tracking" and cfg.n == 6
-    assert np.array_equal(cfg.leader_weights, FLEET_LEADER_B)
+    assert np.array_equal(cfg.topology.leader_weights, FLEET_LEADER_B)
     assert cfg.reference.kind == "constant"
     assert np.array_equal(cfg.reference.value, [0.1, 0.3, 0.5])
-    assert np.array_equal(cfg.adjacency, FLEET_ADJ)
+    assert np.array_equal(cfg.topology.adjacency, FLEET_ADJ)
     assert not cfg.shadow_switch and cfg.rate_leak == 0.0
 
 
@@ -205,6 +205,25 @@ def test_with_overrides():
     assert cfg.dt == 0.01 and cfg.duration == 10.0 and cfg.seed == 7
     sc = cfg.to_scenario()
     assert sc.dt == 0.01 and sc.duration == 10.0
+    # overrides are top-level keys, parsed like a file's
+    cfg = cfg.with_overrides(random_bounds={"sigma": 0.2})
+    assert cfg.sigma_bound == 0.2 and cfg.omega_bound == DEFAULT_BOUND
+    with pytest.raises(ConfigError, match="^decimate: "):
+        cfg.with_overrides(decimate=0)
+    with pytest.raises(ConfigError, match="unknown field"):
+        cfg.with_overrides(sigma_bound=0.2)
+
+
+def test_to_dict_is_the_description_as_written():
+    data = minimal_dict(gains={"K": 3.0}, random_bounds={"omega": 0.1})
+    echoed = ScenarioConfig.from_dict(data).to_dict()
+    assert echoed["gains"] == {"K": 3.0}
+    assert echoed["random_bounds"] == {"sigma": DEFAULT_BOUND, "omega": 0.1}
+    assert echoed["dt"] == DEFAULT_DT and echoed["seed"] == 0
+    assert echoed["spacecraft"] == data["spacecraft"]
+    cfg = ScenarioConfig.from_dict(data)
+    cfg.to_dict()["spacecraft"][0]["inertia"][0][0] = 9.0  # a copy
+    assert cfg.doc["spacecraft"][0]["inertia"][0][0] == FLEET_J[0][0][0]
 
 
 # ------------------------------------------------------------ error paths
@@ -267,6 +286,9 @@ def test_reference_errors():
     data = minimal_dict(mode="tracking")
     data["reference"] = {"kind": "sinusoid", "amplitude": 0.1}
     assert "reference.frequency" in error_message(data)
+    # a field the kind does not read is refused, not carried along unchecked
+    data["reference"] = {"kind": "constant", "value": [0, 0, 0], "amplitude": "big"}
+    assert "reference: unknown field(s) amplitude" in error_message(data)
 
 
 def test_scalar_field_errors():
