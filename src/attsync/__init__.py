@@ -14,7 +14,7 @@ Library layout:
 * `attsync.cli`: the `attsync` command line tool.
 """
 
-from .control import GainSet, NeighborhoodSignals, ReferenceTrajectory
+from .control import GainSet, ReferenceTrajectory
 from .errors import ConfigError, SimulationDiverged
 from .config import ScenarioConfig, preset, preset_names
 from .rigid_body import InertiaParams, SpacecraftState
@@ -35,7 +35,6 @@ __all__ = [
     "ConfigError",
     "GainSet",
     "InertiaParams",
-    "NeighborhoodSignals",
     "ReferenceTrajectory",
     "Scenario",
     "ScenarioConfig",

@@ -54,7 +54,6 @@ DEFAULTS = {
     "smoothing_rate": Scenario.smoothing_rate,
     "rate_leak": Scenario.rate_leak,
 }
-DEFAULT_DT, DEFAULT_DURATION = DEFAULTS["dt"], DEFAULTS["duration"]
 
 _TOP_KEYS = {"mode", "topology", "spacecraft", "reference", *DEFAULTS}
 
@@ -149,19 +148,20 @@ def _parse_reference(value, path):
     # fields the kind does not read are refused, so `doc` holds only checked values
     _mapping(value, path, allowed={"kind", "value"} if kind == "constant" else
              {"kind", "amplitude", "frequency", "phase", "offset"})
-    with _at(path):
-        if kind == "constant":
-            return ReferenceTrajectory.constant(
-                _vector(value.get("value", [0, 0, 0]), 3, path + ".value"))
-        def vec(name, default=None):
-            raw = value.get(name, default)
-            if raw is None:
+    if kind == "sinusoid":
+        for name in ("amplitude", "frequency"):
+            if value.get(name) is None:
                 _fail(path + "." + name, "missing required field")
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                return _number(raw, path + "." + name)
-            return _vector(raw, 3, path + "." + name)
-        return ReferenceTrajectory.sinusoid(
-            vec("amplitude"), vec("frequency"), vec("phase", 0.0), vec("offset", 0.0))
+
+    def vec(name):
+        raw = value[name]
+        if kind == "sinusoid" and isinstance(raw, (int, float)) \
+                and not isinstance(raw, bool):
+            return _number(raw, path + "." + name)
+        return _vector(raw, 3, path + "." + name)
+    # fields left out take ReferenceTrajectory's own defaults
+    with _at(path):
+        return ReferenceTrajectory(kind, **{k: vec(k) for k in value if k != "kind"})
 
 
 def _parse_craft(entry, path):
@@ -204,7 +204,7 @@ class ScenarioConfig:
     theta_hat0: tuple
     dt: float
     duration: float
-    seed: int | None
+    seed: int
     shadow_switch: bool
     decimate: int
     sigma_bound: float
@@ -266,7 +266,7 @@ class ScenarioConfig:
             theta_hat0=tuple(p[2] for p in parsed),
             dt=_number(doc["dt"], "dt"),
             duration=_number(doc["duration"], "duration"),
-            seed=None if doc["seed"] is None else _integer(doc["seed"], "seed", 0),
+            seed=_integer(doc["seed"], "seed", 0),
             shadow_switch=doc["shadow_switch"],
             decimate=_integer(doc["decimate"], "decimate", 1),
             sigma_bound=_number(bounds["sigma"], "random_bounds.sigma", least=0.0),

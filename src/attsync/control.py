@@ -1,8 +1,9 @@
 """Distributed adaptive synchronization and tracking control laws.
 
 Each spacecraft only sees a convex average of its in-neighbors' attitude,
-rate, and (held) acceleration, bundled here as `NeighborhoodSignals`.  The
-two modes share the same arithmetic:
+rate, and (held) acceleration: the aggregate (sigma_d, sigma_d_dot,
+sigma_d_ddot), passed to the law as three plain arrays.  The two modes
+share the same arithmetic:
 
     e   = sigma - sigma_d            (attitude error to the aggregate)
     s   = e_dot + Lambda e           (filtered error)
@@ -15,8 +16,8 @@ In leaderless mode the aggregates run over neighbors only; in tracking mode
 the leader joins them with weight b_i.  Gains may differ per spacecraft.
 
 All operations broadcast: a `GainSet` may hold (N, 3, 3) stacks and the
-signal vectors (N, 3) stacks, which is how the simulator evaluates the
-whole fleet at once through this exact code path.
+state and aggregate vectors (N, 3) stacks, which is how the simulator
+evaluates the whole fleet at once through this exact code path.
 """
 
 from __future__ import annotations
@@ -139,26 +140,10 @@ class ReferenceTrajectory:
         return sigma_r, rate, accel
 
 
-@dataclass(frozen=True)
-class NeighborhoodSignals:
-    """Aggregated neighbor attitude, rate, and acceleration seen by a craft.
-
-    Fields may be single 3-vectors or (N, 3) stacks for a whole fleet.
-    """
-
-    sigma_d: np.ndarray
-    sigma_d_dot: np.ndarray
-    sigma_d_ddot: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sigma_d", "sigma_d_dot", "sigma_d_ddot"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
-def sync_error(sigma, sigma_dot, signals: NeighborhoodSignals):
+def sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot):
     """Errors to the neighborhood aggregate: e = sigma - sigma_d and its rate."""
-    e = np.asarray(sigma, dtype=float) - signals.sigma_d
-    e_dot = np.asarray(sigma_dot, dtype=float) - signals.sigma_d_dot
+    e = np.asarray(sigma, dtype=float) - sigma_d
+    e_dot = np.asarray(sigma_dot, dtype=float) - sigma_d_dot
     return e, e_dot
 
 
@@ -167,15 +152,20 @@ def filtered_error(e, e_dot, lam):
     return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
 
 
-def controller_outputs(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains: GainSet):
-    """Torque u = G^T (Y theta_hat - K s), filtered error s, and adaptation
-    rate theta_hat_dot = -Gamma Y^T s, sharing one regressor evaluation.
+def controller_outputs(sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot,
+                       theta_hat, gains: GainSet):
+    """The control law at one instant, sharing one regressor evaluation.
+
+    Returns (u, e, s, theta_hat_dot): the torque u = G^T (Y theta_hat - K s),
+    the error e = sigma - sigma_d, the filtered error s and the adaptation
+    rate theta_hat_dot = -Gamma Y^T s.
     """
-    v_r = signals.sigma_d_dot - mat_vec(gains.Lambda, e)
-    a_r = signals.sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
+    e, e_dot = sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot)
+    v_r = sigma_d_dot - mat_vec(gains.Lambda, e)
+    a_r = sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
     y = regression(sigma, sigma_dot, v_r, a_r)
     s = filtered_error(e, e_dot, gains.Lambda)
     g_t = np.swapaxes(kinematics_matrix(sigma), -1, -2)
     u = mat_vec(g_t, mat_vec(y, theta_hat) - mat_vec(gains.K, s))
     theta_hat_dot = -gains.gamma_diag * mat_vec(np.swapaxes(y, -1, -2), s)
-    return u, s, theta_hat_dot
+    return u, e, s, theta_hat_dot

@@ -29,8 +29,9 @@ choice in the loop.  Two sources are implemented:
     leader; a leaderless graph always has a cycle).
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
-same public control-law functions used for a single craft; there is no
-separate batched formula path.
+same public control law used for a single craft, `controller_outputs`,
+called once per right-hand-side evaluation with the aggregates as plain
+arrays; there is no separate batched formula path.
 """
 
 from __future__ import annotations
@@ -41,14 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attmath import mrp_shadow
-from .control import (
-    GainSet,
-    NeighborhoodSignals,
-    ReferenceTrajectory,
-    controller_outputs,
-    filtered_error,
-    sync_error,
-)
+from .control import GainSet, ReferenceTrajectory, controller_outputs
 from .errors import ConfigError, SimulationDiverged
 from .rigid_body import (
     InertiaParams,
@@ -81,7 +75,8 @@ class Spacecraft:
     theta_hat0: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        if self.gains.Lambda.shape != (3, 3):
+        g = self.gains
+        if (g.Lambda.shape, g.K.shape, g.Gamma.shape) != ((3, 3), (3, 3), (6, 6)):
             raise ValueError("per-spacecraft gains must be single 3x3/6x6 matrices")
         th = np.array(self.theta_hat0, dtype=float)
         if th.shape != (6,):
@@ -264,12 +259,14 @@ class Simulation:
         return (np.einsum("ij,ijk->ik", w, img),
                 np.einsum("ij,ijk->ik", w, img_dot), None)
 
-    def _eval(self, t, sigma, omega, theta_hat, chi, chi_dot, held_sdd):
+    def _eval(self, t, y, held_sdd):
         """Closed-loop derivatives and controller signals at one instant.
 
-        Returns (sigma_dot, omega_dot, theta_dot, chi_dot, chi_ddot, u, e, s);
-        the chi derivatives are zero under the "held" source.
+        y is the state (sigma, omega, theta_hat, chi, chi_dot).  Returns
+        (dy, u, e, s): the derivative of y, then the torque, the error and
+        the filtered error; the chi derivatives are zero under "held".
         """
+        sigma, omega, theta_hat, chi, chi_dot = y
         sigma_dot = mrp_rate(sigma, omega)
         sigma_d, sigma_d_dot, sigma_d_ddot = self._aggregates(
             t, sigma, sigma_dot, held_sdd)
@@ -277,44 +274,32 @@ class Simulation:
             chi_ddot = (self._gen_kd * (sigma_d_dot - chi_dot)
                         + self._gen_kp * (sigma_d - chi)
                         - self._gen_leak * chi_dot)
-            signals = NeighborhoodSignals(chi, chi_dot, chi_ddot)
-            d_chi, d_chi_dot = chi_dot, chi_ddot
+            sigma_d, sigma_d_dot, sigma_d_ddot = chi, chi_dot, chi_ddot
+            d_chi = (chi_dot, chi_ddot)
         else:
-            signals = NeighborhoodSignals(sigma_d, sigma_d_dot, sigma_d_ddot)
-            d_chi = d_chi_dot = np.zeros_like(sigma)
-        e, e_dot = sync_error(sigma, sigma_dot, signals)
-        if self.scenario.control_enabled:
-            u, s, theta_dot = controller_outputs(
-                sigma, sigma_dot, signals, e, e_dot, theta_hat, self.gains)
-            if not self.scenario.adaptation_enabled:
-                theta_dot = np.zeros_like(theta_hat)
-        else:
+            d_chi = (np.zeros_like(sigma),) * 2
+        u, e, s, theta_dot = controller_outputs(
+            sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
+        if not self.scenario.control_enabled:
             u = np.zeros_like(sigma)
-            s = filtered_error(e, e_dot, self.gains.Lambda)
+        if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
         omega_dot = angular_acceleration(self.j_stack, omega, u)
-        return sigma_dot, omega_dot, theta_dot, d_chi, d_chi_dot, u, e, s
+        return (sigma_dot, omega_dot, theta_dot) + d_chi, u, e, s
 
-    def _rk4(self, t, sigma, omega, theta_hat, chi, chi_dot, held_sdd):
+    def _rk4(self, t, y, held_sdd):
+        """One classical RK4 step of the state tuple y."""
         dt = self.dt
         h = dt / 2.0
-        k1 = self._eval(t, sigma, omega, theta_hat, chi, chi_dot, held_sdd)
-        k2 = self._eval(t + h, sigma + h * k1[0], omega + h * k1[1],
-                        theta_hat + h * k1[2], chi + h * k1[3],
-                        chi_dot + h * k1[4], held_sdd)
-        k3 = self._eval(t + h, sigma + h * k2[0], omega + h * k2[1],
-                        theta_hat + h * k2[2], chi + h * k2[3],
-                        chi_dot + h * k2[4], held_sdd)
-        k4 = self._eval(t + dt, sigma + dt * k3[0], omega + dt * k3[1],
-                        theta_hat + dt * k3[2], chi + dt * k3[3],
-                        chi_dot + dt * k3[4], held_sdd)
+        k1 = self._eval(t, y, held_sdd)[0]
+        k2 = self._eval(t + h, [x + h * d for x, d in zip(y, k1)], held_sdd)[0]
+        k3 = self._eval(t + h, [x + h * d for x, d in zip(y, k2)], held_sdd)[0]
+        k4 = self._eval(t + dt, [x + dt * d for x, d in zip(y, k3)], held_sdd)[0]
         w = dt / 6.0
-        out = []
-        for j, y in enumerate((sigma, omega, theta_hat, chi, chi_dot)):
-            out.append(y + w * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]))
-        return out
+        return tuple(x + w * (a + 2.0 * b + 2.0 * c + d)
+                     for x, a, b, c, d in zip(y, k1, k2, k3, k4))
 
-    def _apply_shadow(self, sigma, chi, chi_dot):
+    def _apply_shadow(self, sigma, omega, theta_hat, chi, chi_dot):
         """Flip craft beyond the unit ball to the equivalent representation.
 
         The desired-trajectory generator state is mapped through the same
@@ -328,7 +313,7 @@ class Simulation:
                 chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
                 chi = np.where(rows, chi_sh, chi)
                 chi_dot = np.where(rows, chi_sh_dot, chi_dot)
-        return sigma, chi, chi_dot
+        return sigma, omega, theta_hat, chi, chi_dot
 
     def _check_state(self, t, sigma, omega, theta_hat):
         """Raise SimulationDiverged naming the first bad craft and quantity."""
@@ -346,9 +331,9 @@ class Simulation:
                 "spacecraft %d diverged at t = %.6g s (%s)" % (i + 1, t, what),
                 craft_index=i, time=t, quantity=name or "sigma")
 
-    def _record(self, log, r, t, sigma, omega, theta_hat, ev):
-        """Write record r of the log from the state and its evaluation."""
-        u, e, s = ev[5], ev[6], ev[7]
+    def _record(self, log, r, t, y, u, e, s):
+        """Write record r of the log from the state y and its evaluation."""
+        sigma, omega, theta_hat = y[:3]
         log.times[r] = t
         log.sigma[r], log.omega[r], log.torque[r] = sigma, omega, u
         log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = theta_hat, e, s
@@ -392,31 +377,29 @@ class Simulation:
             theta_hat=rows(self.n, 6), sync_error=rows(self.n, 3),
             filtered_error=rows(self.n, 3), lyapunov=rows(), disagreement=rows(),
             tracking_error=rows() if self.tracking else None)
-        chi, chi_dot = sigma.copy(), mrp_rate(sigma, omega)
+        y = (sigma, omega, theta, sigma.copy(), mrp_rate(sigma, omega))
         held_sdd = None if self.smoothed else np.zeros_like(sigma)
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):
-            self._check_state(0.0, sigma, omega, theta)
-            ev = self._eval(0.0, sigma, omega, theta, chi, chi_dot, held_sdd)
-            self._record(log, 0, 0.0, sigma, omega, theta, ev)
+            self._check_state(0.0, *y[:3])
+            _, u, e, s = self._eval(0.0, y, held_sdd)
+            self._record(log, 0, 0.0, y, u, e, s)
             r = 1
             for k in range(n_steps):
                 t_next = (k + 1) * self.dt
-                sigma, omega, theta, chi, chi_dot = self._rk4(
-                    k * self.dt, sigma, omega, theta, chi, chi_dot, held_sdd)
+                y = self._rk4(k * self.dt, y, held_sdd)
                 if self.scenario.shadow_switch:
-                    sigma, chi, chi_dot = self._apply_shadow(sigma, chi, chi_dot)
-                self._check_state(t_next, sigma, omega, theta)
+                    y = self._apply_shadow(*y)
+                self._check_state(t_next, *y[:3])
                 recorded = (k + 1) % decimate == 0 or k == n_steps - 1
                 # the end-of-step evaluation feeds the record and the hold
                 if recorded or not self.smoothed:
-                    ev = self._eval(t_next, sigma, omega, theta, chi, chi_dot,
-                                    held_sdd)
+                    _, u, e, s = self._eval(t_next, y, held_sdd)
                 if recorded:
-                    self._record(log, r, t_next, sigma, omega, theta, ev)
+                    self._record(log, r, t_next, y, u, e, s)
                     r += 1
                 if not self.smoothed:
-                    held_sdd = mrp_acceleration(self.j_stack, sigma, omega, ev[5])
+                    held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)
         return log
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the six-craft fleet pieces and small scenario builders."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from attsync.control import GainSet, ReferenceTrajectory
 from attsync.rigid_body import InertiaParams, SpacecraftState
@@ -28,6 +29,12 @@ FLEET_ADJ = np.array([
 ], dtype=float)
 
 FLEET_LEADER_B = np.array([1.0, 0, 0, 0, 0, 0])
+
+# attitudes with |x| spread log-uniformly over [1e-3, 1e3], and a rate
+directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+attitudes = st.builds(lambda d, m: 10.0 ** m * d / np.linalg.norm(d),
+                      directions, st.floats(-3.0, 3.0))
 
 
 @pytest.fixture

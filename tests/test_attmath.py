@@ -1,7 +1,7 @@
 """Attitude math: kinematics matrix, operators, parameter packing."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from attsync.attmath import (
     f_operator,
@@ -16,6 +16,7 @@ from attsync.attmath import (
     skew,
     theta_from_inertia,
 )
+from tests.conftest import attitudes, directions
 
 RNG = np.random.default_rng(42)
 
@@ -125,13 +126,6 @@ def test_mrp_shadow_properties():
     # on the unit sphere the shadow is the antipode
     u = np.array([0.6, 0.8, 0.0])
     assert np.allclose(mrp_shadow(u), -u, atol=1e-14)
-
-
-# attitudes with |x| spread log-uniformly over [1e-3, 1e3], and a rate
-vectors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
-directions = vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
-attitudes = st.builds(lambda d, m: 10.0 ** m * d / np.linalg.norm(d),
-                      directions, st.floats(-3.0, 3.0))
 
 
 @given(attitudes)

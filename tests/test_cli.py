@@ -162,6 +162,7 @@ def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys):
     ([], {"topology": {"adjacency": [[0.0, -1.0], [1.0, 0.0]]}}, "topology: "),
     ([], {"topology": {"adjacency": [[1.0, 1.0], [1.0, 0.0]]}}, "topology: "),
     ([], {"random_bounds": {"sigma": -0.5}}, "random_bounds.sigma: "),
+    ([], {"seed": None}, "seed: "),  # a run without a seed cannot be reproduced
 ])
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, argv, extra, field):
     path = write_config(tmp_path, **extra)

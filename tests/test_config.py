@@ -4,8 +4,7 @@ import pytest
 
 from attsync.config import (
     DEFAULT_BOUND,
-    DEFAULT_DT,
-    DEFAULT_DURATION,
+    DEFAULTS,
     ScenarioConfig,
     preset,
     preset_names,
@@ -83,7 +82,7 @@ def test_unknown_preset_lists_available():
 def test_leaderless_preset_contents():
     cfg = preset("paper-leaderless")
     assert cfg.mode == "leaderless" and cfg.n == 6
-    assert cfg.dt == DEFAULT_DT and cfg.duration == DEFAULT_DURATION
+    assert cfg.dt == DEFAULTS["dt"] and cfg.duration == DEFAULTS["duration"]
     assert cfg.seed == 0 and cfg.topology.leader_weights is None and cfg.reference is None
     assert cfg.sigma_bound == DEFAULT_BOUND and cfg.omega_bound == DEFAULT_BOUND
     assert np.array_equal(cfg.topology.adjacency, FLEET_ADJ)
@@ -219,7 +218,7 @@ def test_to_dict_is_the_description_as_written():
     echoed = ScenarioConfig.from_dict(data).to_dict()
     assert echoed["gains"] == {"K": 3.0}
     assert echoed["random_bounds"] == {"sigma": DEFAULT_BOUND, "omega": 0.1}
-    assert echoed["dt"] == DEFAULT_DT and echoed["seed"] == 0
+    assert echoed["dt"] == DEFAULTS["dt"] and echoed["seed"] == 0
     assert echoed["spacecraft"] == data["spacecraft"]
     cfg = ScenarioConfig.from_dict(data)
     cfg.to_dict()["spacecraft"][0]["inertia"][0][0] = 9.0  # a copy
@@ -289,11 +288,24 @@ def test_reference_errors():
     # a field the kind does not read is refused, not carried along unchecked
     data["reference"] = {"kind": "constant", "value": [0, 0, 0], "amplitude": "big"}
     assert "reference: unknown field(s) amplitude" in error_message(data)
+    data["reference"] = {"kind": "constant", "value": 0.1}  # scalars: sinusoid only
+    assert "reference.value" in error_message(data)
+
+
+def test_reference_fields_left_out_take_the_trajectory_defaults():
+    data = minimal_dict(mode="tracking")
+    data["reference"] = {"kind": "constant"}
+    assert np.array_equal(ScenarioConfig.from_dict(data).reference.value, np.zeros(3))
+    data["reference"] = {"kind": "sinusoid", "amplitude": 0.1, "frequency": [1, 2, 3]}
+    ref = ScenarioConfig.from_dict(data).reference
+    assert np.array_equal(ref.amplitude, np.full(3, 0.1))
+    assert np.array_equal(ref.phase, np.zeros(3)) and np.array_equal(ref.offset, np.zeros(3))
 
 
 def test_scalar_field_errors():
     assert "dt" in error_message(minimal_dict(dt="fast"))
     assert "seed" in error_message(minimal_dict(seed="lucky"))
+    assert "seed" in error_message(minimal_dict(seed=None))  # a run must be reproducible
     assert "decimate" in error_message(minimal_dict(decimate=0))
     assert "shadow_switch" in error_message(minimal_dict(shadow_switch="yes"))
     assert "gains.K" in error_message(minimal_dict(gains={"K": "stiff"}))

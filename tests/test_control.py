@@ -1,11 +1,12 @@
 """Adaptive synchronization/tracking control laws and reference profiles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from attsync.attmath import kinematics_matrix, kinematics_matrix_dot, mat_vec
+from attsync.attmath import kinematics_matrix, kinematics_matrix_dot
 from attsync.control import (
     GainSet,
-    NeighborhoodSignals,
     ReferenceTrajectory,
     controller_outputs,
     filtered_error,
@@ -20,7 +21,7 @@ from attsync.rigid_body import (
 )
 from attsync.simulator import Simulation
 from attsync.topology import CommTopology
-from tests.conftest import FLEET_J, single_craft_scenario
+from tests.conftest import FLEET_J, attitudes, single_craft_scenario
 
 RNG = np.random.default_rng(5)
 
@@ -30,17 +31,13 @@ def random_spd(rng):
     return m @ m.T + 3.0 * np.eye(3)
 
 
-def torque(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains):
-    return controller_outputs(sigma, sigma_dot, signals, e, e_dot, theta_hat, gains)[0]
+def torque(sigma, sigma_dot, agg, theta_hat, gains):
+    """Torque at the aggregate agg = (sigma_d, sigma_d_dot, sigma_d_ddot)."""
+    return controller_outputs(sigma, sigma_dot, *agg, theta_hat, gains)[0]
 
 
-def signals_from(sigma_d, sigma_d_dot=None, sigma_d_ddot=None):
-    zero = np.zeros(3)
-    return NeighborhoodSignals(
-        np.asarray(sigma_d, dtype=float),
-        zero if sigma_d_dot is None else np.asarray(sigma_d_dot, dtype=float),
-        zero if sigma_d_ddot is None else np.asarray(sigma_d_ddot, dtype=float),
-    )
+def random_aggregate(rng, scale=(0.3, 0.2, 0.1)):
+    return tuple(rng.normal(size=3) * c for c in scale)
 
 
 # ---------------------------------------------------------------- GainSet
@@ -136,12 +133,12 @@ def test_reference_validation():
 def test_sync_error_definitions():
     sigma = np.array([0.3, -0.2, 0.4])
     sigma_dot = np.array([0.1, 0.0, -0.1])
-    e, e_dot = sync_error(sigma, sigma_dot, signals_from(sigma, sigma_dot))
+    e, e_dot = sync_error(sigma, sigma_dot, sigma, sigma_dot)
     assert np.array_equal(e, np.zeros(3))
     assert np.array_equal(e_dot, np.zeros(3))
     # single-neighbor node: the aggregate is the neighbor itself
     other = np.array([0.1, 0.1, 0.1])
-    e, _ = sync_error(sigma, sigma_dot, signals_from(other))
+    e, _ = sync_error(sigma, sigma_dot, other, np.zeros(3))
     assert np.array_equal(e, sigma - other)
 
 
@@ -154,7 +151,7 @@ def test_sync_error_vanishes_at_consensus():
 
     for i in range(4):
         agg = neighborhood_aggregate(topo, i, fleet)
-        e, _ = sync_error(fleet[i], np.zeros(3), signals_from(agg))
+        e, _ = sync_error(fleet[i], np.zeros(3), agg, np.zeros(3))
         assert np.abs(e).max() <= 1e-15
 
 
@@ -177,27 +174,30 @@ def test_torque_zero_cases():
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
     sigma = np.array([0.2, -0.1, 0.3])
     sigma_dot = mrp_rate(sigma, np.array([0.1, 0.2, -0.1]))
-    # s = 0 (signals equal own state) and theta_hat = 0 kill both terms
-    sig = signals_from(sigma, sigma_dot)
-    e, e_dot = sync_error(sigma, sigma_dot, sig)
-    u = torque(sigma, sigma_dot, sig, e, e_dot, np.zeros(6), gains)
-    assert np.abs(u).max() <= 1e-15
-    # at rest with zero signals the regressor arguments vanish for any theta_hat
     zero = np.zeros(3)
-    sig = signals_from(zero, zero, zero)
-    u = torque(zero, zero, sig, zero, zero, RNG.normal(size=6), gains)
+    # s = 0 (aggregate equal to own state) and theta_hat = 0 kill both terms
+    u = torque(sigma, sigma_dot, (sigma, sigma_dot, zero), np.zeros(6), gains)
     assert np.abs(u).max() <= 1e-15
+    # at rest with a zero aggregate the regressor arguments vanish for any theta_hat
+    u = torque(zero, zero, (zero, zero, zero), RNG.normal(size=6), gains)
+    assert np.abs(u).max() <= 1e-15
+    # s = 0 with e != 0 (e_dot = -Lambda e, exact in binary) silences adaptation
+    sigma, sigma_dot = np.array([0.5, -0.25, 0.125]), np.array([0.5, 0.5, 0.5])
+    agg = (np.full(3, 0.25), np.array([0.75, 0.0, 0.375]), RNG.normal(size=3))
+    u, e, s, theta_dot = controller_outputs(
+        sigma, sigma_dot, *agg, np.zeros(6), GainSet.from_scalars(1.0, 3.0, 3.0))
+    assert np.array_equal(e, [0.25, -0.5, -0.125]) and np.array_equal(s, zero)
+    assert np.array_equal(u, zero) and np.array_equal(theta_dot, np.zeros(6))
 
 
 def test_torque_linear_in_theta_hat():
     gains = GainSet(random_spd(RNG), random_spd(RNG), np.diag(RNG.uniform(1, 3, 6)))
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
     sigma_dot = mrp_rate(sigma, omega)
-    sig = signals_from(RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2, RNG.normal(size=3) * 0.1)
-    e, e_dot = sync_error(sigma, sigma_dot, sig)
+    agg = random_aggregate(RNG)
 
     def u(th):
-        return torque(sigma, sigma_dot, sig, e, e_dot, th, gains)
+        return torque(sigma, sigma_dot, agg, th, gains)
 
     a, b = RNG.normal(size=6), RNG.normal(size=6)
     lhs = u(2.0 * a - 3.0 * b)
@@ -205,41 +205,55 @@ def test_torque_linear_in_theta_hat():
     assert np.abs(lhs - rhs).max() <= 1e-10 * (1 + np.abs(rhs).max())
 
 
-def test_adaptation_rate_matches_regressor_product():
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
-    sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
-    sigma_dot = mrp_rate(sigma, omega)
-    sig = signals_from(RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2, RNG.normal(size=3) * 0.1)
-    e, e_dot = sync_error(sigma, sigma_dot, sig)
-    s = filtered_error(e, e_dot, gains.Lambda)
-    v_r = sig.sigma_d_dot - gains.Lambda @ e
-    a_r = sig.sigma_d_ddot - gains.Lambda @ e_dot
-    y = regression(sigma, sigma_dot, v_r, a_r)
-    want = -3.0 * (y.T @ s)
-    got = controller_outputs(sigma, sigma_dot, sig, e, e_dot, np.zeros(6), gains)[2]
-    assert np.allclose(got, want, atol=1e-13)
-    # s = 0 (e_dot = -Lambda e) silences adaptation regardless of the state
-    zero_rate = controller_outputs(sigma, sigma_dot, sig, e, -e, np.zeros(6), gains)[2]
-    assert np.array_equal(zero_rate, np.zeros(6))
+def spd_stacks(n):
+    """(n, 3, 3) symmetric positive definite matrices, eigenvalues >= 0.5."""
+    return arrays(float, (n, 3, 3), elements=st.floats(-1.0, 1.0)).map(
+        lambda m: m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(3))
 
 
-def test_controller_outputs_match_separate_calls():
-    # u = G^T (Y theta_hat - K s) and theta_hat_dot = -Gamma Y^T s, with Y
-    # from the `regression` oracle and s from `filtered_error`
-    gains = GainSet(random_spd(RNG), random_spd(RNG), np.diag(RNG.uniform(1, 3, 6)))
-    sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
-    sigma_dot = mrp_rate(sigma, omega)
-    sig = signals_from(RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2, RNG.normal(size=3) * 0.1)
-    e, e_dot = sync_error(sigma, sigma_dot, sig)
-    theta_hat = RNG.normal(size=6)
-    u, s, th_dot = controller_outputs(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
-    want_s = filtered_error(e, e_dot, gains.Lambda)
-    y = regression(sigma, sigma_dot, sig.sigma_d_dot - gains.Lambda @ e,
-                   sig.sigma_d_ddot - gains.Lambda @ e_dot)
-    want_u = kinematics_matrix(sigma).T @ (y @ theta_hat - gains.K @ want_s)
-    assert np.array_equal(s, want_s)
-    assert np.allclose(u, want_u, atol=1e-12)
-    assert np.allclose(th_dot, -np.diag(gains.Gamma) * (y.T @ want_s), atol=1e-12)
+@st.composite
+def fleet_control_inputs(draw):
+    n = draw(st.integers(1, 4))
+    # |sigma| spread log-uniformly over [1e-3, 1e3]
+    sigma = np.stack([draw(attitudes) for _ in range(n)])
+    vectors = arrays(float, (n, 3), elements=st.floats(-1.0, 1.0))
+    sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot = (draw(vectors) for _ in range(4))
+    theta_hat = draw(arrays(float, (n, 6), elements=st.floats(-2.0, 2.0)))
+    gamma = draw(arrays(float, (n, 6), elements=st.floats(0.5, 3.0)))
+    gains = GainSet(draw(spd_stacks(n)), draw(spd_stacks(n)),
+                    gamma[:, :, None] * np.eye(6))
+    return sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, gains
+
+
+@settings(deadline=None, max_examples=200)
+@given(fleet_control_inputs())
+def test_controller_outputs_match_separate_calls(inputs):
+    # one stacked call equals per-craft calls, and each craft's outputs equal
+    # the law composed from its oracles: e = sigma - sigma_d, s from
+    # `filtered_error`, Y from `regression`, u = G^T (Y theta_hat - K s) and
+    # theta_hat_dot = -Gamma Y^T s
+    sigma, sigma_dot, sd, sd_dot, sd_ddot, theta_hat, gains = inputs
+    stacked = controller_outputs(*inputs)
+    for i in range(sigma.shape[0]):
+        lam, k = gains.Lambda[i], gains.K[i]
+        gi = GainSet(lam, k, gains.Gamma[i])
+        single = controller_outputs(sigma[i], sigma_dot[i], sd[i], sd_dot[i], sd_ddot[i],
+                                    theta_hat[i], gi)
+        e, e_dot = sigma[i] - sd[i], sigma_dot[i] - sd_dot[i]
+        s = filtered_error(e, e_dot, lam)
+        y = regression(sigma[i], sigma_dot[i], sd_dot[i] - lam @ e, sd_ddot[i] - lam @ e_dot)
+        g_t = kinematics_matrix(sigma[i]).T
+        want_u = g_t @ (y @ theta_hat[i] - k @ s)
+        want_th = -gains.gamma_diag[i] * (y.T @ s)
+        # tolerances scale with the magnitudes summed into each component
+        u_scale = np.abs(g_t) @ (np.abs(y) @ np.abs(theta_hat[i]) + np.abs(k) @ np.abs(s))
+        th_scale = gains.gamma_diag[i] * (np.abs(y).T @ np.abs(s))
+        for got in (single, tuple(x[i] for x in stacked)):
+            u, e_got, s_got, th_dot = got
+            assert np.array_equal(e_got, e)
+            np.testing.assert_allclose(s_got, s, rtol=0.0, atol=1e-14 * (1 + np.abs(s).max()))
+            assert np.all(np.abs(u - want_u) <= 1e-9 * u_scale)
+            assert np.all(np.abs(th_dot - want_th) <= 1e-9 * th_scale)
 
 
 def test_controller_single_arithmetic_path_for_both_modes():
@@ -248,25 +262,23 @@ def test_controller_single_arithmetic_path_for_both_modes():
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
     sigma_dot = mrp_rate(sigma, omega)
-    agg = (RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2, RNG.normal(size=3) * 0.1)
+    agg = random_aggregate(RNG)
     theta_hat = RNG.normal(size=6)
-    results = []
-    for _ in range(2):
-        sig = NeighborhoodSignals(*(a.copy() for a in agg))
-        e, e_dot = sync_error(sigma, sigma_dot, sig)
-        results.append(torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains))
+    results = [torque(sigma, sigma_dot, tuple(a.copy() for a in agg), theta_hat, gains)
+               for _ in range(2)]
     assert np.array_equal(results[0], results[1])
 
 
-def closed_loop_s_dot(j, sigma, omega, u, signals, lam):
+def closed_loop_s_dot(j, sigma, omega, u, agg, lam):
     """ds/dt from the plant: rigid-body dynamics driven by torque u."""
+    _, sigma_d_dot, sigma_d_ddot = agg
     sigma_dot = mrp_rate(sigma, omega)
     omega_dot = np.linalg.solve(j, u - np.cross(omega, j @ omega))
     g = kinematics_matrix(sigma)
     g_dot = kinematics_matrix_dot(sigma, sigma_dot)
     sigma_ddot = g_dot @ omega + g @ omega_dot
-    e_dot = sigma_dot - signals.sigma_d_dot
-    e_ddot = sigma_ddot - signals.sigma_d_ddot
+    e_dot = sigma_dot - sigma_d_dot
+    e_ddot = sigma_ddot - sigma_d_ddot
     return e_ddot + lam @ e_dot
 
 
@@ -280,13 +292,9 @@ def test_perfect_knowledge_closed_loop_cancellation():
             sigma = RNG.normal(size=3) * 0.4
             omega = RNG.normal(size=3) * 0.5
             sigma_dot = mrp_rate(sigma, omega)
-            sig = signals_from(
-                RNG.normal(size=3) * 0.4, RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2
-            )
-            e, e_dot = sync_error(sigma, sigma_dot, sig)
-            s = filtered_error(e, e_dot, gains.Lambda)
-            u = torque(sigma, sigma_dot, sig, e, e_dot, theta, gains)
-            s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, sig, gains.Lambda)
+            agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
+            u, _, s, _ = controller_outputs(sigma, sigma_dot, *agg, theta, gains)
+            s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
             h = h_star(j_mat, sigma)
             c = c_star(j_mat, sigma, sigma_dot)
             residual = h @ s_dot + c @ s + gains.K @ s
@@ -305,15 +313,12 @@ def test_estimation_error_closed_loop_residual():
         sigma = RNG.normal(size=3) * 0.4
         omega = RNG.normal(size=3) * 0.5
         sigma_dot = mrp_rate(sigma, omega)
-        sig = signals_from(
-            RNG.normal(size=3) * 0.4, RNG.normal(size=3) * 0.3, RNG.normal(size=3) * 0.2
-        )
-        e, e_dot = sync_error(sigma, sigma_dot, sig)
-        s = filtered_error(e, e_dot, gains.Lambda)
-        u = torque(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
-        s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, sig, gains.Lambda)
-        v_r = sig.sigma_d_dot - gains.Lambda @ e
-        a_r = sig.sigma_d_ddot - gains.Lambda @ e_dot
+        agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
+        u, e, s, _ = controller_outputs(sigma, sigma_dot, *agg, theta_hat, gains)
+        s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
+        e_dot = sigma_dot - agg[1]
+        v_r = agg[1] - gains.Lambda @ e
+        a_r = agg[2] - gains.Lambda @ e_dot
         y = regression(sigma, sigma_dot, v_r, a_r)
         residual = (
             h_star(j_mat, sigma) @ s_dot
@@ -322,34 +327,6 @@ def test_estimation_error_closed_loop_residual():
             + y @ (theta - theta_hat)
         )
         assert np.abs(residual).max() <= 1e-8 * (1 + np.abs(y @ (theta - theta_hat)).max())
-
-
-def test_fleet_stacked_evaluation_matches_per_craft():
-    # one stacked call through the same functions equals six scalar calls
-    n = 6
-    lam = np.stack([random_spd(RNG) for _ in range(n)])
-    k = np.stack([random_spd(RNG) for _ in range(n)])
-    gam = np.stack([np.diag(RNG.uniform(1, 4, 6)) for _ in range(n)])
-    gains = GainSet(lam, k, gam)
-    sigma = RNG.normal(size=(n, 3)) * 0.3
-    omega = RNG.normal(size=(n, 3))
-    sigma_dot = mrp_rate(sigma, omega)
-    sig = NeighborhoodSignals(
-        RNG.normal(size=(n, 3)) * 0.3,
-        RNG.normal(size=(n, 3)) * 0.2,
-        RNG.normal(size=(n, 3)) * 0.1,
-    )
-    theta_hat = RNG.normal(size=(n, 6))
-    e, e_dot = sync_error(sigma, sigma_dot, sig)
-    u, s, th_dot = controller_outputs(sigma, sigma_dot, sig, e, e_dot, theta_hat, gains)
-    for i in range(n):
-        gi = GainSet(lam[i], k[i], gam[i])
-        sig_i = NeighborhoodSignals(sig.sigma_d[i], sig.sigma_d_dot[i], sig.sigma_d_ddot[i])
-        ei, ei_dot = sync_error(sigma[i], sigma_dot[i], sig_i)
-        ui, si, ti = controller_outputs(sigma[i], sigma_dot[i], sig_i, ei, ei_dot, theta_hat[i], gi)
-        assert np.allclose(u[i], ui, atol=1e-12)
-        assert np.allclose(s[i], si, atol=1e-12)
-        assert np.allclose(th_dot[i], ti, atol=1e-12)
 
 
 def test_lyapunov_value_oracle():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from attsync import simulator
 from attsync.attmath import mrp_shadow
-from attsync.control import GainSet, ReferenceTrajectory
+from attsync.control import GainSet, ReferenceTrajectory, controller_outputs
 from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import InertiaParams, SpacecraftState, mrp_rate
 from attsync.simulator import (
@@ -73,6 +74,17 @@ def test_scenario_validation_errors():
         dataclasses.replace(base, reference=ReferenceTrajectory.constant([0.1, 0, 0]))
     with pytest.raises(ConfigError):
         dataclasses.replace(base, spacecraft=base.spacecraft[:1])
+
+
+@pytest.mark.parametrize("stacked", ["Lambda", "K", "Gamma"])
+def test_spacecraft_gains_must_be_single_matrices(stacked):
+    # a stack in any one gain would only fail later, when Simulation stacks the fleet
+    single = {"Lambda": np.eye(3), "K": 3.0 * np.eye(3), "Gamma": 3.0 * np.eye(6)}
+    single[stacked] = np.stack([single[stacked]] * 2)
+    with pytest.raises(ValueError, match="single 3x3/6x6"):
+        Spacecraft(inertia=InertiaParams.from_matrix(np.array(FLEET_J[0])),
+                   initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
+                   gains=GainSet(**single))
 
 
 @pytest.mark.parametrize("mode", ["leaderless", "tracking"])
@@ -224,6 +236,27 @@ def test_record_counts_and_times():
     assert dec7.n_records == 1 + kept + 1  # final step logged despite 400 % 7 != 0
     with pytest.raises(ValueError):
         Simulation(sc).run(decimate=0)
+
+
+@pytest.mark.parametrize("build, held", [
+    (pair_scenario, False),
+    (lambda **kw: pair_scenario(control_enabled=False, **kw), False),
+    (chain_scenario, True),
+], ids=["smoothed", "control-off", "held"])
+def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, held):
+    # bench/run.py reads rhs_evals_per_step and us_per_rhs off these calls:
+    # four RK4 stages per step, plus the initial evaluation and an end-of-step
+    # one on each recorded step ("smoothed") or on every step ("held")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return controller_outputs(*args)
+
+    monkeypatch.setattr(simulator, "controller_outputs", counted)
+    n, d = 10, 3
+    Simulation(build(duration=n * 0.005)).run(decimate=d)
+    assert len(calls) == (1 + 5 * n if held else 1 + 4 * n + -(-n // d))
 
 
 def test_divergence_guard_reports_craft_and_time():
