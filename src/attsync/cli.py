@@ -14,8 +14,12 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   metrics, record count and wall-clock time or, when the run diverged, a
   `diverged` block naming the craft (1-based), quantity and time.
 
+A --seeds a..b sweep is one integration (one `Simulation` ensemble); each
+seed_<n>/ gets the files of its own --seed n run, and each seed's
+wall_clock_s is the whole sweep's integration wall, never a share of it.
+
 Exit status: 0 on success, 1 on a failed validity or convergence check,
-2 on config errors, 3 when a trajectory diverges.
+2 on config errors, 3 when a trajectory diverges (the maximum over seeds).
 """
 
 from __future__ import annotations
@@ -142,29 +146,25 @@ def _write_summary(out_dir, summary) -> None:
         fh.write("\n")
 
 
-def _run_one(cfg: ScenarioConfig, out_dir, assert_tol) -> int:
+def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol) -> int:
+    """Write one run's files from its log or from the divergence that stopped it."""
     os.makedirs(out_dir, exist_ok=True)
-    scenario = cfg.to_scenario()
     summary = {"config": cfg.doc, "step_count": scenario.n_steps}
-    t0 = time.perf_counter()
-    try:
-        log = Simulation(scenario).run(decimate=cfg.decimate)
-    except SimulationDiverged as exc:
+    if isinstance(result, SimulationDiverged):
         summary["validity"] = validity_report(cfg, scenario)
-        summary["diverged"] = {"craft": exc.craft_index + 1, "quantity": exc.quantity,
-                               "time": exc.time, "message": str(exc)}
+        summary["diverged"] = {"craft": result.craft_index + 1, "quantity": result.quantity,
+                               "time": result.time, "message": str(result)}
         _write_summary(out_dir, summary)
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % result, file=sys.stderr)
         return 3
-    wall = time.perf_counter() - t0
-    m = metrics(log)
+    m = metrics(result)
     finals = {k: v for k, v in m.items() if k != "series"}
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(log, csv_path)
-    summary.update(metrics=finals, records=log.n_records, wall_clock_s=wall,
+    write_trajectory_csv(result, csv_path)
+    summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall,
                    validity=validity_report(cfg, scenario))
     _write_summary(out_dir, summary)
-    print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, log.n_records, wall))
+    print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, result.n_records, wall))
     for key in sorted(finals):
         print("  %s: %s" % (key, finals[key]))
     if assert_tol is not None:
@@ -186,15 +186,21 @@ def cmd_run(args) -> int:
     print("config:")
     for line in cfg.to_yaml().rstrip("\n").split("\n"):
         print("  " + line)
+    runs = [(cfg, out_base)]
     if args.seeds is not None:
-        status = 0
-        for s in _parse_seeds(args.seeds):
-            out_dir = os.path.join(out_base, "seed_%d" % s)
-            print("running seed %d -> %s" % (s, out_dir))
-            status = max(status, _run_one(cfg.with_overrides(seed=s), out_dir,
-                                          args.assert_converged))
-        return status
-    return _run_one(cfg, out_base, args.assert_converged)
+        runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))
+                for s in _parse_seeds(args.seeds)]
+    scenarios = [c.to_scenario() for c, _ in runs]
+    t0 = time.perf_counter()
+    results = Simulation(scenarios).run(decimate=cfg.decimate)
+    wall = time.perf_counter() - t0  # every seed reports the whole integration
+    status = 0
+    for (c, out_dir), scenario, result in zip(runs, scenarios, results):
+        if args.seeds is not None:
+            print("seed %d -> %s" % (c.seed, out_dir))
+        status = max(status, _write_run(c, scenario, result, wall, out_dir,
+                                        args.assert_converged))
+    return status
 
 
 def cmd_validate(args) -> int:

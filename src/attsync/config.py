@@ -22,6 +22,7 @@ K = 3 I, Gamma = 3 I, zero initial inertia estimates).
 from __future__ import annotations
 
 import copy
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,7 +87,7 @@ def _mapping(value, path, allowed=None):
 def _number(value, path, least=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         _fail(path, "must be finite")
     if least is not None and value < least:
         _fail(path, "must be at least %g" % least)
@@ -123,22 +124,23 @@ def _gain_matrix(value, size, path, diagonal_shorthand=False):
     return _matrix(value, size, size, path)
 
 
+def _gain_set(entry, path):
+    entry = _mapping(entry, path, allowed={"Lambda", "K", "Gamma"})
+    with _at(path):
+        return GainSet(
+            Lambda=_gain_matrix(entry.get("Lambda", 1.0), 3, path + ".Lambda"),
+            K=_gain_matrix(entry.get("K", 1.0), 3, path + ".K"),
+            Gamma=_gain_matrix(entry.get("Gamma", 1.0), 6, path + ".Gamma",
+                               diagonal_shorthand=True),
+        )
+
+
 def _parse_gains(value, n, path):
-    entries = value if isinstance(value, list) else [value] * n
-    if len(entries) != n:
-        _fail(path, "expected %d per-spacecraft entries, got %d" % (n, len(entries)))
-    out = []
-    for i, entry in enumerate(entries):
-        sub = path if not isinstance(value, list) else "%s[%d]" % (path, i)
-        entry = _mapping(entry, sub, allowed={"Lambda", "K", "Gamma"})
-        with _at(sub):
-            out.append(GainSet(
-                Lambda=_gain_matrix(entry.get("Lambda", 1.0), 3, sub + ".Lambda"),
-                K=_gain_matrix(entry.get("K", 1.0), 3, sub + ".K"),
-                Gamma=_gain_matrix(entry.get("Gamma", 1.0), 6, sub + ".Gamma",
-                                   diagonal_shorthand=True),
-            ))
-    return tuple(out)
+    if not isinstance(value, list):  # one mapping for all: parsed once, shared
+        return (_gain_set(value, path),) * n
+    if len(value) != n:
+        _fail(path, "expected %d per-spacecraft entries, got %d" % (n, len(value)))
+    return tuple(_gain_set(entry, "%s[%d]" % (path, i)) for i, entry in enumerate(value))
 
 
 def _parse_reference(value, path):

@@ -69,10 +69,6 @@ class InertiaParams:
         object.__setattr__(self, "theta", theta)
 
     @classmethod
-    def from_matrix(cls, matrix) -> "InertiaParams":
-        return cls(np.asarray(matrix, dtype=float))
-
-    @classmethod
     def from_theta(cls, theta) -> "InertiaParams":
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (6,):

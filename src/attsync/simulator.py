@@ -32,10 +32,16 @@ The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control law used for a single craft, `controller_outputs`,
 called once per right-hand-side evaluation with the aggregates as plain
 arrays; there is no separate batched formula path.
+
+An ensemble (scenarios differing only in craft initial states: a seed sweep)
+takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
+once for all B members.  Each member's log is bit-identical to its solo run,
+and a diverged member drops out of checking and recording while the rest go on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -194,10 +200,39 @@ def _max_pairwise(x):
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
 
 
-class Simulation:
-    """Stepper bound to one scenario, with per-fleet arrays precomputed."""
+def _same(a, b):
+    """Equal values: dataclasses field by field, arrays by content."""
+    if a is b:
+        return True
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        a, b = tuple(vars(a).values()), tuple(vars(b).values())
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return bool(np.array_equal(a, b))
 
-    def __init__(self, scenario: Scenario):
+
+def _settings(sc):
+    """(name, value) of all that ensemble members share: all but initial states."""
+    return ([(f.name, getattr(sc, f.name)) for f in dataclasses.fields(sc)][1:]
+            + [(k, tuple(getattr(c, k) for c in sc.spacecraft))
+               for k in ("inertia", "gains", "theta_hat0")])
+
+
+class Simulation:
+    """Stepper bound to one scenario, or to a sequence of them (an ensemble)
+    that may differ only in the craft initial states."""
+
+    def __init__(self, scenario):
+        self.ensemble = not isinstance(scenario, Scenario)
+        self.scenarios = tuple(scenario) if self.ensemble else (scenario,)
+        scenario = self.scenarios[0]
+        for other in self.scenarios[1:]:
+            for (name, a), (_, b) in zip(_settings(scenario), _settings(other)):
+                if not _same(a, b):
+                    raise ConfigError("ensemble members differ in %s" % name)
+        # the leading ensemble axes (none for one member); member b is at members[b]
+        self.lead = (len(self.scenarios),) if len(self.scenarios) > 1 else ()
+        self.members = list(np.ndindex(self.lead))
         self.scenario = scenario
         craft = scenario.spacecraft
         self.n = len(craft)
@@ -238,26 +273,26 @@ class Simulation:
         never jumps the aggregate.
         """
         src, src_dot, src_ddot = sigma, sigma_dot, held_sdd
-        if self.tracking:
-            sr, srd, srdd = self.ref.at(t)
-            src, src_dot = np.vstack([sigma, sr]), np.vstack([sigma_dot, srd])
-            if held_sdd is not None:
-                src_ddot = np.vstack([held_sdd, srdd])
+        if self.tracking:  # the reference joins every member as source N+1
+            src, src_dot, src_ddot = (
+                x if x is None else np.concatenate(
+                    [x, np.broadcast_to(row, x.shape[:-2] + (1, 3))], axis=-2)
+                for x, row in zip((sigma, sigma_dot, held_sdd), self.ref.at(t)))
         w = self.weights
         if not self.aligned:
             return w @ src, w @ src_dot, None if src_ddot is None else w @ src_ddot
         shadow, shadow_dot = mrp_shadow(src, src_dot)
-        diff = sigma[:, None, :] - src[None, :, :]
-        d_raw = np.einsum("ijk,ijk->ij", diff, diff)
-        diff_sh = sigma[:, None, :] - shadow[None, :, :]
-        d_sh = np.einsum("ijk,ijk->ij", diff_sh, diff_sh)
+        diff = sigma[..., :, None, :] - src[..., None, :, :]
+        d_raw = np.einsum("...ijk,...ijk->...ij", diff, diff)
+        diff_sh = sigma[..., :, None, :] - shadow[..., None, :, :]
+        d_sh = np.einsum("...ijk,...ijk->...ij", diff_sh, diff_sh)
         # a zero attitude has no shadow: its non-finite distance never wins
         d_sh = np.where(np.isfinite(d_sh), d_sh, np.inf)
-        use_shadow = ((d_sh < d_raw) & (w > 0.0))[:, :, None]
-        img = np.where(use_shadow, shadow[None, :, :], src[None, :, :])
-        img_dot = np.where(use_shadow, shadow_dot[None, :, :], src_dot[None, :, :])
-        return (np.einsum("ij,ijk->ik", w, img),
-                np.einsum("ij,ijk->ik", w, img_dot), None)
+        use_shadow = ((d_sh < d_raw) & (w > 0.0))[..., None]
+        img = np.where(use_shadow, shadow[..., None, :, :], src[..., None, :, :])
+        img_dot = np.where(use_shadow, shadow_dot[..., None, :, :], src_dot[..., None, :, :])
+        return (np.einsum("ij,...ijk->...ik", w, img),
+                np.einsum("ij,...ijk->...ik", w, img_dot), None)
 
     def _eval(self, t, y, held_sdd):
         """Closed-loop derivatives and controller signals at one instant.
@@ -305,51 +340,62 @@ class Simulation:
         The desired-trajectory generator state is mapped through the same
         transform so the craft's errors stay continuous across its flip.
         """
-        mask = np.einsum("ni,ni->n", sigma, sigma) > 1.0
+        mask = np.einsum("...ni,...ni->...n", sigma, sigma) > 1.0
         if mask.any():
-            sigma = np.where(mask[:, None], mrp_shadow(sigma), sigma)
+            sigma = np.where(mask[..., None], mrp_shadow(sigma), sigma)
             if self.smoothed:
-                rows = (mask & (np.einsum("ni,ni->n", chi, chi) > 0.0))[:, None]
+                rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
                 chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
                 chi = np.where(rows, chi_sh, chi)
                 chi_dot = np.where(rows, chi_sh_dot, chi_dot)
         return sigma, omega, theta_hat, chi, chi_dot
 
-    def _check_state(self, t, sigma, omega, theta_hat):
-        """Raise SimulationDiverged naming the first bad craft and quantity."""
-        finite = {name: np.isfinite(x).all(axis=1) for name, x in
+    def _check_state(self, t, sigma, omega, theta_hat, live=(0,)):
+        """{b: SimulationDiverged naming the first bad craft and quantity} for
+        each member b in `live` whose state is not finite or left the ball."""
+        finite = {name: np.isfinite(x).all(axis=-1) for name, x in
                   (("sigma", sigma), ("omega", omega), ("theta_hat", theta_hat))}
-        norms = np.sqrt(np.einsum("ni,ni->n", sigma, sigma))
+        norms = np.sqrt(np.einsum("...ni,...ni->...n", sigma, sigma))
         bad = (~(finite["sigma"] & finite["omega"] & finite["theta_hat"])
                | (norms > DIVERGENCE_SIGMA_NORM))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            name = next((k for k, ok in finite.items() if not ok[i]), None)
+        found = {}
+        for b in live:
+            m = self.members[b]
+            if not bad[m].any():
+                continue
+            i = int(np.flatnonzero(bad[m])[0])
+            name = next((k for k, ok in finite.items() if not ok[m][i]), None)
             what = ("%s is not finite" % name if name else
-                    "|sigma| = %.3g > %g" % (norms[i], DIVERGENCE_SIGMA_NORM))
-            raise SimulationDiverged(
+                    "|sigma| = %.3g > %g" % (norms[m][i], DIVERGENCE_SIGMA_NORM))
+            found[b] = SimulationDiverged(
                 "spacecraft %d diverged at t = %.6g s (%s)" % (i + 1, t, what),
                 craft_index=i, time=t, quantity=name or "sigma")
+        return found
 
-    def _record(self, log, r, t, y, u, e, s):
-        """Write record r of the log from the state y and its evaluation."""
+    def _record(self, logs, live, r, t, y, u, e, s):
+        """Write record r of each live member's log from y and its evaluation."""
         sigma, omega, theta_hat = y[:3]
-        log.times[r] = t
-        log.sigma[r], log.omega[r], log.torque[r] = sigma, omega, u
-        log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = theta_hat, e, s
-        # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
         err = self.theta_true - theta_hat
-        log.lyapunov[r] = (
-            0.5 * float(np.einsum("ni,nij,nj->", s, h_star(self.j_stack, sigma), s))
-            + 0.5 * float(np.sum(err * err / self.gains.gamma_diag)))
-        log.disagreement[r] = _max_pairwise(sigma)
         if self.tracking:
             sr = self.ref.at(t)[0]
-            log.tracking_error[r] = float(np.linalg.norm(sigma - sr, axis=1).max())
+        for b in live:
+            m, log = self.members[b], logs[b]
+            log.times[r] = t
+            log.sigma[r], log.omega[r], log.torque[r] = sigma[m], omega[m], u[m]
+            log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = (
+                theta_hat[m], e[m], s[m])
+            # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
+            log.lyapunov[r] = (
+                0.5 * float(np.einsum("ni,nij,nj->", s[m],
+                                      h_star(self.j_stack, sigma[m]), s[m]))
+                + 0.5 * float(np.sum(err[m] * err[m] / self.gains.gamma_diag)))
+            log.disagreement[r] = _max_pairwise(sigma[m])
+            if self.tracking:
+                log.tracking_error[r] = float(np.linalg.norm(sigma[m] - sr, axis=1).max())
 
     # -- public stepping -------------------------------------------------
 
-    def run(self, decimate: int = 10) -> TrajectoryLog:
+    def run(self, decimate: int = 10):
         """Integrate the full horizon and return the decimated history.
 
         Records are kept every `decimate` steps, always including the
@@ -357,50 +403,59 @@ class Simulation:
         craft's own state, chi(0) = sigma(0) and chi_dot(0) = sigma_dot(0),
         so the initial reference error is exactly zero and the reference
         slides toward the neighborhood aggregate at the generator
-        bandwidth; the held acceleration starts at zero.
+        bandwidth; the held acceleration starts at zero.  A single scenario
+        returns its TrajectoryLog or raises SimulationDiverged; an ensemble
+        returns a list of, per member, either of the two.
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
-        craft = self.scenario.spacecraft
-        sigma = np.stack([c.initial_state.sigma for c in craft])
-        omega = np.stack([c.initial_state.omega for c in craft])
-        theta = np.stack([c.theta_hat0 for c in craft])
+        craft = [c for sc in self.scenarios for c in sc.spacecraft]
+        shape = self.lead + (self.n, -1)
+        sigma = np.reshape([c.initial_state.sigma for c in craft], shape)
+        omega = np.reshape([c.initial_state.omega for c in craft], shape)
+        theta = np.reshape([c.theta_hat0 for c in craft], shape)
         n_steps = self.scenario.n_steps
         n_rec = 1 + -(-n_steps // decimate)  # initial state + ceil(n_steps / k)
 
         def rows(*shape):
             return np.empty((n_rec,) + shape)
 
-        log = TrajectoryLog(
-            scenario=self.scenario, times=rows(),
+        logs = [TrajectoryLog(
+            scenario=sc, times=rows(),
             sigma=rows(self.n, 3), omega=rows(self.n, 3), torque=rows(self.n, 3),
             theta_hat=rows(self.n, 6), sync_error=rows(self.n, 3),
             filtered_error=rows(self.n, 3), lyapunov=rows(), disagreement=rows(),
-            tracking_error=rows() if self.tracking else None)
+            tracking_error=rows() if self.tracking else None) for sc in self.scenarios]
+        live = list(range(len(logs)))
         y = (sigma, omega, theta, sigma.copy(), mrp_rate(sigma, omega))
         held_sdd = None if self.smoothed else np.zeros_like(sigma)
+        r = 0
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):
-            self._check_state(0.0, *y[:3])
-            _, u, e, s = self._eval(0.0, y, held_sdd)
-            self._record(log, 0, 0.0, y, u, e, s)
-            r = 1
-            for k in range(n_steps):
-                t_next = (k + 1) * self.dt
-                y = self._rk4(k * self.dt, y, held_sdd)
-                if self.scenario.shadow_switch:
-                    y = self._apply_shadow(*y)
-                self._check_state(t_next, *y[:3])
-                recorded = (k + 1) % decimate == 0 or k == n_steps - 1
+            for k in range(n_steps + 1):
+                t = k * self.dt
+                if k:
+                    y = self._rk4((k - 1) * self.dt, y, held_sdd)
+                    if self.scenario.shadow_switch:
+                        y = self._apply_shadow(*y)
+                # a diverged member keeps integrating, unchecked and unrecorded
+                for b, exc in self._check_state(t, *y[:3], live).items():
+                    logs[b] = exc
+                    live.remove(b)
+                if not live:
+                    break
+                recorded = k % decimate == 0 or k == n_steps
                 # the end-of-step evaluation feeds the record and the hold
                 if recorded or not self.smoothed:
-                    _, u, e, s = self._eval(t_next, y, held_sdd)
+                    _, u, e, s = self._eval(t, y, held_sdd)
                 if recorded:
-                    self._record(log, r, t_next, y, u, e, s)
+                    self._record(logs, live, r, t, y, u, e, s)
                     r += 1
-                if not self.smoothed:
+                if k and not self.smoothed:
                     held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)
-        return log
+        if not self.ensemble and isinstance(logs[0], SimulationDiverged):
+            raise logs[0]
+        return logs if self.ensemble else logs[0]
 
 
 def _draw_in_ball(rng, bound):

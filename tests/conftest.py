@@ -39,7 +39,7 @@ attitudes = st.builds(lambda d, m: 10.0 ** m * d / np.linalg.norm(d),
 
 @pytest.fixture
 def fleet_inertias():
-    return [InertiaParams.from_matrix(np.array(j)) for j in FLEET_J]
+    return [InertiaParams(np.array(j)) for j in FLEET_J]
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def single_craft_scenario(j=None, sigma0=(0.3, -0.2, 0.4), omega0=(0.2, 0.1, -0.
     """One craft tracking a constant leader it hears directly."""
     j = np.array(j if j is not None else
                  [[1.0, 0.1, 0.2], [0.1, 0.9, 0.3], [0.2, 0.3, 1.1]])
-    inertia = InertiaParams.from_matrix(j)
+    inertia = InertiaParams(j)
     craft = Spacecraft(
         inertia=inertia,
         initial_state=SpacecraftState(np.array(sigma0), np.array(omega0)),
@@ -78,7 +78,7 @@ def pair_scenario(duration=2.0, mode="leaderless", **kw):
               SpacecraftState(np.array([-0.1, 0.2, -0.2]), np.array([0.0, 0.1, 0.1]))]
     craft = []
     for j, st in zip(FLEET_J[:2], states):
-        inertia = InertiaParams.from_matrix(np.array(j))
+        inertia = InertiaParams(np.array(j))
         craft.append(Spacecraft(inertia=inertia, initial_state=st,
                                 gains=GainSet.from_scalars(1.0, 3.0, 3.0)))
     topo = CommTopology(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, file outputs, overrides, schemas."""
+import hashlib
 import json
 import os
 import re
@@ -301,6 +302,70 @@ def test_seed_sweep_writes_per_seed_directories(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out), "--seeds", "5..1"]) == 2
     assert main(["run", "--config", path, "--out", str(out), "--seeds", "bogus"]) == 2
     capsys.readouterr()
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def held_chain_config(tmp_path):
+    # leader -> craft 1 -> craft 2: acyclic, so the held source is accepted
+    return write_config(
+        tmp_path, name="chain.yaml", mode="tracking", accel_source="held",
+        topology={"adjacency": [[0.0, 0.0], [1.0, 0.0]], "leader_weights": [1.0, 0.0]},
+        reference={"kind": "constant", "value": [0.1, 0.0, -0.1]},
+        shadow_switch=False, rate_leak=0.0)
+
+
+@pytest.mark.parametrize("source", [
+    lambda tmp: ["--preset", "paper-leaderless", "--duration", "0.5"],
+    lambda tmp: ["--preset", "paper-tracking", "--duration", "0.5"],
+    lambda tmp: ["--config", held_chain_config(tmp), "--duration", "0.5"],
+], ids=["leaderless-shadow", "tracking", "held-chain"])
+def test_seed_sweep_trajectories_match_single_seed_runs(tmp_path, capsys, source):
+    # a sweep is one integration over all seeds; each seed's file must still
+    # be byte for byte the file of its own run (criterion 8 relies on it)
+    args = ["run"] + source(tmp_path) + ["--decimate", "3"]
+    assert main(args + ["--seeds", "1..3", "--out", str(tmp_path / "sweep")]) == 0
+    walls = set()
+    for s in (1, 2, 3):
+        alone = tmp_path / ("alone_%d" % s)
+        assert main(args + ["--seed", str(s), "--out", str(alone)]) == 0
+        swept = tmp_path / "sweep" / ("seed_%d" % s)
+        assert sha256(swept / "trajectory.csv") == sha256(alone / "trajectory.csv")
+        summary = json.loads((swept / "summary.json").read_text(encoding="utf-8"))
+        assert summary["config"]["seed"] == s
+        walls.add(summary["wall_clock_s"])
+    assert len(walls) == 1  # every seed reports the whole integration's wall
+    capsys.readouterr()
+
+
+def test_seed_sweep_reports_each_divergence_in_its_own_directory(tmp_path, capsys):
+    # at dt = 0.25 seed 3 blows up while seeds 2 and 4 run to the end
+    path = write_config(tmp_path, dt=0.25, duration=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", path, "--seeds", "2..4",
+                     "--out", str(tmp_path / "sweep")]) == 3
+    capsys.readouterr()
+    diverged = []
+    for s in (2, 3, 4):
+        alone = tmp_path / ("alone_%d" % s)
+        code = main(["run", "--config", path, "--seed", str(s), "--out", str(alone)])
+        capsys.readouterr()
+        swept = tmp_path / "sweep" / ("seed_%d" % s)
+        summary = json.loads((swept / "summary.json").read_text(encoding="utf-8"))
+        solo = json.loads((alone / "summary.json").read_text(encoding="utf-8"))
+        assert set(summary) == set(solo)
+        if code == 3:
+            diverged.append(s)
+            assert summary["diverged"] == solo["diverged"]
+            assert summary["validity"] == solo["validity"]
+            assert not (swept / "trajectory.csv").exists()
+        else:
+            assert code == 0 and summary["metrics"] == solo["metrics"]
+            assert sha256(swept / "trajectory.csv") == sha256(alone / "trajectory.csv")
+    assert diverged == [3]
 
 
 def test_assert_converged_gates_exit_status(tmp_path, capsys):

@@ -287,7 +287,7 @@ def test_perfect_knowledge_closed_loop_cancellation():
     # H* s_dot + C* s + K s = 0 at every state
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
     for j_mat in (FLEET_J[0], FLEET_J[3], np.diag([1.0, 2.0, 3.0])):
-        theta = InertiaParams.from_matrix(j_mat).theta
+        theta = InertiaParams(j_mat).theta
         for _ in range(20):
             sigma = RNG.normal(size=3) * 0.4
             omega = RNG.normal(size=3) * 0.5
@@ -307,7 +307,7 @@ def test_estimation_error_closed_loop_residual():
     # H* s_dot + C* s + K s + Y (theta - theta_hat) = 0
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
     j_mat = FLEET_J[1]
-    theta = InertiaParams.from_matrix(j_mat).theta
+    theta = InertiaParams(j_mat).theta
     for _ in range(20):
         theta_hat = theta + RNG.normal(size=6)
         sigma = RNG.normal(size=3) * 0.4

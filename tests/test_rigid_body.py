@@ -24,18 +24,18 @@ def random_spd(rng, scale=1.0):
 
 def test_inertia_params_round_trip():
     j = random_spd(RNG)
-    p = InertiaParams.from_matrix(j)
+    p = InertiaParams(j)
     assert np.allclose(p.matrix, j, atol=1e-14)
     assert np.allclose(p.theta, theta_from_inertia(j), atol=1e-14)
 
 
 def test_inertia_params_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        InertiaParams.from_matrix(np.array([[1.0, 0.5, 0.0],
+        InertiaParams(np.array([[1.0, 0.5, 0.0],
                                             [0.4, 1.0, 0.0],
                                             [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError):
-        InertiaParams.from_matrix(-np.eye(3))
+        InertiaParams(-np.eye(3))
 
 
 def test_spacecraft_state_shapes():
@@ -46,14 +46,14 @@ def test_spacecraft_state_shapes():
 
 
 def test_angular_acceleration_example():
-    inertia = InertiaParams.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    inertia = InertiaParams(np.diag([1.0, 2.0, 3.0]))
     got = angular_acceleration(inertia, np.array([1.0, 1.0, 1.0]), np.zeros(3))
     assert np.allclose(got, [-1.0, 1.0, -1.0 / 3.0], atol=1e-12)
 
 
 def test_angular_acceleration_momentum_conservation():
     # torque-free: d/dt (J w) = -w x (J w), so |J w| is constant
-    inertia = InertiaParams.from_matrix(random_spd(RNG))
+    inertia = InertiaParams(random_spd(RNG))
     j = inertia.matrix
     w = RNG.normal(size=3)
     wdot = angular_acceleration(inertia, w, np.zeros(3))
@@ -71,14 +71,14 @@ def test_mrp_rate_is_kinematics_column():
 
 
 def test_h_star_identity_inertia_at_origin():
-    inertia = InertiaParams.from_matrix(np.eye(3))
+    inertia = InertiaParams(np.eye(3))
     assert np.allclose(h_star(inertia, np.zeros(3)), 16.0 * np.eye(3),
                        atol=1e-12)
 
 
 def test_h_star_symmetric_positive_definite():
     for _ in range(100):
-        inertia = InertiaParams.from_matrix(random_spd(RNG))
+        inertia = InertiaParams(random_spd(RNG))
         sigma = RNG.uniform(-1.2, 1.2, 3)
         h = h_star(inertia, sigma)
         assert np.allclose(h, h.T, atol=1e-10)
@@ -88,7 +88,7 @@ def test_h_star_symmetric_positive_definite():
 def test_c_star_skew_property():
     # x^T (dH*/dt - 2 C*) x = 0 along any trajectory direction
     for _ in range(100):
-        inertia = InertiaParams.from_matrix(random_spd(RNG))
+        inertia = InertiaParams(random_spd(RNG))
         sigma = RNG.uniform(-1.0, 1.0, 3)
         sigma_dot = RNG.normal(size=3)
         x = RNG.normal(size=3)
@@ -102,7 +102,7 @@ def test_c_star_skew_property():
 
 def test_regression_matches_matrix_form():
     for _ in range(100):
-        inertia = InertiaParams.from_matrix(random_spd(RNG))
+        inertia = InertiaParams(random_spd(RNG))
         sigma = RNG.uniform(-1.0, 1.0, 3)
         sigma_dot, v_r, a_r = RNG.normal(size=(3, 3))
         y = regression(sigma, sigma_dot, v_r, a_r)
@@ -114,7 +114,7 @@ def test_regression_matches_matrix_form():
 
 
 def test_mrp_acceleration_consistent_with_rate():
-    inertia = InertiaParams.from_matrix(random_spd(RNG))
+    inertia = InertiaParams(random_spd(RNG))
     sigma = RNG.uniform(-0.8, 0.8, 3)
     omega = RNG.normal(size=3)
     torque = RNG.normal(size=3)

@@ -31,7 +31,7 @@ def chain_scenario(duration=3.0, **kw):
     ]
     craft = [
         Spacecraft(
-            inertia=InertiaParams.from_matrix(np.array(j)),
+            inertia=InertiaParams(np.array(j)),
             initial_state=st,
             gains=GainSet.from_scalars(1.0, 3.0, 3.0),
         )
@@ -49,6 +49,22 @@ def chain_scenario(duration=3.0, **kw):
         accel_source="held",
         **kw,
     )
+
+
+def with_states(sc, states):
+    """The scenario with its craft started from the given states."""
+    craft = tuple(dataclasses.replace(c, initial_state=s)
+                  for c, s in zip(sc.spacecraft, states))
+    return dataclasses.replace(sc, spacecraft=craft)
+
+
+def ensemble(sc, size):
+    """The scenario followed by size - 1 copies started from seeded states.
+
+    Attitudes reach |sigma| = 0.95, where chart alignment picks shadows.
+    """
+    return [sc] + [with_states(sc, random_initial_states(seed, sc.n, 0.95, 0.3))
+                   for seed in range(1, size)]
 
 
 # ----------------------------------------------------------- validation
@@ -82,7 +98,7 @@ def test_spacecraft_gains_must_be_single_matrices(stacked):
     single = {"Lambda": np.eye(3), "K": 3.0 * np.eye(3), "Gamma": 3.0 * np.eye(6)}
     single[stacked] = np.stack([single[stacked]] * 2)
     with pytest.raises(ValueError, match="single 3x3/6x6"):
-        Spacecraft(inertia=InertiaParams.from_matrix(np.array(FLEET_J[0])),
+        Spacecraft(inertia=InertiaParams(np.array(FLEET_J[0])),
                    initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
                    gains=GainSet(**single))
 
@@ -110,7 +126,7 @@ def test_duration_must_be_a_whole_number_of_steps():
 
 def test_single_craft_leaderless_is_invalid():
     craft = Spacecraft(
-        inertia=InertiaParams.from_matrix(np.eye(3)),
+        inertia=InertiaParams(np.eye(3)),
         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
         gains=GainSet.from_scalars(1.0, 3.0, 3.0),
     )
@@ -257,6 +273,11 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, hel
     n, d = 10, 3
     Simulation(build(duration=n * 0.005)).run(decimate=d)
     assert len(calls) == (1 + 5 * n if held else 1 + 4 * n + -(-n // d))
+    # an ensemble advances all its members in each of those same calls
+    calls.clear()
+    Simulation(ensemble(build(duration=n * 0.005), 3)).run(decimate=d)
+    assert len(calls) == (1 + 5 * n if held else 1 + 4 * n + -(-n // d))
+    assert calls[0][0].shape == (3, 2, 3)
 
 
 def test_divergence_guard_reports_craft_and_time():
@@ -288,10 +309,84 @@ def test_divergence_guard_names_the_quantity(bad, quantity, how):
     state = {"sigma": np.zeros((2, 3)), "omega": np.zeros((2, 3)),
              "theta_hat": np.zeros((2, 6))}
     state[name][i, 0] = value
-    with pytest.raises(SimulationDiverged) as exc:
-        Simulation(sc)._check_state(0.25, **state)
-    assert exc.value.craft_index == i and exc.value.quantity == quantity
-    assert str(exc.value) == "spacecraft %d diverged at t = 0.25 s (%s)" % (i + 1, how)
+    exc = Simulation(sc)._check_state(0.25, **state)[0]
+    assert isinstance(exc, SimulationDiverged)
+    assert exc.craft_index == i and exc.quantity == quantity
+    assert str(exc) == "spacecraft %d diverged at t = 0.25 s (%s)" % (i + 1, how)
+
+
+LOG_ARRAYS = ("times", "sigma", "omega", "torque", "theta_hat", "sync_error",
+              "filtered_error", "lyapunov", "disagreement", "tracking_error")
+
+
+def assert_same_log(a, b):
+    for name in LOG_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pair_scenario(duration=1.0, shadow_switch=True),
+    lambda: pair_scenario(duration=1.0, mode="tracking"),
+    lambda: chain_scenario(duration=1.0),
+], ids=["leaderless-aligned", "tracking", "held"])
+def test_ensemble_members_match_their_solo_runs(build):
+    members = ensemble(build(), 3)
+    logs = Simulation(members).run(decimate=3)
+    assert len(logs) == 3
+    for sc, log in zip(members, logs):
+        assert log.scenario is sc
+        assert_same_log(log, Simulation(sc).run(decimate=3))
+
+
+def test_diverged_member_is_reported_and_the_rest_finish():
+    # at rest, a leaderless pair stays put at any step; the other member
+    # blows up at dt = 0.5 exactly as it does alone
+    diverging = pair_scenario(dt=0.5, duration=50.0)
+    rest = with_states(diverging, [SpacecraftState(np.zeros(3), np.zeros(3))] * 2)
+    with pytest.raises(SimulationDiverged) as solo:
+        Simulation(diverging).run()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log, exc = Simulation([rest, diverging]).run()
+    assert_same_log(log, Simulation(rest).run())
+    assert log.n_records == 11
+    assert isinstance(exc, SimulationDiverged)
+    assert ((exc.craft_index, exc.quantity, exc.time, str(exc))
+            == (solo.value.craft_index, solo.value.quantity, solo.value.time,
+                str(solo.value)))
+
+
+@pytest.mark.parametrize("field, change", [
+    ("topology", lambda sc: dataclasses.replace(sc, topology=CommTopology(
+        2.0 * sc.topology.adjacency, leader_weights=sc.topology.leader_weights))),
+    ("mode", lambda sc: dataclasses.replace(
+        sc, mode="leaderless", reference=None)),
+    ("reference", lambda sc: dataclasses.replace(
+        sc, reference=ReferenceTrajectory.constant([0.2, 0.0, 0.0]))),
+    ("dt", lambda sc: dataclasses.replace(sc, dt=0.01)),
+    ("duration", lambda sc: dataclasses.replace(sc, duration=1.0)),
+    ("shadow_switch", lambda sc: dataclasses.replace(sc, shadow_switch=True)),
+    ("accel_source", lambda sc: dataclasses.replace(chain_scenario(duration=2.0),
+                                                    accel_source="smoothed")),
+    ("inertia", lambda sc: dataclasses.replace(sc, spacecraft=(
+        dataclasses.replace(sc.spacecraft[0], inertia=InertiaParams(np.eye(3))),
+        sc.spacecraft[1]))),
+    ("gains", lambda sc: dataclasses.replace(sc, spacecraft=(
+        sc.spacecraft[0],
+        dataclasses.replace(sc.spacecraft[1], gains=GainSet.from_scalars(1.0, 2.0, 3.0))))),
+    ("theta_hat0", lambda sc: dataclasses.replace(sc, spacecraft=(
+        dataclasses.replace(sc.spacecraft[0], theta_hat0=np.ones(6)),
+        sc.spacecraft[1]))),
+])
+def test_ensemble_members_must_match(field, change):
+    # only the craft initial states may differ; anything else names itself
+    base = pair_scenario(mode="tracking")
+    if field == "accel_source":
+        base = chain_scenario(duration=2.0)
+    Simulation([base, with_states(base, random_initial_states(5, 2))])
+    with pytest.raises(ConfigError, match="ensemble members differ in %s$" % field):
+        Simulation([base, change(base)])
 
 
 def test_shadow_switch_keeps_attitude_in_unit_ball():
@@ -357,7 +452,7 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
     held = accel_source == "held"  # the held source needs an acyclic craft graph
     topo, ref, t, sigma, sigma_dot, held_sdd = data.draw(tracking_fleets(acyclic=held))
     n = topo.n
-    craft = [Spacecraft(inertia=InertiaParams.from_matrix(np.array(j)),
+    craft = [Spacecraft(inertia=InertiaParams(np.array(j)),
                         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
                         gains=GainSet.from_scalars(1.0, 3.0, 3.0))
              for j in FLEET_J[:n]]
