@@ -19,7 +19,8 @@ seed_<n>/ gets the files of its own --seed n run, and each seed's
 wall_clock_s is the whole sweep's integration wall, never a share of it.
 
 Exit status: 0 on success, 1 on a failed validity or convergence check,
-2 on config errors, 3 when a trajectory diverges (the maximum over seeds).
+2 on config errors (--seed with --seeds, say) or an unusable path, found before
+integrating, 3 when a trajectory diverges (the maximum over seeds).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import os
 import re
 import sys
 import time
+
+import numpy as np
 
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
@@ -94,22 +97,14 @@ def csv_header(n: int, tracking: bool) -> list:
 
 def write_trajectory_csv(log, path) -> None:
     """Write the documented column schema, full double precision."""
-    n = log.sigma.shape[1]
+    n_rec, n = log.sigma.shape[:2]
     tracking = log.tracking_error is not None
+    per_craft = np.concatenate([log.sigma, log.omega, log.torque, log.theta_hat], axis=2)
+    table = np.column_stack([log.times, per_craft.reshape(n_rec, -1), log.lyapunov,
+                             log.disagreement] + ([log.tracking_error] if tracking else []))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(csv_header(n, tracking)) + "\n")
-        for r in range(log.n_records):
-            vals = [log.times[r]]
-            for i in range(n):
-                vals.extend(log.sigma[r, i])
-                vals.extend(log.omega[r, i])
-                vals.extend(log.torque[r, i])
-                vals.extend(log.theta_hat[r, i])
-            vals.append(log.lyapunov[r])
-            vals.append(log.disagreement[r])
-            if tracking:
-                vals.append(log.tracking_error[r])
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 # -- subcommands ---------------------------------------------------------
@@ -148,7 +143,6 @@ def _write_summary(out_dir, summary) -> None:
 
 def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol) -> int:
     """Write one run's files from its log or from the divergence that stopped it."""
-    os.makedirs(out_dir, exist_ok=True)
     summary = {"config": cfg.doc, "step_count": scenario.n_steps}
     if isinstance(result, SimulationDiverged):
         summary["validity"] = validity_report(cfg, scenario)
@@ -181,6 +175,8 @@ def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol)
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seeds is not None:
+        raise ConfigError("give at most one of --seed or --seeds")
     cfg = _apply_overrides(_load_config(args), args)
     out_base = args.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR
     print("config:")
@@ -191,6 +187,8 @@ def cmd_run(args) -> int:
         runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))
                 for s in _parse_seeds(args.seeds)]
     scenarios = [c.to_scenario() for c, _ in runs]
+    for _, out_dir in runs:  # an unusable path fails before the integration
+        os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     results = Simulation(scenarios).run(decimate=cfg.decimate)
     wall = time.perf_counter() - t0  # every seed reports the whole integration
@@ -260,7 +258,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -314,12 +314,8 @@ class ScenarioConfig:
         """
         draws = random_initial_states(self.seed, self.n,
                                       self.sigma_bound, self.omega_bound)
-        states = [s if s is not None else draws[i]
-                  for i, s in enumerate(self.initial_states)]
-        craft = tuple(
-            Spacecraft(inertia=self.inertias[i], initial_state=states[i],
-                       gains=self.gains[i], theta_hat0=self.theta_hat0[i])
-            for i in range(self.n))
+        states = [s if s is not None else d for s, d in zip(self.initial_states, draws)]
+        craft = tuple(map(Spacecraft, self.inertias, states, self.gains, self.theta_hat0))
         return Scenario(
             spacecraft=craft, topology=self.topology, mode=self.mode,
             reference=self.reference, dt=self.dt, duration=self.duration,

@@ -85,6 +85,7 @@ def _vec3(x, name):
     out = np.broadcast_to(np.asarray(x, dtype=float), (3,)).astype(float)
     if not np.all(np.isfinite(out)):
         raise ValueError("%s must be finite" % name)
+    out.flags.writeable = False
     return out
 
 
@@ -102,6 +103,7 @@ class ReferenceTrajectory:
     frequency: np.ndarray | None = None
     phase: np.ndarray | None = None
     offset: np.ndarray | None = None
+    _ZERO = _vec3(0.0, "zero")  # rate and acceleration of a constant reference
 
     def __post_init__(self):
         if self.kind == "constant":
@@ -131,8 +133,7 @@ class ReferenceTrajectory:
     def at(self, t: float):
         """Return (sigma_r, sigma_r_dot, sigma_r_ddot) at time t."""
         if self.kind == "constant":
-            zero = np.zeros(3)
-            return self.value, zero, zero
+            return self.value, self._ZERO, self._ZERO
         arg = self.frequency * t + self.phase
         sigma_r = self.offset + self.amplitude * np.sin(arg)
         rate = self.amplitude * self.frequency * np.cos(arg)

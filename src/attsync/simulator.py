@@ -35,8 +35,11 @@ arrays; there is no separate batched formula path.
 
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
-once for all B members.  Each member's log is bit-identical to its solo run,
-and a diverged member drops out of checking and recording while the rest go on.
+once for all B members; one scenario keeps plain (N, 3) arrays.  Each logged
+quantity is one (member, record, ...) allocation written for all members at
+once, and each member's log holds its slice of it, bit-identical to its solo
+run.  A diverged member keeps integrating with the rest, but its entry in the
+returned list is the first `SimulationDiverged` it raised.
 """
 
 from __future__ import annotations
@@ -195,9 +198,9 @@ class TrajectoryLog:
 
 
 def _max_pairwise(x):
-    """Largest distance between any two craft's vectors, max_ij |x_i - x_j|."""
-    diff = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    """max_ij |x_i - x_j|, the largest distance between craft, for x (..., craft, axis)."""
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
 
 
 def _same(a, b):
@@ -230,9 +233,8 @@ class Simulation:
             for (name, a), (_, b) in zip(_settings(scenario), _settings(other)):
                 if not _same(a, b):
                     raise ConfigError("ensemble members differ in %s" % name)
-        # the leading ensemble axes (none for one member); member b is at members[b]
+        # the leading ensemble axis (none for one member)
         self.lead = (len(self.scenarios),) if len(self.scenarios) > 1 else ()
-        self.members = list(np.ndindex(self.lead))
         self.scenario = scenario
         craft = scenario.spacecraft
         self.n = len(craft)
@@ -245,9 +247,8 @@ class Simulation:
             np.stack([c.gains.Gamma for c in craft]),
         )
         self.tracking = scenario.mode == "tracking"
-        w, c = aggregate_weights(scenario.topology, with_leader=self.tracking)
         # in tracking mode the leader is source N+1 of every neighbourhood
-        self.weights = np.hstack([w, c[:, None]]) if self.tracking else w
+        self.weights = aggregate_weights(scenario.topology, with_leader=self.tracking)
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"
         # when coordinates may flip representation, aggregate over each
@@ -350,48 +351,44 @@ class Simulation:
                 chi_dot = np.where(rows, chi_sh_dot, chi_dot)
         return sigma, omega, theta_hat, chi, chi_dot
 
-    def _check_state(self, t, sigma, omega, theta_hat, live=(0,)):
-        """{b: SimulationDiverged naming the first bad craft and quantity} for
-        each member b in `live` whose state is not finite or left the ball."""
-        finite = {name: np.isfinite(x).all(axis=-1) for name, x in
-                  (("sigma", sigma), ("omega", omega), ("theta_hat", theta_hat))}
-        norms = np.sqrt(np.einsum("...ni,...ni->...n", sigma, sigma))
-        bad = (~(finite["sigma"] & finite["omega"] & finite["theta_hat"])
-               | (norms > DIVERGENCE_SIGMA_NORM))
+    def _check_state(self, t, sigma, omega, theta_hat, healthy=True):
+        """{b: SimulationDiverged naming the first bad craft and quantity} for each
+        member b with healthy[b] whose state is not finite or left the ball."""
+        finite = [np.isfinite(x).all(axis=-1).reshape(-1, self.n)
+                  for x in (sigma, omega, theta_hat)]
+        norms = np.sqrt(np.einsum("...ni,...ni->...n", sigma, sigma)).reshape(-1, self.n)
+        bad = (~(finite[0] & finite[1] & finite[2]) | (norms > DIVERGENCE_SIGMA_NORM)) & healthy
+        if not bad.any():
+            return {}
+        member, craft = np.nonzero(bad)
+        first = np.flatnonzero(np.diff(member, prepend=-1))  # row-major: craft order
         found = {}
-        for b in live:
-            m = self.members[b]
-            if not bad[m].any():
-                continue
-            i = int(np.flatnonzero(bad[m])[0])
-            name = next((k for k, ok in finite.items() if not ok[m][i]), None)
+        for b, i in zip(member[first].tolist(), craft[first].tolist()):
+            name = next((k for k, ok in zip(("sigma", "omega", "theta_hat"), finite)
+                         if not ok[b, i]), None)
             what = ("%s is not finite" % name if name else
-                    "|sigma| = %.3g > %g" % (norms[m][i], DIVERGENCE_SIGMA_NORM))
+                    "|sigma| = %.3g > %g" % (norms[b, i], DIVERGENCE_SIGMA_NORM))
             found[b] = SimulationDiverged(
                 "spacecraft %d diverged at t = %.6g s (%s)" % (i + 1, t, what),
                 craft_index=i, time=t, quantity=name or "sigma")
         return found
 
-    def _record(self, logs, live, r, t, y, u, e, s):
-        """Write record r of each live member's log from y and its evaluation."""
+    def _record(self, out, r, t, y, u, e, s):
+        """Write record r of every member into `out`, the (member, record, ...)
+        array of each log field."""
         sigma, omega, theta_hat = y[:3]
         err = self.theta_true - theta_hat
+        # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
+        v = (0.5 * np.einsum("...ni,...nij,...nj->...", s, h_star(self.j_stack, sigma), s)
+             + 0.5 * (err * err / self.gains.gamma_diag).reshape(self.lead + (-1,)).sum(-1))
+        values = dict(times=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
+                      sync_error=e, filtered_error=s, lyapunov=v,
+                      disagreement=_max_pairwise(sigma))
         if self.tracking:
-            sr = self.ref.at(t)[0]
-        for b in live:
-            m, log = self.members[b], logs[b]
-            log.times[r] = t
-            log.sigma[r], log.omega[r], log.torque[r] = sigma[m], omega[m], u[m]
-            log.theta_hat[r], log.sync_error[r], log.filtered_error[r] = (
-                theta_hat[m], e[m], s[m])
-            # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
-            log.lyapunov[r] = (
-                0.5 * float(np.einsum("ni,nij,nj->", s[m],
-                                      h_star(self.j_stack, sigma[m]), s[m]))
-                + 0.5 * float(np.sum(err[m] * err[m] / self.gains.gamma_diag)))
-            log.disagreement[r] = _max_pairwise(sigma[m])
-            if self.tracking:
-                log.tracking_error[r] = float(np.linalg.norm(sigma[m] - sr, axis=1).max())
+            values["tracking_error"] = np.linalg.norm(
+                sigma - self.ref.at(t)[0], axis=-1).max(axis=-1)
+        for name, x in values.items():
+            out[name][:, r] = x
 
     # -- public stepping -------------------------------------------------
 
@@ -416,17 +413,15 @@ class Simulation:
         theta = np.reshape([c.theta_hat0 for c in craft], shape)
         n_steps = self.scenario.n_steps
         n_rec = 1 + -(-n_steps // decimate)  # initial state + ceil(n_steps / k)
-
-        def rows(*shape):
-            return np.empty((n_rec,) + shape)
-
-        logs = [TrajectoryLog(
-            scenario=sc, times=rows(),
-            sigma=rows(self.n, 3), omega=rows(self.n, 3), torque=rows(self.n, 3),
-            theta_hat=rows(self.n, 6), sync_error=rows(self.n, 3),
-            filtered_error=rows(self.n, 3), lyapunov=rows(), disagreement=rows(),
-            tracking_error=rows() if self.tracking else None) for sc in self.scenarios]
-        live = list(range(len(logs)))
+        n3 = (self.n, 3)
+        shapes = dict(times=(), sigma=n3, omega=n3, torque=n3, theta_hat=(self.n, 6),
+                      sync_error=n3, filtered_error=n3, lyapunov=(), disagreement=())
+        if self.tracking:
+            shapes["tracking_error"] = ()
+        out = {k: np.empty((len(self.scenarios), n_rec) + v) for k, v in shapes.items()}
+        logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
+                for b, sc in enumerate(self.scenarios)]
+        healthy = np.ones((len(logs), 1), dtype=bool)
         y = (sigma, omega, theta, sigma.copy(), mrp_rate(sigma, omega))
         held_sdd = None if self.smoothed else np.zeros_like(sigma)
         r = 0
@@ -438,18 +433,18 @@ class Simulation:
                     y = self._rk4((k - 1) * self.dt, y, held_sdd)
                     if self.scenario.shadow_switch:
                         y = self._apply_shadow(*y)
-                # a diverged member keeps integrating, unchecked and unrecorded
-                for b, exc in self._check_state(t, *y[:3], live).items():
+                # a diverged member keeps integrating, unchecked, its log dropped
+                for b, exc in self._check_state(t, *y[:3], healthy).items():
                     logs[b] = exc
-                    live.remove(b)
-                if not live:
+                    healthy[b] = False
+                if not healthy.any():
                     break
                 recorded = k % decimate == 0 or k == n_steps
                 # the end-of-step evaluation feeds the record and the hold
                 if recorded or not self.smoothed:
                     _, u, e, s = self._eval(t, y, held_sdd)
                 if recorded:
-                    self._record(logs, live, r, t, y, u, e, s)
+                    self._record(out, r, t, y, u, e, s)
                     r += 1
                 if k and not self.smoothed:
                     held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)

@@ -173,24 +173,18 @@ def neighborhood_aggregate(topo: CommTopology, i: int, values, leader_value=None
 
 
 def aggregate_weights(topo: CommTopology, with_leader: bool = False):
-    """Row-normalized weights used by the fleet-wide aggregate.
-
-    Returns (W, c) with W = A / den row-wise and c_i = b_i / den_i (zeros
-    when ``with_leader`` is false), where den_i is the full denominator.
-    Aggregates are then W @ values + c[:, None] * leader_value, matching
-    `neighborhood_aggregate` node by node.
+    """Row-normalized weights W of the fleet-wide aggregate: A / den row-wise, N x N,
+    or with the leader N x (N+1), b / den as its last column (den_i is the full
+    denominator).  W @ values, the leader's value appended as source N+1,
+    matches `neighborhood_aggregate` node by node.
     """
-    den = topo.adjacency.sum(axis=1)
+    num, den = topo.adjacency, topo.adjacency.sum(axis=1)
     if with_leader:
         if topo.leader_weights is None:
             raise ConfigError("topology has no leader weights")
+        num = np.column_stack([num, topo.leader_weights])
         den = den + topo.leader_weights
     if np.any(den == 0.0):
         bad = int(np.nonzero(den == 0.0)[0][0])
         raise ConfigError("node %d has no in-neighbors to aggregate over" % bad)
-    w = topo.adjacency / den[:, None]
-    if with_leader:
-        c = topo.leader_weights / den
-    else:
-        c = np.zeros(topo.n)
-    return w, c
+    return num / den[:, None]

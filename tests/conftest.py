@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attsync.control import GainSet, ReferenceTrajectory
 from attsync.rigid_body import InertiaParams, SpacecraftState
@@ -35,6 +36,30 @@ directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array
     lambda v: np.linalg.norm(v) > 0.1)
 attitudes = st.builds(lambda d, m: 10.0 ** m * d / np.linalg.norm(d),
                       directions, st.floats(-3.0, 3.0))
+
+# rate-like vectors with |x| in [0.01, 17]
+rates = st.builds(lambda d, m: 10.0 ** m * d, directions, st.floats(-1.0, 1.0))
+
+
+def _spd(a, m):
+    j = a @ a.T
+    return InertiaParams(10.0 ** m * (0.5 * (j + j.T) + np.eye(3)))
+
+
+# SPD inertias A A^T + I with entries of A in [-2, 2], scaled by 10^[-2, 2]
+inertias = st.builds(_spd, arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+                     st.floats(-2.0, 2.0))
+
+
+@st.composite
+def digraphs(draw, leader=False):
+    """CommTopology on 2..6 craft, each weight 0 or in [0.1, 2]; with `leader`,
+    leader weights drawn the same way (any craft may lack every edge)."""
+    n = draw(st.integers(2, 6))
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+    adj = draw(arrays(float, (n, n), elements=weight))
+    np.fill_diagonal(adj, 0.0)
+    return CommTopology(adj, draw(arrays(float, n, elements=weight)) if leader else None)
 
 
 @pytest.fixture

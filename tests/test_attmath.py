@@ -53,12 +53,11 @@ def test_kinematics_matrix_example():
     assert np.allclose(g @ g.T, 0.11390625 * np.eye(3), atol=1e-12)
 
 
-def test_kinematics_matrix_orthogonality_scaling():
-    for _ in range(200):
-        sigma = RNG.uniform(-1.5, 1.5, 3)
-        g = kinematics_matrix(sigma)
-        scale = ((1.0 + sigma @ sigma) / 4.0) ** 2
-        assert np.allclose(g @ g.T, scale * np.eye(3), atol=1e-12)
+@given(attitudes)
+def test_kinematics_matrix_orthogonality_scaling(sigma):
+    g = kinematics_matrix(sigma)
+    scale = ((1.0 + sigma @ sigma) / 4.0) ** 2
+    assert np.abs(g @ g.T - scale * np.eye(3)).max() <= 1e-14 * scale
 
 
 def test_kinematics_matrix_inverse():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from attsync import cli
 from attsync.cli import (
     _apply_overrides,
     _load_config,
@@ -103,7 +104,7 @@ def test_validate_reports_missing_reference(tmp_path, capsys):
     assert "valid: no" in out
 
 
-def test_config_errors_exit_2(tmp_path, capsys):
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["validate", "--preset", "no-such-preset"]) == 2
     assert main(["validate"]) == 2  # neither source given
     both = write_config(tmp_path)
@@ -113,6 +114,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad.write_text("mode: [unclosed", encoding="utf-8")
     assert main(["validate", "--config", str(bad)]) == 2
     capsys.readouterr()
+    # an unusable path is an error before any integration, never a traceback
+    monkeypatch.setattr(cli, "Simulation", None)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    for seeds in ([], ["--seeds", "1..2"]):
+        assert main(["run", "--config", both, "--out", both] + seeds) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["run", "--preset", "paper-tracking", "--seed", "7",
+                 "--seeds", "1..2", "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "config error: give at most one of --seed or --seeds\n")
 
 
 def test_partial_step_duration_exits_2(tmp_path, capsys):

@@ -85,6 +85,18 @@ def test_gain_set_is_immutable():
 # ------------------------------------------------- reference trajectories
 
 
+def test_reference_is_immutable():
+    # the vectors a reference stores or hands out are shared by every call
+    const = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
+    sine = ReferenceTrajectory.sinusoid([0.1, 0.2, 0.3], 1.0, phase=0.5, offset=0.1)
+    shared = list(const.at(0.0)) + [sine.amplitude, sine.frequency, sine.phase, sine.offset]
+    for x in shared:
+        with pytest.raises(ValueError):
+            x[0] = 9.0
+    assert np.array_equal(const.at(1.0)[0], [0.1, 0.3, 0.5])
+    assert np.array_equal(const.at(1.0)[1], np.zeros(3))
+
+
 def test_reference_constant():
     ref = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
     for t in (0.0, 1.7, 40.0):

@@ -1,6 +1,7 @@
 """Rigid-body layer: inertia handling, dynamics, transformed matrices."""
 import numpy as np
 import pytest
+from hypothesis import given
 
 from attsync.attmath import kinematics_matrix, theta_from_inertia
 from attsync.rigid_body import (
@@ -13,6 +14,7 @@ from attsync.rigid_body import (
     mrp_rate,
     regression,
 )
+from tests.conftest import attitudes, inertias, rates
 
 RNG = np.random.default_rng(7)
 
@@ -85,32 +87,25 @@ def test_h_star_symmetric_positive_definite():
         np.linalg.cholesky(h)  # raises if not positive definite
 
 
-def test_c_star_skew_property():
-    # x^T (dH*/dt - 2 C*) x = 0 along any trajectory direction
-    for _ in range(100):
-        inertia = InertiaParams(random_spd(RNG))
-        sigma = RNG.uniform(-1.0, 1.0, 3)
-        sigma_dot = RNG.normal(size=3)
-        x = RNG.normal(size=3)
-        eps = 1e-6
-        hdot = (h_star(inertia, sigma + eps * sigma_dot)
-                - h_star(inertia, sigma - eps * sigma_dot)) / (2 * eps)
-        c = c_star(inertia, sigma, sigma_dot)
-        val = x @ (hdot - 2.0 * c) @ x
-        assert abs(val) <= 1e-6 * (1.0 + x @ x)
+@given(inertias, attitudes, rates, rates)
+def test_c_star_skew_property(inertia, sigma, sigma_dot, x):
+    # x^T (dH*/dt - 2 C*) x = 0 along any trajectory direction; H* varies on
+    # the scale 1 + |sigma|, so the five-point difference step follows it
+    h = 1e-4 * (1.0 + np.linalg.norm(sigma)) / np.linalg.norm(sigma_dot)
+    at = [h_star(inertia, sigma + k * h * sigma_dot) for k in (-2, -1, 1, 2)]
+    hdot = (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
+    c = c_star(inertia, sigma, sigma_dot)
+    val = x @ (hdot - 2.0 * c) @ x
+    assert abs(val) <= 1e-10 * (x @ x) * (np.linalg.norm(hdot) + 2.0 * np.linalg.norm(c))
 
 
-def test_regression_matches_matrix_form():
-    for _ in range(100):
-        inertia = InertiaParams(random_spd(RNG))
-        sigma = RNG.uniform(-1.0, 1.0, 3)
-        sigma_dot, v_r, a_r = RNG.normal(size=(3, 3))
-        y = regression(sigma, sigma_dot, v_r, a_r)
-        want = (h_star(inertia, sigma) @ a_r
-                + c_star(inertia, sigma, sigma_dot) @ v_r)
-        got = y @ inertia.theta
-        scale = max(1.0, np.linalg.norm(want))
-        assert np.linalg.norm(got - want) <= 1e-10 * scale
+@given(inertias, attitudes, rates, rates, rates)
+def test_regression_matches_matrix_form(inertia, sigma, sigma_dot, v_r, a_r):
+    y = regression(sigma, sigma_dot, v_r, a_r)
+    h, c = h_star(inertia, sigma), c_star(inertia, sigma, sigma_dot)
+    want = h @ a_r + c @ v_r
+    scale = np.linalg.norm(h) * np.linalg.norm(a_r) + np.linalg.norm(c) * np.linalg.norm(v_r)
+    assert np.linalg.norm(y @ inertia.theta - want) <= 1e-14 * scale
 
 
 def test_mrp_acceleration_consistent_with_rate():

@@ -495,14 +495,13 @@ def test_logged_errors_match_offline_recomputation():
     # logged errors must equal the aggregates recomputed from the log alone
     sc = chain_scenario(duration=3.0)
     log = Simulation(sc).run(decimate=1)
-    w, c = aggregate_weights(sc.topology, with_leader=True)
+    w = aggregate_weights(sc.topology, with_leader=True)  # leader: last column
     sigma_dot = mrp_rate(log.sigma, log.omega)
-    sigma_d = np.einsum("ij,rjk->rik", w, log.sigma)
-    sigma_d_dot = np.einsum("ij,rjk->rik", w, sigma_dot)
     sr = np.stack([sc.reference.at(t)[0] for t in log.times])
     sr_dot = np.stack([sc.reference.at(t)[1] for t in log.times])
-    sigma_d += c[None, :, None] * sr[:, None, :]
-    sigma_d_dot += c[None, :, None] * sr_dot[:, None, :]
+    sigma_d = np.einsum("ij,rjk->rik", w, np.concatenate([log.sigma, sr[:, None]], axis=1))
+    sigma_d_dot = np.einsum("ij,rjk->rik", w, np.concatenate([sigma_dot, sr_dot[:, None]],
+                                                             axis=1))
     e = log.sigma - sigma_d
     s = (sigma_dot - sigma_d_dot) + e  # Lambda = I
     assert np.abs(e - log.sync_error).max() <= 1e-10

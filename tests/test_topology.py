@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attsync.errors import ConfigError
 from attsync.topology import (
@@ -17,7 +19,7 @@ from attsync.topology import (
     leaderless_valid,
     neighborhood_aggregate,
 )
-from tests.conftest import FLEET_ADJ, FLEET_LEADER_B
+from tests.conftest import FLEET_ADJ, FLEET_LEADER_B, digraphs
 
 RNG = np.random.default_rng(11)
 
@@ -215,39 +217,48 @@ def test_neighborhood_aggregate_errors():
         )
 
 
-def test_neighborhood_aggregate_convex_hull():
-    for _ in range(50):
-        n = int(RNG.integers(2, 7))
-        adj = random_digraph(RNG, n, 0.7)
-        if np.any(adj.sum(axis=1) == 0.0):
+@given(st.data())
+def test_neighborhood_aggregate_convex_hull(data):
+    leader = data.draw(st.booleans())
+    topo = data.draw(digraphs(leader))
+    vectors = arrays(float, (topo.n + 1, 3),
+                     elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+    values, lead = np.split(data.draw(vectors), [topo.n])
+    lead = lead[0] if leader else None
+    for i in range(topo.n):
+        used = values[topo.adjacency[i] > 0.0]
+        if leader and topo.leader_weights[i] > 0.0:
+            used = np.vstack([used, lead])
+        if not len(used):
+            with pytest.raises(ConfigError):
+                neighborhood_aggregate(topo, i, values, lead)
             continue
-        topo = CommTopology(adj)
-        values = RNG.normal(size=(n, 3))
-        for i in range(n):
-            agg = neighborhood_aggregate(topo, i, values)
-            used = values[topo.adjacency[i] > 0.0]
-            assert np.all(agg >= used.min(axis=0) - 1e-12)
-            assert np.all(agg <= used.max(axis=0) + 1e-12)
+        agg = neighborhood_aggregate(topo, i, values, lead)
+        tol = 1e-14 * np.abs(used).max()
+        assert np.all(agg >= used.min(axis=0) - tol)
+        assert np.all(agg <= used.max(axis=0) + tol)
 
 
 def test_aggregate_weights_rows_normalized():
     topo = CommTopology(FLEET_ADJ.copy(), leader_weights=FLEET_LEADER_B.copy())
-    w, c = aggregate_weights(topo)
+    w = aggregate_weights(topo)
+    assert w.shape == (6, 6)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-15)
-    assert np.array_equal(c, np.zeros(6))
-    w2, b = aggregate_weights(topo, with_leader=True)
-    assert np.allclose(w2.sum(axis=1) + b, 1.0, atol=1e-15)
-    assert b[0] > 0 and np.array_equal(b[1:], np.zeros(5))
+    w2 = aggregate_weights(topo, with_leader=True)
+    assert w2.shape == (6, 7)  # the leader is the last source
+    assert np.allclose(w2.sum(axis=1), 1.0, atol=1e-15)
+    assert w2[0, 6] > 0 and np.array_equal(w2[1:, 6], np.zeros(5))
+    assert np.array_equal(w2[1:, :6], w[1:])  # rows without a leader edge
 
 
 def test_aggregate_weights_match_per_node():
     topo = CommTopology(FLEET_ADJ.copy(), leader_weights=FLEET_LEADER_B.copy())
     values = RNG.normal(size=(6, 3))
     leader = RNG.normal(size=3)
-    w, b = aggregate_weights(topo, with_leader=True)
+    w = aggregate_weights(topo, with_leader=True)
     for i in range(6):
         got = neighborhood_aggregate(topo, i, values, leader_value=leader)
-        want = w[i] @ values + b[i] * leader
+        want = w[i] @ np.vstack([values, leader])
         assert np.allclose(got, want, atol=1e-14)
 
 
