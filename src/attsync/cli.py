@@ -6,7 +6,9 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
 * trajectory.csv: one row per logged step; columns t, then per craft i the
   blocks sigma_i_{x,y,z}, omega_i_{x,y,z}, u_i_{x,y,z}, theta_hat_i_{1..6},
   then V (Lyapunov), D (max pairwise attitude distance), and T (max
-  distance to the reference) in tracking mode.  Full double precision,
+  distance to the reference) in tracking mode.  T, like the tracking rate
+  of summary.json, is taken to whichever of the reference and its shadow
+  (the same attitude) lies closer to each craft.  Full double precision,
   '.' decimal separator.
 * summary.json: the scenario description the run used (as written, with
   defaults and flag overrides applied; `ScenarioConfig.from_dict` of it

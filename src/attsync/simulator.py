@@ -33,6 +33,15 @@ same public control law used for a single craft, `controller_outputs`,
 called once per right-hand-side evaluation with the aggregates as plain
 arrays; there is no separate batched formula path.
 
+Each neighborhood average is an edge sum.  One table of source states (the
+leader is row N in tracking mode) is gathered along the edges of the
+normalized weights; under shadow_switch each edge carries its source's image
+closer to the receiving craft (`_closer_image`); one segmented sum over the
+receiver-grouped edges gives every average.  Every receiver has an edge, so
+no segment is empty.  The tracking error T and the tracking rate are taken to
+the reference's closer image by the same rule, so neither depends on the
+chart the reference is written in.
+
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
 once for all B members; one scenario keeps plain (N, 3) arrays.  Each logged
@@ -203,6 +212,14 @@ def _max_pairwise(x):
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
 
 
+def _closer_image(x, x_dot, to):
+    """x, or its shadow where closer to `to` (never at x = 0), with the matching rate."""
+    shadow, shadow_dot = mrp_shadow(x, x_dot)
+    d_raw, d_sh = (np.einsum("...i,...i->...", d, d) for d in (to - x, to - shadow))
+    use_shadow = (d_sh < d_raw)[..., None]
+    return np.where(use_shadow, shadow, x), np.where(use_shadow, shadow_dot, x_dot)
+
+
 def _same(a, b):
     """Equal values: dataclasses field by field, arrays by content."""
     if a is b:
@@ -247,12 +264,14 @@ class Simulation:
             np.stack([c.gains.Gamma for c in craft]),
         )
         self.tracking = scenario.mode == "tracking"
-        # in tracking mode the leader is source N+1 of every neighbourhood
-        self.weights = aggregate_weights(scenario.topology, with_leader=self.tracking)
+        # edges j -> i by receiver (row-major), the leader (source N) last; Scenario
+        # gives each receiver one: an empty reduceat segment would read the next's
+        w = aggregate_weights(scenario.topology, with_leader=self.tracking)
+        self._dst, self._src = np.nonzero(w)
+        self._w = w[self._dst, self._src][:, None]
+        self._starts = np.flatnonzero(np.diff(self._dst, prepend=-1))  # first edges
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"
-        # when coordinates may flip representation, aggregate over each
-        # neighbor's image in the receiving craft's own chart
         self.aligned = self.smoothed and scenario.shadow_switch
         # critically damped second-order generator coefficients
         wn = scenario.smoothing_rate
@@ -268,32 +287,22 @@ class Simulation:
         The sources are the craft, plus the reference as leader in tracking
         mode.  held_sdd holds the craft's held accelerations under the
         "held" source; it is None under "smoothed", which needs no
-        acceleration aggregate.  Chart alignment maps each source's attitude to whichever
-        of its two equivalent representations (sigma or its shadow) lies
-        closer to the receiving craft, so a source's representation flip
-        never jumps the aggregate.
+        acceleration aggregate.  A table of source states is gathered per
+        edge; chart alignment gives each edge the source image closer to its
+        receiver, so a source's representation flip never jumps the
+        aggregate; one segmented sum adds each receiver's weighted edges.
         """
-        src, src_dot, src_ddot = sigma, sigma_dot, held_sdd
-        if self.tracking:  # the reference joins every member as source N+1
-            src, src_dot, src_ddot = (
-                x if x is None else np.concatenate(
-                    [x, np.broadcast_to(row, x.shape[:-2] + (1, 3))], axis=-2)
-                for x, row in zip((sigma, sigma_dot, held_sdd), self.ref.at(t)))
-        w = self.weights
-        if not self.aligned:
-            return w @ src, w @ src_dot, None if src_ddot is None else w @ src_ddot
-        shadow, shadow_dot = mrp_shadow(src, src_dot)
-        diff = sigma[..., :, None, :] - src[..., None, :, :]
-        d_raw = np.einsum("...ijk,...ijk->...ij", diff, diff)
-        diff_sh = sigma[..., :, None, :] - shadow[..., None, :, :]
-        d_sh = np.einsum("...ijk,...ijk->...ij", diff_sh, diff_sh)
-        # a zero attitude has no shadow: its non-finite distance never wins
-        d_sh = np.where(np.isfinite(d_sh), d_sh, np.inf)
-        use_shadow = ((d_sh < d_raw) & (w > 0.0))[..., None]
-        img = np.where(use_shadow, shadow[..., None, :, :], src[..., None, :, :])
-        img_dot = np.where(use_shadow, shadow_dot[..., None, :, :], src_dot[..., None, :, :])
-        return (np.einsum("ij,...ijk->...ik", w, img),
-                np.einsum("ij,...ijk->...ik", w, img_dot), None)
+        table = np.concatenate([x for x in (sigma, sigma_dot, held_sdd) if x is not None], -1)
+        if self.tracking:  # the reference joins every member as source N
+            lead = np.concatenate(self.ref.at(t))[:table.shape[-1]]
+            table = np.concatenate(
+                [table, np.broadcast_to(lead, table[..., :1, :].shape)], axis=-2)
+        edges = np.take(table, self._src, axis=-2)
+        if self.aligned:
+            edges[..., :3], edges[..., 3:6] = _closer_image(
+                edges[..., :3], edges[..., 3:6], np.take(sigma, self._dst, axis=-2))
+        agg = np.add.reduceat(edges * self._w, self._starts, axis=-2)
+        return agg[..., :3], agg[..., 3:6], None if held_sdd is None else agg[..., 6:]
 
     def _eval(self, t, y, held_sdd):
         """Closed-loop derivatives and controller signals at one instant.
@@ -384,9 +393,9 @@ class Simulation:
         values = dict(times=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
                       sync_error=e, filtered_error=s, lyapunov=v,
                       disagreement=_max_pairwise(sigma))
-        if self.tracking:
-            values["tracking_error"] = np.linalg.norm(
-                sigma - self.ref.at(t)[0], axis=-1).max(axis=-1)
+        if self.tracking:  # to the reference's image closer to each craft
+            ref = _closer_image(*self.ref.at(t)[:2], sigma)[0]
+            values["tracking_error"] = np.linalg.norm(sigma - ref, axis=-1).max(axis=-1)
         for name, x in values.items():
             out[name][:, r] = x
 
@@ -511,9 +520,10 @@ def metrics(log: TrajectoryLog) -> dict:
         },
     }
     if log.scenario.mode == "tracking":
-        ref = log.scenario.reference
-        ref_rate = np.stack([ref.at(t)[1] for t in log.times])
-        t_rate = np.linalg.norm(sigma_dot - ref_rate[:, None, :], axis=2).max(axis=1)
+        sr, sr_dot = np.stack([log.scenario.reference.at(t)[:2] for t in log.times], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero reference
+            ref_rate = _closer_image(sr[:, None], sr_dot[:, None], log.sigma)[1]
+        t_rate = np.linalg.norm(sigma_dot - ref_rate, axis=2).max(axis=1)
         out["tracking_error_final"] = float(log.tracking_error[-1])
         out["tracking_rate_final"] = float(t_rate[-1])
         out["series"]["tracking_error"] = log.tracking_error

@@ -155,7 +155,7 @@ def neighborhood_aggregate(topo: CommTopology, i: int, values, leader_value=None
         b_i joins both the numerator and the denominator.
 
     Raises ConfigError when node i has a zero denominator (no in-neighbors
-    and, if applicable, no leader edge).
+    and, if applicable, no leader edge); the message counts nodes from 1.
     """
     values = np.asarray(values, dtype=float)
     row = topo.adjacency[i]
@@ -168,7 +168,7 @@ def neighborhood_aggregate(topo: CommTopology, i: int, values, leader_value=None
         den = den + b_i
         num = num + b_i * np.asarray(leader_value, dtype=float)
     if den == 0.0:
-        raise ConfigError("node %d has no in-neighbors to aggregate over" % i)
+        raise ConfigError("node %d has no in-neighbors to aggregate over" % (i + 1))
     return num / den
 
 
@@ -176,7 +176,8 @@ def aggregate_weights(topo: CommTopology, with_leader: bool = False):
     """Row-normalized weights W of the fleet-wide aggregate: A / den row-wise, N x N,
     or with the leader N x (N+1), b / den as its last column (den_i is the full
     denominator).  W @ values, the leader's value appended as source N+1,
-    matches `neighborhood_aggregate` node by node.
+    matches `neighborhood_aggregate` node by node.  A node with a zero
+    denominator raises ConfigError naming it from 1.
     """
     num, den = topo.adjacency, topo.adjacency.sum(axis=1)
     if with_leader:
@@ -186,5 +187,5 @@ def aggregate_weights(topo: CommTopology, with_leader: bool = False):
         den = den + topo.leader_weights
     if np.any(den == 0.0):
         bad = int(np.nonzero(den == 0.0)[0][0])
-        raise ConfigError("node %d has no in-neighbors to aggregate over" % bad)
+        raise ConfigError("node %d has no in-neighbors to aggregate over" % (bad + 1))
     return num / den[:, None]

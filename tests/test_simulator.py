@@ -407,16 +407,23 @@ weights = st.floats(0.1, 2.0)
 
 
 @st.composite
-def tracking_fleets(draw, acyclic=False):
-    """A leader-rooted fleet state, with the reference inside, outside or at
-    zero of the unit ball; returns (topology, reference, t, sigma, rate, accel).
-    With `acyclic`, craft only hear craft earlier in a drawn order."""
-    n = draw(st.integers(1, 5))
+def fleets(draw, leader=True, acyclic=False):
+    """A fleet state on a valid graph; returns (topology, reference, t, sigma,
+    rate, accel).  With `leader` the graph is leader-rooted and the reference
+    lies inside, outside or at zero of the unit ball; without, every craft
+    hears one and a spanning tree exists, and the reference is None.  The
+    states carry a member axis of 3 or none.  With `acyclic`, craft only hear
+    craft earlier in a drawn order."""
+    n = draw(st.integers(1 if leader else 2, 5))
     order = draw(st.permutations(range(n)))
     adj, b = np.zeros((n, n)), np.zeros(n)
     for k, i in enumerate(order):
-        # a tree rooted at the leader: each craft hears it or an earlier craft
-        parent = draw(st.integers(-1, k - 1))
+        # a tree rooted at the leader, or at the first craft, which then hears
+        # a later one: each other craft hears the leader or an earlier craft
+        if leader:
+            parent = draw(st.integers(-1, k - 1))
+        else:
+            parent = draw(st.integers(0, k - 1) if k else st.integers(1, n - 1))
         if parent < 0:
             b[i] = draw(weights)
         else:
@@ -425,21 +432,24 @@ def tracking_fleets(draw, acyclic=False):
         for m, j in enumerate(order):
             if m != k and (m < k or not acyclic) and draw(st.booleans()):
                 adj[i, j] = draw(weights)
-        if draw(st.booleans()):
+        if leader and draw(st.booleans()):
             b[i] = draw(weights)
-    where = draw(st.sampled_from(["inside", "outside", "zero"]))
+    ref = None
+    if leader:
+        where = draw(st.sampled_from(["inside", "outside", "zero"]))
+        if where == "zero":
+            ref = ReferenceTrajectory.constant(np.zeros(3))
+        else:
+            direction = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+            assume(np.linalg.norm(direction) > 0.1)
+            radius = draw(st.floats(0.1, 0.9) if where == "inside" else st.floats(1.1, 3.0))
+            amplitude = draw(arrays(float, 3, elements=st.floats(-0.03, 0.03)))
+            ref = ReferenceTrajectory.sinusoid(
+                amplitude, 2.0, offset=radius * direction / np.linalg.norm(direction))
     t = draw(st.floats(0.0, 10.0))
-    if where == "zero":
-        ref = ReferenceTrajectory.constant(np.zeros(3))
-    else:
-        direction = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
-        assume(np.linalg.norm(direction) > 0.1)
-        radius = draw(st.floats(0.1, 0.9) if where == "inside" else st.floats(1.1, 3.0))
-        amplitude = draw(arrays(float, 3, elements=st.floats(-0.03, 0.03)))
-        ref = ReferenceTrajectory.sinusoid(
-            amplitude, 2.0, offset=radius * direction / np.linalg.norm(direction))
-    fleet = arrays(float, (n, 3), elements=st.floats(-2.0, 2.0))
-    return (CommTopology(adj, leader_weights=b), ref, t,
+    fleet = arrays(float, draw(st.sampled_from([(), (3,)])) + (n, 3),
+                   elements=st.floats(-2.0, 2.0))
+    return (CommTopology(adj, leader_weights=b if leader else None), ref, t,
             draw(fleet), draw(fleet), draw(fleet))
 
 
@@ -450,40 +460,45 @@ def tracking_fleets(draw, acyclic=False):
 def test_aggregates_align_the_leader_by_the_neighbor_rule(
         accel_source, shadow_switch, data):
     held = accel_source == "held"  # the held source needs an acyclic craft graph
-    topo, ref, t, sigma, sigma_dot, held_sdd = data.draw(tracking_fleets(acyclic=held))
+    leader = held or data.draw(st.booleans())  # and a leader feeding it
+    topo, ref, t, sigma, sigma_dot, held_sdd = data.draw(fleets(leader, acyclic=held))
     n = topo.n
     craft = [Spacecraft(inertia=InertiaParams(np.array(j)),
                         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
                         gains=GainSet.from_scalars(1.0, 3.0, 3.0))
              for j in FLEET_J[:n]]
-    sim = Simulation(Scenario(spacecraft=craft, topology=topo, mode="tracking",
+    sim = Simulation(Scenario(spacecraft=craft, topology=topo,
+                              mode="tracking" if leader else "leaderless",
                               reference=ref, accel_source=accel_source,
                               shadow_switch=shadow_switch))
-    sr, srd, srdd = ref.at(t)
+    sr, srd, srdd = ref.at(t) if leader else (None, None, None)
     with np.errstate(all="ignore"):  # a zero attitude has no finite shadow
         got = sim._aggregates(t, sigma, sigma_dot, held_sdd if held else None)
 
-        # oracle: each receiver takes each source's closer image, then averages
-        for i in range(n):
-            def image(x, x_dot):
-                if not sim.aligned:
-                    return x, x_dot
-                sh, sh_dot = mrp_shadow(x, x_dot)
-                d_raw, d_sh = np.sum((sigma[i] - x) ** 2), np.sum((sigma[i] - sh) ** 2)
-                if not np.isfinite(d_sh):
-                    return x, x_dot
-                assume(abs(d_sh - d_raw) > 1e-9 * (d_sh + d_raw))  # no near-tie
-                return (sh, sh_dot) if d_sh < d_raw else (x, x_dot)
+        # oracle: each receiver takes each source's closer image, then
+        # averages; member by member when the states have a member axis
+        for b in np.ndindex(sigma.shape[:-2]):
+            for i in range(n):
+                def image(x, x_dot):
+                    if not sim.aligned or x is None:
+                        return x, x_dot
+                    sh, sh_dot = mrp_shadow(x, x_dot)
+                    d_raw = np.sum((sigma[b][i] - x) ** 2)
+                    d_sh = np.sum((sigma[b][i] - sh) ** 2)
+                    if not np.isfinite(d_sh):
+                        return x, x_dot
+                    assume(abs(d_sh - d_raw) > 1e-9 * (d_sh + d_raw))  # no near-tie
+                    return (sh, sh_dot) if d_sh < d_raw else (x, x_dot)
 
-            imgs = [image(sigma[j], sigma_dot[j]) for j in range(n)]
-            lead, lead_dot = image(sr, srd)
-            want = [neighborhood_aggregate(topo, i, [x for x, _ in imgs], lead),
-                    neighborhood_aggregate(topo, i, [v for _, v in imgs], lead_dot)]
-            if held:
-                want.append(neighborhood_aggregate(topo, i, held_sdd, srdd))
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(
-                    g[i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
+                imgs = [image(sigma[b][j], sigma_dot[b][j]) for j in range(n)]
+                lead, lead_dot = image(sr, srd)
+                want = [neighborhood_aggregate(topo, i, [x for x, _ in imgs], lead),
+                        neighborhood_aggregate(topo, i, [v for _, v in imgs], lead_dot)]
+                if held:
+                    want.append(neighborhood_aggregate(topo, i, held_sdd[b], srdd))
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(
+                        g[b][i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
     assert (got[2] is None) == (not held)
 
 
@@ -596,6 +611,27 @@ def test_tracking_error_zero_on_reference():
     log = Simulation(sc).run()
     assert log.tracking_error[0] == 0.0
     assert log.tracking_error.max() <= 1e-9
+
+
+def test_tracking_error_is_taken_to_the_closer_image_of_the_reference():
+    # a reference near [0, 0, 1.5] and its shadow near [0, 0, -2/3] are one
+    # attitude; the chain starts closer to the shadow, which the aligned
+    # aggregate steers it to, so T and the tracking rate measure to it
+    ref = ReferenceTrajectory.sinusoid([0.05, 0.0, 0.0], 1.0, offset=[0.0, 0.0, 1.5])
+    sc = dataclasses.replace(chain_scenario(duration=0.5), accel_source="smoothed",
+                             shadow_switch=True, reference=ref)
+    log = Simulation(sc).run(decimate=10)
+    sigma_dot = mrp_rate(log.sigma, log.omega)
+    t_err, t_rate = [], []
+    for t, sigma, rate in zip(log.times, log.sigma, sigma_dot):
+        images = [ref.at(t)[:2], mrp_shadow(*ref.at(t)[:2])]
+        closer = [min(images, key=lambda im: np.linalg.norm(x - im[0])) for x in sigma]
+        t_err.append(max(np.linalg.norm(x - im[0]) for x, im in zip(sigma, closer)))
+        t_rate.append(max(np.linalg.norm(v - im[1]) for v, im in zip(rate, closer)))
+    assert log.tracking_error[0] < 0.8  # 1.71 to the reference as written
+    np.testing.assert_allclose(log.tracking_error, t_err, rtol=1e-15, atol=0.0)
+    out = metrics(log)
+    np.testing.assert_allclose(out["series"]["tracking_rate"], t_rate, rtol=1e-15, atol=0.0)
 
 
 def test_metrics_summary_consistent_with_log():

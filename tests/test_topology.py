@@ -211,6 +211,14 @@ def test_neighborhood_aggregate_errors():
     topo = CommTopology(np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         neighborhood_aggregate(topo, 0, np.zeros((2, 3)))
+    # craft numbers are 1-based, as in graph_checks: index 1 is node 2
+    starved = CommTopology(np.array([[0.0, 1.0], [0.0, 0.0]]), leader_weights=np.zeros(2))
+    with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
+        neighborhood_aggregate(starved, 1, np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
+        aggregate_weights(starved)
+    with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
+        aggregate_weights(starved, with_leader=True)
     with pytest.raises(ConfigError):
         neighborhood_aggregate(
             CommTopology(FLEET_ADJ.copy()), 0, np.zeros((6, 3)), leader_value=np.zeros(3)
