@@ -104,10 +104,10 @@ def _inertia_matrix(inertia):
 
 
 def angular_acceleration(inertia, omega, torque):
-    """Body-frame omega_dot = J^{-1} (-omega x (J omega) + u)."""
+    """Body-frame omega_dot = J^{-1} (-S(omega) J omega + u)."""
     j = _inertia_matrix(inertia)
     omega = np.asarray(omega, dtype=float)
-    rhs = -np.cross(omega, mat_vec(j, omega)) + np.asarray(torque, dtype=float)
+    rhs = -mat_vec(skew(omega), mat_vec(j, omega)) + np.asarray(torque, dtype=float)
     return np.linalg.solve(j, rhs[..., None])[..., 0]
 
 
@@ -165,4 +165,4 @@ def regression(sigma, sigma_dot, v_r, a_r):
     gi_vr = mat_vec(g_inv, np.asarray(v_r, dtype=float))
     gi_sd = mat_vec(g_inv, sigma_dot)
     mid = mat_vec(g_inv @ g_dot, gi_vr)
-    return g_inv_t @ (l_operator(gi_ar) - l_operator(mid) - f_operator(gi_sd, gi_vr))
+    return g_inv_t @ (l_operator(gi_ar - mid) - f_operator(gi_sd, gi_vr))

@@ -26,7 +26,8 @@ choice in the loop.  Two sources are implemented:
     feedback loop through the inertia-estimate feedforward whose per-step
     gain does not shrink with the step size, so `Scenario` accepts this
     source only on an acyclic craft graph (a tracking fleet fed from the
-    leader; a leaderless graph always has a cycle).
+    leader; a leaderless graph always has a cycle) and without shadow_switch,
+    as it has no generator state to carry across a flip.
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control law used for a single craft, `controller_outputs`,
@@ -112,7 +113,7 @@ class Scenario:
     Construction checks that the topology matches the mode: leaderless runs
     need every craft to have an in-neighbor plus a directed spanning tree,
     tracking runs need a reference and a leader that reaches every craft,
-    and the "held" source needs a craft graph without a directed cycle.
+    and the "held" source needs an acyclic craft graph and no shadow_switch.
 
     accel_source picks how the desired acceleration is obtained ("smoothed"
     or "held", see the module docstring); smoothing_rate is the generator
@@ -175,6 +176,8 @@ class Scenario:
         if self.accel_source == "held" and has_directed_cycle(self.topology):
             raise ConfigError("accel_source 'held' needs an acyclic craft graph; "
                               "this one has a directed cycle (use 'smoothed')")
+        if self.accel_source == "held" and self.shadow_switch:
+            raise ConfigError("shadow_switch needs accel_source 'smoothed', not 'held'")
 
     @property
     def n(self) -> int:
@@ -272,7 +275,6 @@ class Simulation:
         self._starts = np.flatnonzero(np.diff(self._dst, prepend=-1))  # first edges
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"
-        self.aligned = self.smoothed and scenario.shadow_switch
         # critically damped second-order generator coefficients
         wn = scenario.smoothing_rate
         self._gen_kp = wn * wn
@@ -298,7 +300,7 @@ class Simulation:
             table = np.concatenate(
                 [table, np.broadcast_to(lead, table[..., :1, :].shape)], axis=-2)
         edges = np.take(table, self._src, axis=-2)
-        if self.aligned:
+        if self.scenario.shadow_switch:
             edges[..., :3], edges[..., 3:6] = _closer_image(
                 edges[..., :3], edges[..., 3:6], np.take(sigma, self._dst, axis=-2))
         agg = np.add.reduceat(edges * self._w, self._starts, axis=-2)
@@ -332,11 +334,10 @@ class Simulation:
         omega_dot = angular_acceleration(self.j_stack, omega, u)
         return (sigma_dot, omega_dot, theta_dot) + d_chi, u, e, s
 
-    def _rk4(self, t, y, held_sdd):
-        """One classical RK4 step of the state tuple y."""
+    def _rk4(self, t, y, held_sdd, k1):
+        """One classical RK4 step of the state tuple y, given its derivative k1."""
         dt = self.dt
         h = dt / 2.0
-        k1 = self._eval(t, y, held_sdd)[0]
         k2 = self._eval(t + h, [x + h * d for x, d in zip(y, k1)], held_sdd)[0]
         k3 = self._eval(t + h, [x + h * d for x, d in zip(y, k2)], held_sdd)[0]
         k4 = self._eval(t + dt, [x + dt * d for x, d in zip(y, k3)], held_sdd)[0]
@@ -353,11 +354,10 @@ class Simulation:
         mask = np.einsum("...ni,...ni->...n", sigma, sigma) > 1.0
         if mask.any():
             sigma = np.where(mask[..., None], mrp_shadow(sigma), sigma)
-            if self.smoothed:
-                rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
-                chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
-                chi = np.where(rows, chi_sh, chi)
-                chi_dot = np.where(rows, chi_sh_dot, chi_dot)
+            rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
+            chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
+            chi = np.where(rows, chi_sh, chi)
+            chi_dot = np.where(rows, chi_sh_dot, chi_dot)
         return sigma, omega, theta_hat, chi, chi_dot
 
     def _check_state(self, t, sigma, omega, theta_hat, healthy=True):
@@ -411,7 +411,9 @@ class Simulation:
         slides toward the neighborhood aggregate at the generator
         bandwidth; the held acceleration starts at zero.  A single scenario
         returns its TrajectoryLog or raises SimulationDiverged; an ensemble
-        returns a list of, per member, either of the two.
+        returns a list of, per member, either of the two.  Each accepted
+        state is evaluated once, for its record, the hold refresh and the
+        next step's first RK4 stage (and again after a "held" refresh).
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
@@ -439,7 +441,7 @@ class Simulation:
             for k in range(n_steps + 1):
                 t = k * self.dt
                 if k:
-                    y = self._rk4((k - 1) * self.dt, y, held_sdd)
+                    y = self._rk4((k - 1) * self.dt, y, held_sdd, dy)
                     if self.scenario.shadow_switch:
                         y = self._apply_shadow(*y)
                 # a diverged member keeps integrating, unchecked, its log dropped
@@ -448,15 +450,13 @@ class Simulation:
                     healthy[b] = False
                 if not healthy.any():
                     break
-                recorded = k % decimate == 0 or k == n_steps
-                # the end-of-step evaluation feeds the record and the hold
-                if recorded or not self.smoothed:
-                    _, u, e, s = self._eval(t, y, held_sdd)
-                if recorded:
+                dy, u, e, s = self._eval(t, y, held_sdd)
+                if k % decimate == 0 or k == n_steps:
                     self._record(out, r, t, y, u, e, s)
                     r += 1
                 if k and not self.smoothed:
                     held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)
+                    dy = self._eval(t, y, held_sdd)[0]
         if not self.ensemble and isinstance(logs[0], SimulationDiverged):
             raise logs[0]
         return logs if self.ensemble else logs[0]

@@ -168,6 +168,16 @@ def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys):
     assert "[fail] scenario construction failed: accel_source 'held'" in out
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "acyclic craft graph" in capsys.readouterr().err
+    # an acyclic graph still refuses the hold with shadow_switch, from the flag
+    # or from the file
+    chain = held_chain_config(tmp_path)
+    assert main(["run", "--config", chain, "--out", str(tmp_path / "out"),
+                 "--shadow-switch"]) == 2
+    assert "shadow_switch" in capsys.readouterr().err
+    assert main(["validate", "--config", held_chain_config(tmp_path, shadow_switch=True)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[fail]") == 1
+    assert "[fail] scenario construction failed: shadow_switch" in out
 
 
 @pytest.mark.parametrize("argv, extra, field", [
@@ -321,13 +331,13 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def held_chain_config(tmp_path):
+def held_chain_config(tmp_path, shadow_switch=False):
     # leader -> craft 1 -> craft 2: acyclic, so the held source is accepted
     return write_config(
         tmp_path, name="chain.yaml", mode="tracking", accel_source="held",
         topology={"adjacency": [[0.0, 0.0], [1.0, 0.0]], "leader_weights": [1.0, 0.0]},
         reference={"kind": "constant", "value": [0.1, 0.0, -0.1]},
-        shadow_switch=False, rate_leak=0.0)
+        shadow_switch=shadow_switch, rate_leak=0.0)
 
 
 @pytest.mark.parametrize("source", [

@@ -111,6 +111,9 @@ def test_held_source_rejects_a_cyclic_craft_graph(mode):
         pair_scenario(mode=mode, accel_source="held")
     assert pair_scenario(mode=mode).accel_source == "smoothed"
     assert chain_scenario().accel_source == "held"  # leader -> 1 -> 2 builds
+    # nor can the hold follow a shadow flip: it has no generator state to map
+    with pytest.raises(ConfigError, match="shadow_switch needs accel_source 'smoothed'"):
+        chain_scenario(shadow_switch=True)
 
 
 def test_duration_must_be_a_whole_number_of_steps():
@@ -207,7 +210,7 @@ def test_equilibrium_holds(accel_source):
 def test_spherical_free_body_keeps_omega():
     sc = single_craft_scenario(
         j=np.eye(3), omega0=(0.3, -0.2, 0.4), control_enabled=False, duration=10.0,
-        shadow_switch=True,
+        shadow_switch=True, accel_source="smoothed",
     )
     log = Simulation(sc).run(decimate=1)
     assert np.abs(log.omega - log.omega[0]).max() <= 1e-10
@@ -218,7 +221,7 @@ def test_free_body_conserves_momentum_and_energy():
     j = np.array(FLEET_J[3])
     sc = single_craft_scenario(
         j=j, omega0=(0.4, -0.3, 0.5), control_enabled=False, duration=10.0,
-        shadow_switch=True,
+        shadow_switch=True, accel_source="smoothed",
     )
     log = Simulation(sc).run(decimate=1)
     h = log.omega[:, 0, :] @ j.T
@@ -261,8 +264,10 @@ def test_record_counts_and_times():
 ], ids=["smoothed", "control-off", "held"])
 def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, held):
     # bench/run.py reads rhs_evals_per_step and us_per_rhs off these calls:
-    # four RK4 stages per step, plus the initial evaluation and an end-of-step
-    # one on each recorded step ("smoothed") or on every step ("held")
+    # the initial state's evaluation, then per step three RK4 stages and one
+    # evaluation of the accepted state, which is also the next step's first
+    # stage and feeds any record; "held" evaluates that state again after
+    # refreshing the hold.  The decimation does not enter the count.
     calls = []
 
     def counted(*args):
@@ -270,14 +275,16 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, hel
         return controller_outputs(*args)
 
     monkeypatch.setattr(simulator, "controller_outputs", counted)
-    n, d = 10, 3
-    Simulation(build(duration=n * 0.005)).run(decimate=d)
-    assert len(calls) == (1 + 5 * n if held else 1 + 4 * n + -(-n // d))
-    # an ensemble advances all its members in each of those same calls
-    calls.clear()
-    Simulation(ensemble(build(duration=n * 0.005), 3)).run(decimate=d)
-    assert len(calls) == (1 + 5 * n if held else 1 + 4 * n + -(-n // d))
-    assert calls[0][0].shape == (3, 2, 3)
+    n = 10
+    for d in (1, 3):
+        calls.clear()
+        Simulation(build(duration=n * 0.005)).run(decimate=d)
+        assert len(calls) == (1 + 5 * n if held else 1 + 4 * n)
+        # an ensemble advances all its members in each of those same calls
+        calls.clear()
+        Simulation(ensemble(build(duration=n * 0.005), 3)).run(decimate=d)
+        assert len(calls) == (1 + 5 * n if held else 1 + 4 * n)
+        assert calls[0][0].shape == (3, 2, 3)
 
 
 def test_divergence_guard_reports_craft_and_time():
@@ -395,8 +402,8 @@ def test_shadow_switch_keeps_attitude_in_unit_ball():
     free = Simulation(single_craft_scenario(**tumble)).run(decimate=1)
     norms = np.linalg.norm(free.sigma[:, 0, :], axis=1)
     assert norms.max() > 1.1  # the long rotation leaves the unit ball
-    switched = Simulation(single_craft_scenario(shadow_switch=True, **tumble)).run(
-        decimate=1)
+    switched = Simulation(single_craft_scenario(
+        shadow_switch=True, accel_source="smoothed", **tumble)).run(decimate=1)
     norms = np.linalg.norm(switched.sigma[:, 0, :], axis=1)
     assert norms.max() <= 1.0 + 1e-12
 
@@ -480,7 +487,7 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
         for b in np.ndindex(sigma.shape[:-2]):
             for i in range(n):
                 def image(x, x_dot):
-                    if not sim.aligned or x is None:
+                    if not sim.scenario.shadow_switch or x is None:
                         return x, x_dot
                     sh, sh_dot = mrp_shadow(x, x_dot)
                     d_raw = np.sum((sigma[b][i] - x) ** 2)
