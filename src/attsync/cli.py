@@ -16,6 +16,9 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   metrics, record count and wall-clock time or, when the run diverged, a
   `diverged` block naming the craft (1-based), quantity and time.
 
+On stdout `run` prints per scenario the CSV path, record count, wall clock,
+metrics and any --assert-converged verdict; the config is only in summary.json.
+
 A --seeds a..b sweep is one integration (one `Simulation` ensemble); each
 seed_<n>/ gets the files of its own --seed n run, and each seed's
 wall_clock_s is the whole sweep's integration wall, never a share of it.
@@ -153,8 +156,7 @@ def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol)
         _write_summary(out_dir, summary)
         print("error: %s" % result, file=sys.stderr)
         return 3
-    m = metrics(result)
-    finals = {k: v for k, v in m.items() if k != "series"}
+    finals = metrics(result)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(result, csv_path)
     summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall,
@@ -181,9 +183,6 @@ def cmd_run(args) -> int:
         raise ConfigError("give at most one of --seed or --seeds")
     cfg = _apply_overrides(_load_config(args), args)
     out_base = args.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR
-    print("config:")
-    for line in cfg.to_yaml().rstrip("\n").split("\n"):
-        print("  " + line)
     runs = [(cfg, out_base)]
     if args.seeds is not None:
         runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))

@@ -11,8 +11,8 @@ H* is symmetric positive definite, d(H*)/dt - 2 C* is skew-symmetric, and
 H* a + C* v is linear in the packed inertia vector theta, which is what the
 adaptive controller exploits through `regression`.
 
-Functions accept either an `InertiaParams` or a raw (..., 3, 3) inertia
-stack, so the fleet simulator can evaluate every spacecraft in one call.
+Like the attmath kernels, the functions take the inertia as a (..., 3, 3)
+array, so the fleet simulator evaluates every spacecraft in one call.
 """
 
 from __future__ import annotations
@@ -96,16 +96,8 @@ class SpacecraftState:
         object.__setattr__(self, "omega", omega)
 
 
-def _inertia_matrix(inertia):
-    """Accept InertiaParams or a raw (..., 3, 3) array."""
-    if isinstance(inertia, InertiaParams):
-        return inertia.matrix
-    return np.asarray(inertia, dtype=float)
-
-
-def angular_acceleration(inertia, omega, torque):
+def angular_acceleration(j, omega, torque):
     """Body-frame omega_dot = J^{-1} (-S(omega) J omega + u)."""
-    j = _inertia_matrix(inertia)
     omega = np.asarray(omega, dtype=float)
     rhs = -mat_vec(skew(omega), mat_vec(j, omega)) + np.asarray(torque, dtype=float)
     return np.linalg.solve(j, rhs[..., None])[..., 0]
@@ -116,22 +108,21 @@ def mrp_rate(sigma, omega):
     return mat_vec(kinematics_matrix(sigma), omega)
 
 
-def mrp_acceleration(inertia, sigma, omega, torque):
+def mrp_acceleration(j, sigma, omega, torque):
     """sigma_ddot along the true dynamics: dG/dt @ omega + G @ omega_dot."""
     sigma_dot = mrp_rate(sigma, omega)
-    omega_dot = angular_acceleration(inertia, omega, torque)
+    omega_dot = angular_acceleration(j, omega, torque)
     g_dot = kinematics_matrix_dot(sigma, sigma_dot)
     return mat_vec(g_dot, omega) + mat_vec(kinematics_matrix(sigma), omega_dot)
 
 
-def h_star(inertia, sigma):
+def h_star(j, sigma):
     """Transformed inertia H* = G^{-T} J G^{-1}, symmetric positive definite."""
-    j = _inertia_matrix(inertia)
     g_inv = kinematics_matrix_inverse(sigma)
     return np.swapaxes(g_inv, -1, -2) @ j @ g_inv
 
 
-def c_star(inertia, sigma, sigma_dot):
+def c_star(j, sigma, sigma_dot):
     """Coriolis-like matrix of the MRP-space Euler-Lagrange form.
 
     C* = -G^{-T} J G^{-1} (dG/dt) G^{-1} - G^{-T} S(J G^{-1} sigma_dot) G^{-1}.
@@ -140,7 +131,6 @@ def c_star(inertia, sigma, sigma_dot):
     skew-symmetric and by consistency with the body-frame dynamics; both are
     pinned in tests.
     """
-    j = _inertia_matrix(inertia)
     g_inv = kinematics_matrix_inverse(sigma)
     g_inv_t = np.swapaxes(g_inv, -1, -2)
     g_dot = kinematics_matrix_dot(sigma, np.asarray(sigma_dot, dtype=float))

@@ -43,6 +43,9 @@ no segment is empty.  The tracking error T and the tracking rate are taken to
 the reference's closer image by the same rule, so neither depends on the
 chart the reference is written in.
 
+The log holds every series of a run, each written once from the loop's own
+evaluation at the recorded state; `metrics` only reduces it to scalar finals.
+
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
 once for all B members; one scenario keeps plain (N, 3) arrays.  Each logged
@@ -162,6 +165,8 @@ class Scenario:
             raise ConfigError("dt must be positive and finite")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError("duration must be at least one step")
+        if not math.isfinite(self.duration / self.dt):
+            raise ConfigError("step count duration / dt is not finite (dt %r)" % self.dt)
         if self.duration / self.dt - self.n_steps > 1e-9:
             raise ConfigError("duration %r is not a whole number of steps of dt %r"
                               % (self.duration, self.dt))
@@ -190,7 +195,9 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
-    """Decimated time history of a run; arrays indexed (record, craft, axis)."""
+    """Decimated time history of a run, every series of it; arrays indexed
+    (record, craft, axis).  The *_rate series are D and T of sigma_dot; T and
+    its rate (to the reference's closer image) are None when leaderless."""
 
     scenario: Scenario
     times: np.ndarray
@@ -202,7 +209,9 @@ class TrajectoryLog:
     filtered_error: np.ndarray
     lyapunov: np.ndarray
     disagreement: np.ndarray
+    disagreement_rate: np.ndarray
     tracking_error: np.ndarray | None = None
+    tracking_rate: np.ndarray | None = None
 
     @property
     def n_records(self) -> int:
@@ -382,9 +391,9 @@ class Simulation:
                 craft_index=i, time=t, quantity=name or "sigma")
         return found
 
-    def _record(self, out, r, t, y, u, e, s):
+    def _record(self, out, r, t, y, sigma_dot, u, e, s):
         """Write record r of every member into `out`, the (member, record, ...)
-        array of each log field."""
+        array of each log field, from the loop's evaluation at state y."""
         sigma, omega, theta_hat = y[:3]
         err = self.theta_true - theta_hat
         # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
@@ -392,10 +401,13 @@ class Simulation:
              + 0.5 * (err * err / self.gains.gamma_diag).reshape(self.lead + (-1,)).sum(-1))
         values = dict(times=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
                       sync_error=e, filtered_error=s, lyapunov=v,
-                      disagreement=_max_pairwise(sigma))
+                      disagreement=_max_pairwise(sigma),
+                      disagreement_rate=_max_pairwise(sigma_dot))
         if self.tracking:  # to the reference's image closer to each craft
-            ref = _closer_image(*self.ref.at(t)[:2], sigma)[0]
+            ref, ref_rate = _closer_image(*self.ref.at(t)[:2], sigma)
             values["tracking_error"] = np.linalg.norm(sigma - ref, axis=-1).max(axis=-1)
+            values["tracking_rate"] = (
+                np.linalg.norm(sigma_dot - ref_rate, axis=-1).max(axis=-1))
         for name, x in values.items():
             out[name][:, r] = x
 
@@ -426,9 +438,10 @@ class Simulation:
         n_rec = 1 + -(-n_steps // decimate)  # initial state + ceil(n_steps / k)
         n3 = (self.n, 3)
         shapes = dict(times=(), sigma=n3, omega=n3, torque=n3, theta_hat=(self.n, 6),
-                      sync_error=n3, filtered_error=n3, lyapunov=(), disagreement=())
+                      sync_error=n3, filtered_error=n3, lyapunov=(), disagreement=(),
+                      disagreement_rate=())
         if self.tracking:
-            shapes["tracking_error"] = ()
+            shapes.update(tracking_error=(), tracking_rate=())
         out = {k: np.empty((len(self.scenarios), n_rec) + v) for k, v in shapes.items()}
         logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
                 for b, sc in enumerate(self.scenarios)]
@@ -452,7 +465,7 @@ class Simulation:
                     break
                 dy, u, e, s = self._eval(t, y, held_sdd)
                 if k % decimate == 0 or k == n_steps:
-                    self._record(out, r, t, y, u, e, s)
+                    self._record(out, r, t, y, dy[0], u, e, s)
                     r += 1
                 if k and not self.smoothed:
                     held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)
@@ -494,38 +507,19 @@ def random_initial_states(seed, n, sigma_bound=0.5, omega_bound=0.5):
 
 
 def metrics(log: TrajectoryLog) -> dict:
-    """Summary metrics of a run: disagreement, tracking error, bounds.
-
-    Finals are scalars; full series come back under "series" as arrays.
-    """
-    sigma_dot = mrp_rate(log.sigma, log.omega)
-    d_rate = np.array([_max_pairwise(v) for v in sigma_dot])
-    torque_norm = np.linalg.norm(log.torque, axis=2)
-    theta_norm = np.linalg.norm(log.theta_hat, axis=2)
+    """Scalar summary of a run: the finals of the log's series, and bounds."""
     out = {
         "mode": log.scenario.mode,
         "records": int(log.n_records),
         "duration": float(log.times[-1]),
         "disagreement_final": float(log.disagreement[-1]),
-        "disagreement_rate_final": float(d_rate[-1]),
+        "disagreement_rate_final": float(log.disagreement_rate[-1]),
         "lyapunov_initial": float(log.lyapunov[0]),
         "lyapunov_final": float(log.lyapunov[-1]),
-        "torque_max": float(torque_norm.max()),
-        "theta_hat_norm_max": float(theta_norm.max()),
-        "series": {
-            "t": log.times,
-            "disagreement": log.disagreement,
-            "disagreement_rate": d_rate,
-            "lyapunov": log.lyapunov,
-        },
+        "torque_max": float(np.linalg.norm(log.torque, axis=2).max()),
+        "theta_hat_norm_max": float(np.linalg.norm(log.theta_hat, axis=2).max()),
     }
     if log.scenario.mode == "tracking":
-        sr, sr_dot = np.stack([log.scenario.reference.at(t)[:2] for t in log.times], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero reference
-            ref_rate = _closer_image(sr[:, None], sr_dot[:, None], log.sigma)[1]
-        t_rate = np.linalg.norm(sigma_dot - ref_rate, axis=2).max(axis=1)
         out["tracking_error_final"] = float(log.tracking_error[-1])
-        out["tracking_rate_final"] = float(t_rate[-1])
-        out["series"]["tracking_error"] = log.tracking_error
-        out["series"]["tracking_rate"] = t_rate
+        out["tracking_rate_final"] = float(log.tracking_rate[-1])
     return out

@@ -133,6 +133,11 @@ def test_partial_step_duration_exits_2(tmp_path, capsys):
     assert main(["run", "--preset", "paper-leaderless", "--duration", "1.0025",
                  "--out", out]) == 2
     assert "not a whole number of steps" in capsys.readouterr().err
+    # a step count too large for a float is a config error, not a traceback
+    assert main(["run", "--preset", "paper-leaderless", "--dt", "1e-310",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "step count" in err
 
 
 def test_divergence_exits_3(tmp_path, capsys):
@@ -297,18 +302,16 @@ def test_identical_config_and_seed_give_identical_bytes(tmp_path, capsys):
     assert a == b
 
 
-def test_overrides_reflected_in_echo_and_run(tmp_path, capsys):
+def test_overrides_reflected_in_summary_and_run(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out),
                  "--dt", "0.01", "--duration", "0.6", "--seed", "9"]) == 0
-    printed = capsys.readouterr().out
-    echoed = yaml.safe_load(printed.split("wrote")[0].replace("config:\n", ""))
-    assert echoed["dt"] == 0.01
-    assert echoed["duration"] == 0.6
-    assert echoed["seed"] == 9
+    capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["config"]["dt"] == 0.01
+    assert summary["config"]["duration"] == 0.6
+    assert summary["config"]["seed"] == 9
     assert summary["step_count"] == 60
 
 
@@ -441,6 +444,16 @@ def test_readme_yaml_blocks_build_scenarios():
     assert blocks
     for text in blocks:
         ScenarioConfig.from_yaml(text).to_scenario()
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # the README's Python block as written, on a 1 s horizon of its preset
+    monkeypatch.setattr("attsync.config.preset",
+                        lambda name: preset(name).with_overrides(duration=1.0))
+    exec(readme_blocks("python")[0], {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1
+    float(printed[0])
 
 
 def test_readme_commands_validate(tmp_path, monkeypatch):

@@ -49,7 +49,7 @@ def test_spacecraft_state_shapes():
 
 def test_angular_acceleration_example():
     inertia = InertiaParams(np.diag([1.0, 2.0, 3.0]))
-    got = angular_acceleration(inertia, np.array([1.0, 1.0, 1.0]), np.zeros(3))
+    got = angular_acceleration(inertia.matrix, np.array([1.0, 1.0, 1.0]), np.zeros(3))
     assert np.allclose(got, [-1.0, 1.0, -1.0 / 3.0], atol=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_angular_acceleration_momentum_conservation():
     inertia = InertiaParams(random_spd(RNG))
     j = inertia.matrix
     w = RNG.normal(size=3)
-    wdot = angular_acceleration(inertia, w, np.zeros(3))
+    wdot = angular_acceleration(j, w, np.zeros(3))
     dh = j @ wdot + np.cross(w, j @ w)
     assert np.allclose(dh, 0.0, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_mrp_rate_is_kinematics_column():
 
 def test_h_star_identity_inertia_at_origin():
     inertia = InertiaParams(np.eye(3))
-    assert np.allclose(h_star(inertia, np.zeros(3)), 16.0 * np.eye(3),
+    assert np.allclose(h_star(inertia.matrix, np.zeros(3)), 16.0 * np.eye(3),
                        atol=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_h_star_symmetric_positive_definite():
     for _ in range(100):
         inertia = InertiaParams(random_spd(RNG))
         sigma = RNG.uniform(-1.2, 1.2, 3)
-        h = h_star(inertia, sigma)
+        h = h_star(inertia.matrix, sigma)
         assert np.allclose(h, h.T, atol=1e-10)
         np.linalg.cholesky(h)  # raises if not positive definite
 
@@ -92,9 +92,9 @@ def test_c_star_skew_property(inertia, sigma, sigma_dot, x):
     # x^T (dH*/dt - 2 C*) x = 0 along any trajectory direction; H* varies on
     # the scale 1 + |sigma|, so the five-point difference step follows it
     h = 1e-4 * (1.0 + np.linalg.norm(sigma)) / np.linalg.norm(sigma_dot)
-    at = [h_star(inertia, sigma + k * h * sigma_dot) for k in (-2, -1, 1, 2)]
+    at = [h_star(inertia.matrix, sigma + k * h * sigma_dot) for k in (-2, -1, 1, 2)]
     hdot = (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
-    c = c_star(inertia, sigma, sigma_dot)
+    c = c_star(inertia.matrix, sigma, sigma_dot)
     val = x @ (hdot - 2.0 * c) @ x
     assert abs(val) <= 1e-10 * (x @ x) * (np.linalg.norm(hdot) + 2.0 * np.linalg.norm(c))
 
@@ -102,7 +102,7 @@ def test_c_star_skew_property(inertia, sigma, sigma_dot, x):
 @given(inertias, attitudes, rates, rates, rates)
 def test_regression_matches_matrix_form(inertia, sigma, sigma_dot, v_r, a_r):
     y = regression(sigma, sigma_dot, v_r, a_r)
-    h, c = h_star(inertia, sigma), c_star(inertia, sigma, sigma_dot)
+    h, c = h_star(inertia.matrix, sigma), c_star(inertia.matrix, sigma, sigma_dot)
     want = h @ a_r + c @ v_r
     scale = np.linalg.norm(h) * np.linalg.norm(a_r) + np.linalg.norm(c) * np.linalg.norm(v_r)
     assert np.linalg.norm(y @ inertia.theta - want) <= 1e-14 * scale
@@ -113,11 +113,11 @@ def test_mrp_acceleration_consistent_with_rate():
     sigma = RNG.uniform(-0.8, 0.8, 3)
     omega = RNG.normal(size=3)
     torque = RNG.normal(size=3)
-    got = mrp_acceleration(inertia, sigma, omega, torque)
+    got = mrp_acceleration(inertia.matrix, sigma, omega, torque)
     h = 1e-7
     # advance sigma and omega with their own derivatives and difference
     sdot = mrp_rate(sigma, omega)
-    wdot = angular_acceleration(inertia, omega, torque)
+    wdot = angular_acceleration(inertia.matrix, omega, torque)
     fd = (mrp_rate(sigma + h * sdot, omega + h * wdot)
           - mrp_rate(sigma - h * sdot, omega - h * wdot)) / (2 * h)
     assert np.allclose(got, fd, atol=1e-6)

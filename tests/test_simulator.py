@@ -80,6 +80,8 @@ def test_scenario_validation_errors():
         dataclasses.replace(base, dt=np.inf)
     with pytest.raises(ConfigError):
         dataclasses.replace(base, duration=0.001)  # shorter than one step
+    with pytest.raises(ConfigError, match="step count"):
+        dataclasses.replace(base, dt=1e-310)  # duration / dt overflows
     with pytest.raises(ConfigError):
         dataclasses.replace(base, accel_source="extrapolated")
     with pytest.raises(ConfigError):
@@ -323,7 +325,8 @@ def test_divergence_guard_names_the_quantity(bad, quantity, how):
 
 
 LOG_ARRAYS = ("times", "sigma", "omega", "torque", "theta_hat", "sync_error",
-              "filtered_error", "lyapunov", "disagreement", "tracking_error")
+              "filtered_error", "lyapunov", "disagreement", "disagreement_rate",
+              "tracking_error", "tracking_rate")
 
 
 def assert_same_log(a, b):
@@ -637,8 +640,7 @@ def test_tracking_error_is_taken_to_the_closer_image_of_the_reference():
         t_rate.append(max(np.linalg.norm(v - im[1]) for v, im in zip(rate, closer)))
     assert log.tracking_error[0] < 0.8  # 1.71 to the reference as written
     np.testing.assert_allclose(log.tracking_error, t_err, rtol=1e-15, atol=0.0)
-    out = metrics(log)
-    np.testing.assert_allclose(out["series"]["tracking_rate"], t_rate, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(log.tracking_rate, t_rate, rtol=1e-15, atol=0.0)
 
 
 def test_metrics_summary_consistent_with_log():
@@ -653,14 +655,16 @@ def test_metrics_summary_consistent_with_log():
     assert out["lyapunov_final"] == log.lyapunov[-1]
     assert out["torque_max"] == np.linalg.norm(log.torque, axis=2).max()
     assert out["theta_hat_norm_max"] == np.linalg.norm(log.theta_hat, axis=2).max()
-    assert "tracking_error_final" not in out
-    assert np.array_equal(out["series"]["disagreement"], log.disagreement)
+    assert "tracking_error_final" not in out and log.tracking_rate is None
     sigma_dot = mrp_rate(log.sigma, log.omega)
     d_rate = [max(np.linalg.norm(a - b) for a in v for b in v) for v in sigma_dot]
-    assert np.allclose(out["series"]["disagreement_rate"], d_rate, rtol=1e-14, atol=0.0)
-    assert out["disagreement_rate_final"] == out["series"]["disagreement_rate"][-1]
+    assert np.allclose(log.disagreement_rate, d_rate, rtol=1e-14, atol=0.0)
+    assert out["disagreement_rate_final"] == log.disagreement_rate[-1]
 
     tlog = Simulation(chain_scenario(duration=1.0)).run()
     tout = metrics(tlog)
     assert tout["tracking_error_final"] == tlog.tracking_error[-1]
+    assert tout["tracking_rate_final"] == tlog.tracking_rate[-1]
     assert np.isfinite(tout["tracking_rate_final"])
+    for m in (out, tout):  # finals only: every value is a scalar
+        assert all(np.isscalar(v) for v in m.values())
