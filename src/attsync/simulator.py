@@ -34,14 +34,14 @@ same public control law used for a single craft, `controller_outputs`,
 called once per right-hand-side evaluation with the aggregates as plain
 arrays; there is no separate batched formula path.
 
-Each neighborhood average is an edge sum.  One table of source states (the
-leader is row N in tracking mode) is gathered along the edges of the
-normalized weights; under shadow_switch each edge carries its source's image
-closer to the receiving craft (`_closer_image`); one segmented sum over the
-receiver-grouped edges gives every average.  Every receiver has an edge, so
-no segment is empty.  The tracking error T and the tracking rate are taken to
-the reference's closer image by the same rule, so neither depends on the
-chart the reference is written in.
+Each neighborhood average is an edge sum along the topology's edge list, each
+edge weighted by its share of the receiver's in-weight.  A table of source
+states (the leader is row N in tracking mode) is gathered per edge; under
+shadow_switch each edge carries its source's image closer to the receiving
+craft (`_closer_image`); one segmented sum over the receiver-grouped edges
+gives every average.  A valid scenario gives every receiver an edge, so no
+segment is empty.  T and the tracking rate are taken to the reference's
+closer image by the same rule, so neither depends on its chart.
 
 The log holds every series of a run, each written once from the loop's own
 evaluation at the recorded state; `metrics` only reduces it to scalar finals.
@@ -74,7 +74,7 @@ from .rigid_body import (
     mrp_acceleration,
     mrp_rate,
 )
-from .topology import CommTopology, aggregate_weights, graph_checks, has_directed_cycle
+from .topology import CommTopology, graph_checks, has_directed_cycle
 
 MODES = ("leaderless", "tracking")
 ACCEL_SOURCES = ("smoothed", "held")
@@ -276,11 +276,14 @@ class Simulation:
             np.stack([c.gains.Gamma for c in craft]),
         )
         self.tracking = scenario.mode == "tracking"
-        # edges j -> i by receiver (row-major), the leader (source N) last; Scenario
-        # gives each receiver one: an empty reduceat segment would read the next's
-        w = aggregate_weights(scenario.topology, with_leader=self.tracking)
-        self._dst, self._src = np.nonzero(w)
-        self._w = w[self._dst, self._src][:, None]
+        # the topology's edges j -> i by receiver, the leader (source N) last and only
+        # when tracking; Scenario gives each receiver one: no reduceat segment is empty
+        topo = scenario.topology
+        dst, src, w = topo.edges
+        keep = src < self.n + self.tracking
+        den = topo.adjacency.sum(axis=1) + (topo.leader_weights if self.tracking else 0.0)
+        self._dst, self._src = dst[keep], src[keep]
+        self._w = (w[keep] / den[self._dst])[:, None]
         self._starts = np.flatnonzero(np.diff(self._dst, prepend=-1))  # first edges
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"
@@ -442,7 +445,10 @@ class Simulation:
                       disagreement_rate=())
         if self.tracking:
             shapes.update(tracking_error=(), tracking_rate=())
-        out = {k: np.empty((len(self.scenarios), n_rec) + v) for k, v in shapes.items()}
+        try:
+            out = {k: np.empty((len(self.scenarios), n_rec) + v) for k, v in shapes.items()}
+        except (ValueError, MemoryError) as exc:  # past numpy's maximum dimension, or RAM
+            raise ConfigError("a log of %.6g records cannot be allocated (%s)" % (n_rec, exc))
         logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
                 for b, sc in enumerate(self.scenarios)]
         healthy = np.ones((len(logs), 1), dtype=bool)

@@ -3,19 +3,24 @@
 Edge convention: adjacency[i, j] > 0 means spacecraft i receives the state
 of spacecraft j (an edge from j to i, with weight a_ij).  Self-loops are
 disallowed.  In tracking mode an extra nonnegative weight vector b couples
-some spacecraft to a virtual leader broadcasting the reference attitude.
+some spacecraft to a virtual leader, node n, broadcasting the reference.
 
-Validity conditions used by the two control modes:
+`CommTopology.edges` keeps the graph once: (receiver, source, weight) of each
+edge in the row-major order of [A | b], by receiver, sources ascending, the
+leader last.  The simulator sums along it; each check below is O(n + E):
 
-* leaderless: every node has at least one in-neighbor and the graph
-  contains a directed spanning tree;
-* leader-rooted: in the graph augmented with the leader node, the leader
-  reaches every spacecraft through directed edges.
+* leaderless: every node has an in-neighbor and a directed spanning tree
+  exists.  In a sweep of traversals from each still unvisited craft, the one
+  that visits a tree root reaches all that is left, so it is the last, and
+  its root reaches that tree root: one more traversal from it decides;
+* leader-rooted: one traversal from node n reaches every spacecraft;
+* acyclic craft graph (the "held" source): a Kahn peel, repeatedly removing
+  craft with no remaining in-edge from a craft, removes them all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +33,12 @@ class CommTopology:
 
     adjacency : (n, n) nonnegative, zero diagonal.
     leader_weights : (n,) nonnegative, or None in leaderless scenarios.
+    edges : derived (receiver, source, weight) arrays, see the module docstring.
     """
 
     adjacency: np.ndarray
     leader_weights: np.ndarray | None = None
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.adjacency, dtype=float)
@@ -53,6 +60,11 @@ class CommTopology:
                 raise ValueError("leader_weights must be finite and nonnegative")
             b.flags.writeable = False
             object.__setattr__(self, "leader_weights", b)
+        full = a if self.leader_weights is None else np.column_stack([a, self.leader_weights])
+        dst, src = np.nonzero(full)
+        object.__setattr__(self, "edges", (dst, src, full[dst, src]))
+        for x in self.edges:
+            x.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -69,49 +81,56 @@ def laplacian(topo: CommTopology) -> np.ndarray:
     return degree_matrix(topo) - topo.adjacency
 
 
-def _reach_from(received_from: np.ndarray, roots) -> np.ndarray:
-    """Boolean mask of nodes reachable from `roots` following directed edges.
+def _out_edges(topo: CommTopology):
+    """(starts, receivers): node j's edges lead to receivers[starts[j]:starts[j + 1]]."""
+    dst, src, _ = topo.edges
+    order = np.argsort(src, kind="stable")
+    return np.searchsorted(src[order], np.arange(topo.n + 2)), dst[order]
 
-    ``received_from[i, j]`` true means the edge j -> i exists, so from node
-    j one reaches every i with a true entry in column j.
-    """
-    n = received_from.shape[0]
-    seen = np.zeros(n, dtype=bool)
+
+def _reach_from(graph, roots, seen) -> np.ndarray:
+    """Flag in `seen` every node reachable from the unseen `roots`, each expanded once."""
+    starts, receivers = graph
     stack = list(roots)
-    seen[list(roots)] = True
+    seen[stack] = True
     while stack:
         j = stack.pop()
-        for i in np.nonzero(received_from[:, j])[0]:
-            if not seen[i]:
-                seen[i] = True
-                stack.append(i)
+        nxt = receivers[starts[j]:starts[j + 1]]
+        nxt = nxt[~seen[nxt]]
+        seen[nxt] = True
+        stack.extend(nxt.tolist())
     return seen
 
 
 def has_directed_spanning_tree(topo: CommTopology) -> bool:
-    """True if some node reaches every other node along directed edges."""
-    mask = topo.adjacency > 0.0
-    return any(_reach_from(mask, [r]).all() for r in range(topo.n))
+    """True if some craft reaches every other craft along directed edges."""
+    graph, n = _out_edges(topo), topo.n
+    seen, root = np.zeros(n + 1, dtype=bool), None
+    for r in range(n):  # a sweep: each craft is expanded by one traversal only
+        if not seen[r]:
+            root = r
+            _reach_from(graph, [r], seen)
+    return root is not None and bool(_reach_from(graph, [root], np.zeros(n + 1, bool))[:n].all())
 
 
 def has_directed_cycle(topo: CommTopology) -> bool:
     """True if some craft's state can travel back to it along directed edges."""
-    mask = topo.adjacency > 0.0
-    return any(_reach_from(mask, np.nonzero(mask[:, j])[0])[j] for j in range(topo.n))
+    (starts, receivers), (dst, src, _) = _out_edges(topo), topo.edges
+    indeg = np.bincount(dst[src < topo.n], minlength=topo.n)  # from craft only
+    ready, left = np.flatnonzero(indeg == 0).tolist(), topo.n
+    while ready:  # Kahn: peel craft with no remaining in-edge
+        j, left = ready.pop(), left - 1
+        nxt = receivers[starts[j]:starts[j + 1]]
+        indeg[nxt] -= 1
+        ready.extend(nxt[indeg[nxt] == 0].tolist())
+    return left > 0
 
 
 def leader_reachable(topo: CommTopology) -> np.ndarray:
-    """Boolean mask of spacecraft the virtual leader reaches.
-
-    A craft is reachable if it holds a leader edge (b_i > 0) or lies
-    downstream of one through directed inter-craft edges.
-    """
+    """Boolean mask of spacecraft the virtual leader reaches along directed edges."""
     if topo.leader_weights is None:
         raise ConfigError("leader reachability requires leader weights")
-    roots = np.nonzero(topo.leader_weights > 0.0)[0]
-    if roots.size == 0:
-        return np.zeros(topo.n, dtype=bool)
-    return _reach_from(topo.adjacency > 0.0, roots)
+    return _reach_from(_out_edges(topo), [topo.n], np.zeros(topo.n + 1, bool))[:topo.n]
 
 
 def graph_checks(topo: CommTopology, mode: str) -> list:
@@ -147,36 +166,11 @@ def leader_rooted_valid(topo: CommTopology) -> bool:
     return all(ok for ok, _ in graph_checks(topo, "tracking"))
 
 
-def neighborhood_aggregate(topo: CommTopology, i: int, values, leader_value=None):
-    """Convex neighborhood average of per-spacecraft vectors at node i.
-
-    values : sequence of n vectors (or an (n, d) array).
-    leader_value : optional leader vector; when given, the leader weight
-        b_i joins both the numerator and the denominator.
-
-    Raises ConfigError when node i has a zero denominator (no in-neighbors
-    and, if applicable, no leader edge); the message counts nodes from 1.
-    """
-    values = np.asarray(values, dtype=float)
-    row = topo.adjacency[i]
-    den = row.sum()
-    num = row @ values
-    if leader_value is not None:
-        if topo.leader_weights is None:
-            raise ConfigError("leader_value given but topology has no leader weights")
-        b_i = topo.leader_weights[i]
-        den = den + b_i
-        num = num + b_i * np.asarray(leader_value, dtype=float)
-    if den == 0.0:
-        raise ConfigError("node %d has no in-neighbors to aggregate over" % (i + 1))
-    return num / den
-
-
 def aggregate_weights(topo: CommTopology, with_leader: bool = False):
-    """Row-normalized weights W of the fleet-wide aggregate: A / den row-wise, N x N,
-    or with the leader N x (N+1), b / den as its last column (den_i is the full
-    denominator).  W @ values, the leader's value appended as source N+1,
-    matches `neighborhood_aggregate` node by node.  A node with a zero
+    """Row-normalized weights W, the dense reference of the simulator's edge sum:
+    A / den row-wise, N x N, or with the leader N x (N+1), b / den as its last
+    column (den_i is the full denominator); row i of W @ values, the leader's
+    value appended, is craft i's neighborhood average.  A node with a zero
     denominator raises ConfigError naming it from 1.
     """
     num, den = topo.adjacency, topo.adjacency.sum(axis=1)

@@ -140,6 +140,17 @@ def test_partial_step_duration_exits_2(tmp_path, capsys):
     assert err.startswith("config error: ") and "step count" in err
 
 
+@pytest.mark.parametrize("duration, count", [("1e300", "2e+301"), ("1e12", "2e+13")])
+def test_unallocatable_log_exits_2_naming_the_record_count(tmp_path, capsys,
+                                                           duration, count):
+    # past numpy's maximum dimension, or 146 TiB: refused before the first step
+    assert main(["run", "--preset", "paper-leaderless", "--duration", duration,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a log of %s records " % count)
+    assert err.count("\n") == 1
+
+
 def test_divergence_exits_3(tmp_path, capsys):
     # a step far past the stability limit of RK4 blows up within a few steps
     path = write_config(tmp_path, dt=0.5, duration=5.0)

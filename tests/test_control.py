@@ -20,7 +20,7 @@ from attsync.rigid_body import (
     regression,
 )
 from attsync.simulator import Simulation
-from attsync.topology import CommTopology
+from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import FLEET_J, attitudes, single_craft_scenario
 
 RNG = np.random.default_rng(5)
@@ -158,11 +158,9 @@ def test_sync_error_vanishes_at_consensus():
     common = RNG.normal(size=3)
     fleet = np.tile(common, (4, 1))
     adj = 1.0 - np.eye(4)
-    topo = CommTopology(adj)
-    from attsync.topology import neighborhood_aggregate
-
+    w = aggregate_weights(CommTopology(adj))
     for i in range(4):
-        agg = neighborhood_aggregate(topo, i, fleet)
+        agg = w[i] @ fleet
         e, _ = sync_error(fleet[i], np.zeros(3), agg, np.zeros(3))
         assert np.abs(e).max() <= 1e-15
 

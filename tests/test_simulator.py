@@ -1,6 +1,7 @@
 """Closed-loop fleet integration: stepping, logging, metrics, divergence."""
 import dataclasses
 import warnings
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from attsync import simulator
 from attsync.attmath import mrp_shadow
+from attsync.config import preset
 from attsync.control import GainSet, ReferenceTrajectory, controller_outputs
 from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import InertiaParams, SpacecraftState, mrp_rate
@@ -19,7 +21,7 @@ from attsync.simulator import (
     metrics,
     random_initial_states,
 )
-from attsync.topology import CommTopology, aggregate_weights, neighborhood_aggregate
+from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import FLEET_J, pair_scenario, single_craft_scenario
 
 
@@ -116,6 +118,32 @@ def test_held_source_rejects_a_cyclic_craft_graph(mode):
     # nor can the hold follow a shadow flip: it has no generator state to map
     with pytest.raises(ConfigError, match="shadow_switch needs accel_source 'smoothed'"):
         chain_scenario(shadow_switch=True)
+
+
+def test_held_scenario_on_a_long_chain_validates_in_linear_time():
+    # leader -> 1 -> 2 -> ... -> 1000: the cycle check peels one craft at a
+    # time, and the leader's one traversal walks the whole chain
+    n = 1000
+    topo = CommTopology(np.diag(np.ones(n - 1), -1), leader_weights=np.eye(n)[0])
+    craft = chain_scenario().spacecraft[0]
+    start = perf_counter()
+    sc = Scenario(spacecraft=(craft,) * n, topology=topo, mode="tracking",
+                  reference=ReferenceTrajectory.constant([0.1, 0.0, -0.1]),
+                  accel_source="held")
+    assert perf_counter() - start < 1.0
+    assert sc.n == n
+
+
+@pytest.mark.parametrize("name", ["paper-leaderless", "paper-tracking"])
+def test_edge_weights_are_the_dense_weights_bit_for_bit(name):
+    # the simulator's edges are the nonzeros of the dense reference weights,
+    # in its row-major order, with the very same values
+    sc = preset(name).to_scenario()
+    sim = Simulation(sc)
+    w = aggregate_weights(sc.topology, with_leader=sim.tracking)
+    dst, src = np.nonzero(w)
+    assert np.array_equal(sim._dst, dst) and np.array_equal(sim._src, src)
+    assert np.array_equal(sim._w[:, 0], w[dst, src])
 
 
 def test_duration_must_be_a_whole_number_of_steps():
@@ -482,6 +510,7 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
                               reference=ref, accel_source=accel_source,
                               shadow_switch=shadow_switch))
     sr, srd, srdd = ref.at(t) if leader else (None, None, None)
+    weights = aggregate_weights(topo, with_leader=leader)  # the leader's value last
     with np.errstate(all="ignore"):  # a zero attitude has no finite shadow
         got = sim._aggregates(t, sigma, sigma_dot, held_sdd if held else None)
 
@@ -502,10 +531,15 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
 
                 imgs = [image(sigma[b][j], sigma_dot[b][j]) for j in range(n)]
                 lead, lead_dot = image(sr, srd)
-                want = [neighborhood_aggregate(topo, i, [x for x, _ in imgs], lead),
-                        neighborhood_aggregate(topo, i, [v for _, v in imgs], lead_dot)]
+
+                def average(values, leader_value):
+                    sources = list(values) + ([leader_value] if leader else [])
+                    return weights[i] @ np.vstack(sources)
+
+                want = [average([x for x, _ in imgs], lead),
+                        average([v for _, v in imgs], lead_dot)]
                 if held:
-                    want.append(neighborhood_aggregate(topo, i, held_sdd[b], srdd))
+                    want.append(average(held_sdd[b], srdd))
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(
                         g[b][i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))

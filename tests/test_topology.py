@@ -1,5 +1,6 @@
 """Directed communication graphs: validity checks, Laplacian, aggregation."""
 import itertools
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from attsync.topology import (
     CommTopology,
     aggregate_weights,
     degree_matrix,
+    graph_checks,
     has_directed_cycle,
     has_directed_spanning_tree,
     laplacian,
     leader_reachable,
     leader_rooted_valid,
     leaderless_valid,
-    neighborhood_aggregate,
 )
 from tests.conftest import FLEET_ADJ, FLEET_LEADER_B, digraphs
 
@@ -192,37 +193,72 @@ def test_leader_rooted_validity():
         leader_reachable(CommTopology(FLEET_ADJ.copy()))
 
 
+@given(digraphs(leader=True))
+def test_leader_reach_matches_matrix_reach(topo):
+    # the leader is node n of the augmented matrix; aug[i, j] > 0 is j -> i
+    n = topo.n
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n] = topo.adjacency, topo.leader_weights
+    reached = np.eye(n + 1, dtype=bool)[n]
+    for _ in range(n):  # a shortest path has at most n edges
+        reached = reached | ((aug > 0.0) @ reached)
+    assert np.array_equal(leader_reachable(topo), reached[:n])
+
+
+@given(digraphs(leader=True))
+def test_edge_list_is_the_row_major_order_of_a_and_b(topo):
+    full = np.column_stack([topo.adjacency, topo.leader_weights])
+    dst, src = np.nonzero(full)
+    got = topo.edges
+    for have, want in zip(got, (dst, src, full[dst, src])):
+        assert np.array_equal(have, want) and have.dtype == want.dtype
+        assert not have.flags.writeable
+    leaderless = CommTopology(topo.adjacency)
+    assert np.array_equal(leaderless.edges[1], src[src < topo.n])
+
+
+def test_leaderless_check_is_linear_on_a_late_root_graph():
+    # craft i hears craft i + 1 and the last two hear each other: only those
+    # two reach every craft, so trying roots in index order costs O(n^2)
+    # traversals; the mother-vertex sweep costs two
+    n = 2000
+    adj = np.zeros((n, n))
+    adj[np.arange(n - 1), np.arange(1, n)] = 1.0
+    adj[n - 1, n - 2] = 1.0
+    topo = CommTopology(adj)
+    start = perf_counter()
+    checks = graph_checks(topo, "leaderless")
+    assert perf_counter() - start < 1.0
+    assert checks == [(True, "directed spanning tree exists")]
+
+
 def test_neighborhood_aggregate_fleet_examples():
     topo = CommTopology(FLEET_ADJ.copy(), leader_weights=FLEET_LEADER_B.copy())
     values = RNG.normal(size=(6, 3))
+    w = aggregate_weights(topo)
     # craft 2 hears only craft 1: aggregate is craft 1's value verbatim
-    assert np.array_equal(neighborhood_aggregate(topo, 1, values), values[0])
+    assert np.array_equal(w[1] @ values, values[0])
     # craft 1 hears crafts 4, 5, 6 with unit weights
     want = (values[3] + values[4] + values[5]) / 3.0
-    assert np.allclose(neighborhood_aggregate(topo, 0, values), want, atol=1e-15)
+    assert np.allclose(w[0] @ values, want, atol=1e-15)
     # with the leader edge, the reference joins the average
     ref = RNG.normal(size=3)
     want = (values[3] + values[4] + values[5] + ref) / 4.0
-    got = neighborhood_aggregate(topo, 0, values, leader_value=ref)
+    got = aggregate_weights(topo, with_leader=True)[0] @ np.vstack([values, ref])
     assert np.allclose(got, want, atol=1e-15)
 
 
 def test_neighborhood_aggregate_errors():
-    topo = CommTopology(np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        neighborhood_aggregate(topo, 0, np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match="^node 1 has no in-neighbors"):
+        aggregate_weights(CommTopology(np.zeros((2, 2))))
     # craft numbers are 1-based, as in graph_checks: index 1 is node 2
     starved = CommTopology(np.array([[0.0, 1.0], [0.0, 0.0]]), leader_weights=np.zeros(2))
-    with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
-        neighborhood_aggregate(starved, 1, np.zeros((2, 3)))
     with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
         aggregate_weights(starved)
     with pytest.raises(ConfigError, match="^node 2 has no in-neighbors"):
         aggregate_weights(starved, with_leader=True)
-    with pytest.raises(ConfigError):
-        neighborhood_aggregate(
-            CommTopology(FLEET_ADJ.copy()), 0, np.zeros((6, 3)), leader_value=np.zeros(3)
-        )
+    with pytest.raises(ConfigError, match="no leader weights"):
+        aggregate_weights(CommTopology(FLEET_ADJ.copy()), with_leader=True)
 
 
 @given(st.data())
@@ -231,20 +267,19 @@ def test_neighborhood_aggregate_convex_hull(data):
     topo = data.draw(digraphs(leader))
     vectors = arrays(float, (topo.n + 1, 3),
                      elements=st.floats(-1e3, 1e3, allow_subnormal=False))
-    values, lead = np.split(data.draw(vectors), [topo.n])
-    lead = lead[0] if leader else None
+    sources = data.draw(vectors)[:topo.n + leader]  # the leader's value last
+    heard = np.column_stack([topo.adjacency, topo.leader_weights]) if leader else topo.adjacency
+    starved = np.flatnonzero(~(heard > 0.0).any(axis=1))
+    if starved.size:  # the first craft that hears nobody is named, from 1
+        with pytest.raises(ConfigError, match="^node %d has no" % (starved[0] + 1)):
+            aggregate_weights(topo, with_leader=leader)
+        return
+    agg = aggregate_weights(topo, with_leader=leader) @ sources
     for i in range(topo.n):
-        used = values[topo.adjacency[i] > 0.0]
-        if leader and topo.leader_weights[i] > 0.0:
-            used = np.vstack([used, lead])
-        if not len(used):
-            with pytest.raises(ConfigError):
-                neighborhood_aggregate(topo, i, values, lead)
-            continue
-        agg = neighborhood_aggregate(topo, i, values, lead)
+        used = sources[heard[i] > 0.0]
         tol = 1e-14 * np.abs(used).max()
-        assert np.all(agg >= used.min(axis=0) - tol)
-        assert np.all(agg <= used.max(axis=0) + tol)
+        assert np.all(agg[i] >= used.min(axis=0) - tol)
+        assert np.all(agg[i] <= used.max(axis=0) + tol)
 
 
 def test_aggregate_weights_rows_normalized():
@@ -260,24 +295,22 @@ def test_aggregate_weights_rows_normalized():
 
 
 def test_aggregate_weights_match_per_node():
+    # each row is the receiver's weighted mean of what it hears, leader last
     topo = CommTopology(FLEET_ADJ.copy(), leader_weights=FLEET_LEADER_B.copy())
     values = RNG.normal(size=(6, 3))
     leader = RNG.normal(size=3)
-    w = aggregate_weights(topo, with_leader=True)
-    for i in range(6):
-        got = neighborhood_aggregate(topo, i, values, leader_value=leader)
-        want = w[i] @ np.vstack([values, leader])
-        assert np.allclose(got, want, atol=1e-14)
+    got = aggregate_weights(topo, with_leader=True) @ np.vstack([values, leader])
+    want = [(values[3] + values[4] + values[5] + leader) / 4.0, values[0],
+            (values[0] + values[1]) / 2.0, values[0], values[3], values[4]]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 def test_stacked_error_identity():
     # e_i = sigma_i - (neighborhood average) stacks to (I - D^-1 A) sigma,
-    # i.e. blockwise D^-1 L sigma, matching the per-node computation.
+    # i.e. blockwise D^-1 L sigma, matching the row-by-row computation.
     topo = CommTopology(FLEET_ADJ.copy())
     sigma = RNG.normal(size=(6, 3))
     d_inv = np.linalg.inv(degree_matrix(topo))
     stacked = np.kron(d_inv @ laplacian(topo), np.eye(3)) @ sigma.reshape(-1)
-    per_node = np.stack(
-        [sigma[i] - neighborhood_aggregate(topo, i, sigma) for i in range(6)]
-    )
+    per_node = sigma - aggregate_weights(topo) @ sigma
     assert np.abs(stacked - per_node.reshape(-1)).max() <= 1e-12
