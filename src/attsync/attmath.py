@@ -10,10 +10,36 @@ Conventions fixed across the package:
 
 * ``sigma = e_hat * tan(phi / 4)`` for Euler axis ``e_hat`` and angle
   ``phi``; the parameterization is singular at ``phi = +/- 2*pi``.
-* Inertia packing order ``theta = [J11, J12, J13, J22, J23, J33]``.
+* Inertia packing order ``theta = [J11, J12, J13, J22, J23, J33]``, stated
+  once as the index pair ``_ROW, _COL``: entry k of theta is
+  ``J[_ROW[k], _COL[k]]``.
+
+Every structured matrix (S, L, F and J(theta)) is one product of its
+input with a constant table of 0/+-1 entries, built at import from the
+packing order and the Levi-Civita symbol.  Each output entry sums at most
+two nonzero terms, each an input entry (for F, a product of two) times
++-1, so its value does not depend on the order the product sums in.
 """
 
 import numpy as np
+
+_ROW, _COL = (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)
+
+# Levi-Civita symbol eps[i, j, k]: +1 / -1 on even / odd permutations of
+# (0, 1, 2), 0 on a repeated index
+_i, _j, _k = np.ogrid[:3, :3, :3]
+_EPS = (_i - _j) * (_j - _k) * (_k - _i) / 2.0
+
+# _JK[p] is dJ / dtheta_p: a 1 at (_ROW[p], _COL[p]) and at its mirror
+_JK = np.zeros((6, 3, 3))
+_JK[range(6), _ROW, _COL] = _JK[range(6), _COL, _ROW] = 1.0
+
+# flattened (input entries, output entries) tables of the kernels below
+_SKEW = np.einsum("ikj->kij", _EPS).reshape(3, 9)        # S(x)_ij = eps_ikj x_k
+_J = _JK.reshape(6, 9)                                   # J(theta) = theta @ _J
+_L = np.einsum("pik->kip", _JK).reshape(3, 18)           # (J a)_i = J_ik a_k
+# S(J x) v = -S(v) J x: entry i is eps_ijm v_m J_jk x_k, linear in v_m x_k
+_F = np.einsum("ijm,pjk->mkip", _EPS, _JK).reshape(9, 18)
 
 
 def mat_vec(m, v):
@@ -37,15 +63,7 @@ def skew(x):
         Skew-symmetric; S(x) @ x == 0.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (3, 3))
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    out[..., 0, 1] = -x3
-    out[..., 0, 2] = x2
-    out[..., 1, 0] = x3
-    out[..., 1, 2] = -x1
-    out[..., 2, 0] = -x2
-    out[..., 2, 1] = x1
-    return out
+    return (x @ _SKEW).reshape(x.shape[:-1] + (3, 3))
 
 
 def kinematics_matrix(sigma):
@@ -121,18 +139,7 @@ def l_operator(a):
     ndarray, shape (..., 3, 6)
     """
     a = np.asarray(a, dtype=float)
-    out = np.zeros(a.shape[:-1] + (3, 6))
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    out[..., 0, 0] = a1
-    out[..., 0, 1] = a2
-    out[..., 0, 2] = a3
-    out[..., 1, 1] = a1
-    out[..., 1, 3] = a2
-    out[..., 1, 4] = a3
-    out[..., 2, 2] = a1
-    out[..., 2, 4] = a2
-    out[..., 2, 5] = a3
-    return out
+    return (a @ _L).reshape(a.shape[:-1] + (3, 6))
 
 
 def f_operator(x, v):
@@ -151,25 +158,9 @@ def f_operator(x, v):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    out = np.zeros(np.broadcast(x1, v1).shape + (3, 6))
-    out[..., 0, 1] = x1 * v3
-    out[..., 0, 2] = -x1 * v2
-    out[..., 0, 3] = x2 * v3
-    out[..., 0, 4] = -x2 * v2 + x3 * v3
-    out[..., 0, 5] = -x3 * v2
-    out[..., 1, 0] = -x1 * v3
-    out[..., 1, 1] = -x2 * v3
-    out[..., 1, 2] = x1 * v1 - x3 * v3
-    out[..., 1, 4] = x2 * v1
-    out[..., 1, 5] = x3 * v1
-    out[..., 2, 0] = x1 * v2
-    out[..., 2, 1] = -x1 * v1 + x2 * v2
-    out[..., 2, 2] = x3 * v2
-    out[..., 2, 3] = -x2 * v1
-    out[..., 2, 4] = -x3 * v1
-    return out
+    outer = v[..., :, None] * x[..., None, :]  # v_m x_k at [..., m, k]
+    lead = outer.shape[:-2]
+    return (outer.reshape(lead + (9,)) @ _F).reshape(lead + (3, 6))
 
 
 def theta_from_inertia(j):
@@ -180,24 +171,24 @@ def theta_from_inertia(j):
     j = np.asarray(j, dtype=float)
     if np.max(np.abs(j - np.swapaxes(j, -1, -2))) > 1e-12:
         raise ValueError("inertia matrix is not symmetric")
-    return np.stack(
-        [j[..., 0, 0], j[..., 0, 1], j[..., 0, 2],
-         j[..., 1, 1], j[..., 1, 2], j[..., 2, 2]],
-        axis=-1,
-    )
+    return j[..., _ROW, _COL]
 
 
 def inertia_from_theta(theta):
     """Inverse of `theta_from_inertia`; always returns a symmetric matrix."""
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape[:-1] + (3, 3))
-    out[..., 0, 0] = theta[..., 0]
-    out[..., 0, 1] = out[..., 1, 0] = theta[..., 1]
-    out[..., 0, 2] = out[..., 2, 0] = theta[..., 2]
-    out[..., 1, 1] = theta[..., 3]
-    out[..., 1, 2] = out[..., 2, 1] = theta[..., 4]
-    out[..., 2, 2] = theta[..., 5]
-    return out
+    return (theta @ _J).reshape(theta.shape[:-1] + (3, 3))
+
+
+def spd_check(m, name):
+    """Raise ValueError unless each (..., n, n) matrix in `m` is symmetric
+    (to 1e-9) and positive definite (its Cholesky factorization exists)."""
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-9:
+        raise ValueError("%s must be symmetric" % name)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError("%s must be positive definite" % name) from None
 
 
 def mrp_from_axis_angle(axis, angle):

@@ -25,7 +25,8 @@ wall_clock_s is the whole sweep's integration wall, never a share of it.
 
 Exit status: 0 on success, 1 on a failed validity or convergence check,
 2 on config errors (--seed with --seeds, say) or an unusable path, found before
-integrating, 3 when a trajectory diverges (the maximum over seeds).
+integrating, 3 when a trajectory diverges (the maximum over seeds).  A run
+refused with exit 2 leaves behind no directory that it created.
 """
 
 from __future__ import annotations
@@ -146,6 +147,18 @@ def _write_summary(out_dir, summary) -> None:
         fh.write("\n")
 
 
+def _make_dirs(path) -> list:
+    """`os.makedirs(path, exist_ok=True)`; returns the directories it created,
+    outermost first."""
+    missing = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return missing[::-1]
+
+
 def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol) -> int:
     """Write one run's files from its log or from the divergence that stopped it."""
     summary = {"config": cfg.doc, "step_count": scenario.n_steps}
@@ -188,10 +201,16 @@ def cmd_run(args) -> int:
         runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))
                 for s in _parse_seeds(args.seeds)]
     scenarios = [c.to_scenario() for c, _ in runs]
-    for _, out_dir in runs:  # an unusable path fails before the integration
-        os.makedirs(out_dir, exist_ok=True)
+    created = []  # an unusable path fails before the integration
+    for _, out_dir in runs:
+        created += _make_dirs(out_dir)
     t0 = time.perf_counter()
-    results = Simulation(scenarios).run(decimate=cfg.decimate)
+    try:
+        results = Simulation(scenarios).run(decimate=cfg.decimate)
+    except ConfigError:  # refused before the first step: leave no empty directory
+        for path in reversed(created):
+            os.rmdir(path)
+        raise
     wall = time.perf_counter() - t0  # every seed reports the whole integration
     status = 0
     for (c, out_dir), scenario, result in zip(runs, scenarios, results):

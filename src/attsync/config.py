@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .attmath import inertia_from_theta
 from .control import GainSet, ReferenceTrajectory
 from .errors import ConfigError
 from .rigid_body import InertiaParams, SpacecraftState
@@ -176,7 +177,8 @@ def _parse_craft(entry, path):
         if has_inertia:
             inertia = InertiaParams(_matrix(entry["inertia"], 3, 3, path + ".inertia"))
         else:
-            inertia = InertiaParams.from_theta(_vector(entry["theta"], 6, path + ".theta"))
+            inertia = InertiaParams(inertia_from_theta(
+                _vector(entry["theta"], 6, path + ".theta")))
     initial = entry.get("initial", "random")
     if initial == "random":
         state = None

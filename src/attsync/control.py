@@ -26,17 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attmath import kinematics_matrix, mat_vec
+from .attmath import kinematics_matrix, mat_vec, spd_check
 from .rigid_body import regression
-
-
-def _spd_check(m, name):
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-9:
-        raise ValueError("%s must be symmetric" % name)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("%s must be positive definite" % name) from None
 
 
 @dataclass(frozen=True)
@@ -60,8 +51,8 @@ class GainSet:
             raise ValueError("Lambda and K must be 3x3 (or stacks of 3x3)")
         if gam.shape[-2:] != (6, 6):
             raise ValueError("Gamma must be 6x6 (or a stack of 6x6)")
-        _spd_check(lam, "Lambda")
-        _spd_check(k, "K")
+        spd_check(lam, "Lambda")
+        spd_check(k, "K")
         diag = np.diagonal(gam, axis1=-2, axis2=-1)
         off = gam - diag[..., None] * np.eye(6)
         if np.any(off != 0.0):

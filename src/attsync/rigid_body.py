@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attmath import (
-    inertia_from_theta,
     kinematics_matrix,
     kinematics_matrix_dot,
     kinematics_matrix_inverse,
@@ -30,6 +29,7 @@ from .attmath import (
     l_operator,
     mat_vec,
     skew,
+    spd_check,
     theta_from_inertia,
 )
 
@@ -38,9 +38,8 @@ from .attmath import (
 class InertiaParams:
     """Inertia matrix of one spacecraft plus its packed 6-vector.
 
-    The matrix must be symmetric (to 1e-12) and positive definite; both are
-    checked at construction, positive definiteness through the three leading
-    principal minors.
+    The matrix must be finite, symmetric (to 1e-12) and positive definite;
+    all three are checked at construction.
     """
 
     matrix: np.ndarray
@@ -52,28 +51,12 @@ class InertiaParams:
             raise ValueError("inertia matrix must be 3x3")
         if not np.all(np.isfinite(j)):
             raise ValueError("inertia matrix must be finite")
-        minors = (
-            j[0, 0],
-            j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0],
-            np.linalg.det(j),
-        )
-        if min(minors) <= 0.0:
-            raise ValueError(
-                "inertia matrix is not positive definite "
-                "(leading principal minors %r)" % (tuple(float(m) for m in minors),)
-            )
         theta = theta_from_inertia(j)  # also enforces symmetry
+        spd_check(j, "inertia matrix")
         j.flags.writeable = False
         theta.flags.writeable = False
         object.__setattr__(self, "matrix", j)
         object.__setattr__(self, "theta", theta)
-
-    @classmethod
-    def from_theta(cls, theta) -> "InertiaParams":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (6,):
-            raise ValueError("theta must be a 6-vector")
-        return cls(inertia_from_theta(theta))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Attitude math: kinematics matrix, operators, parameter packing."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from attsync.attmath import (
     f_operator,
@@ -16,21 +17,17 @@ from attsync.attmath import (
     skew,
     theta_from_inertia,
 )
-from tests.conftest import attitudes, directions
+from attsync.rigid_body import InertiaParams
+from tests.conftest import attitudes, directions, inertias, rates
 
 RNG = np.random.default_rng(42)
+norm = np.linalg.norm
 
 
-def random_spd(rng, n=3, scale=1.0):
-    a = rng.normal(size=(n, n))
-    return scale * (a @ a.T + n * np.eye(n))
-
-
-def test_skew_is_cross_product():
-    for _ in range(50):
-        x, y = RNG.normal(size=(2, 3))
-        assert np.allclose(skew(x) @ y, np.cross(x, y), atol=1e-14)
-        assert np.allclose(skew(x), -skew(x).T)
+@given(attitudes, rates)
+def test_skew_is_cross_product(x, y):
+    assert np.abs(skew(x) @ y - np.cross(x, y)).max() <= 1e-15 * norm(x) * norm(y)
+    assert np.array_equal(skew(x), -skew(x).T)
 
 
 def test_skew_stacks():
@@ -79,30 +76,112 @@ def test_kinematics_matrix_dot_matches_differences():
         assert np.allclose(kinematics_matrix_dot(sigma, sigma_dot), fd, atol=1e-6)
 
 
-def test_l_operator_factors_inertia():
-    j4 = np.array([[1.2, 0.3, 0.7], [0.3, 0.9, 0.2], [0.7, 0.2, 1.4]])
-    got = l_operator(np.array([1.0, 2.0, 3.0])) @ theta_from_inertia(j4)
-    assert np.allclose(got, [3.9, 2.7, 5.3], atol=1e-12)
-    for _ in range(100):
-        j = random_spd(RNG)
-        a = RNG.normal(size=3)
-        assert np.allclose(l_operator(a) @ theta_from_inertia(j), j @ a,
-                           atol=1e-12)
+@given(inertias, attitudes)
+@example(InertiaParams(np.array([[1.2, 0.3, 0.7], [0.3, 0.9, 0.2], [0.7, 0.2, 1.4]])),
+         np.array([1.0, 2.0, 3.0]))
+def test_l_operator_factors_inertia(inertia, a):
+    got = l_operator(a) @ inertia.theta
+    scale = np.abs(inertia.theta).sum() * norm(a)
+    assert np.abs(got - inertia.matrix @ a).max() <= 1e-15 * scale
 
 
-def test_f_operator_factors_gyroscopic_term():
-    for _ in range(100):
-        j = random_spd(RNG)
-        x, v = RNG.normal(size=(2, 3))
-        got = f_operator(x, v) @ theta_from_inertia(j)
-        assert np.allclose(got, skew(j @ x) @ v, atol=1e-12)
+@given(inertias, attitudes, rates)
+def test_f_operator_factors_gyroscopic_term(inertia, x, v):
+    got = f_operator(x, v) @ inertia.theta
+    scale = np.abs(inertia.theta).sum() * norm(x) * norm(v)
+    assert np.abs(got - np.cross(inertia.matrix @ x, v)).max() <= 1e-14 * scale
 
 
-def test_theta_round_trip():
-    for _ in range(50):
-        j = random_spd(RNG)
-        assert np.allclose(inertia_from_theta(theta_from_inertia(j)), j,
-                           atol=1e-14)
+@given(inertias)
+def test_theta_round_trip(inertia):
+    j, theta = inertia.matrix, inertia.theta
+    assert np.array_equal(inertia_from_theta(theta_from_inertia(j)), j)
+    assert np.array_equal(theta_from_inertia(inertia_from_theta(theta)), theta)
+
+
+# The kernels as they were written before the packing tables, one entry per
+# line (theta order J11, J12, J13, J22, J23, J33): an independent statement
+# of every layout, which the table-built kernels must match entry for entry.
+
+def _entries(x):
+    x = np.asarray(x)
+    return x[..., 0], x[..., 1], x[..., 2]
+
+
+def _skew_by_hand(x):
+    x1, x2, x3 = _entries(x)
+    out = np.zeros(x.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -x3, x2
+    out[..., 1, 0], out[..., 1, 2] = x3, -x1
+    out[..., 2, 0], out[..., 2, 1] = -x2, x1
+    return out
+
+
+def _l_operator_by_hand(a):
+    a1, a2, a3 = _entries(a)
+    out = np.zeros(a.shape[:-1] + (3, 6))
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = a1, a2, a3
+    out[..., 1, 1], out[..., 1, 3], out[..., 1, 4] = a1, a2, a3
+    out[..., 2, 2], out[..., 2, 4], out[..., 2, 5] = a1, a2, a3
+    return out
+
+
+def _f_operator_by_hand(x, v):
+    x1, x2, x3 = _entries(x)
+    v1, v2, v3 = _entries(v)
+    out = np.zeros(np.broadcast(x1, v1).shape + (3, 6))
+    out[..., 0, 1] = x1 * v3
+    out[..., 0, 2] = -x1 * v2
+    out[..., 0, 3] = x2 * v3
+    out[..., 0, 4] = -x2 * v2 + x3 * v3
+    out[..., 0, 5] = -x3 * v2
+    out[..., 1, 0] = -x1 * v3
+    out[..., 1, 1] = -x2 * v3
+    out[..., 1, 2] = x1 * v1 - x3 * v3
+    out[..., 1, 4] = x2 * v1
+    out[..., 1, 5] = x3 * v1
+    out[..., 2, 0] = x1 * v2
+    out[..., 2, 1] = -x1 * v1 + x2 * v2
+    out[..., 2, 2] = x3 * v2
+    out[..., 2, 3] = -x2 * v1
+    out[..., 2, 4] = -x3 * v1
+    return out
+
+
+def _inertia_by_hand(theta):
+    out = np.zeros(theta.shape[:-1] + (3, 3))
+    out[..., 0, 0] = theta[..., 0]
+    out[..., 0, 1] = out[..., 1, 0] = theta[..., 1]
+    out[..., 0, 2] = out[..., 2, 0] = theta[..., 2]
+    out[..., 1, 1] = theta[..., 3]
+    out[..., 1, 2] = out[..., 2, 1] = theta[..., 4]
+    out[..., 2, 2] = theta[..., 5]
+    return out
+
+
+thetas = inertias.map(lambda p: p.theta)
+
+
+@st.composite
+def stacks(draw):
+    """(x, v, theta) stacks of one shape (B, N) with B in 1..3, N in 1..4."""
+    b, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def stack(elements):
+        return np.reshape(draw(st.lists(elements, min_size=b * n, max_size=b * n)),
+                          (b, n, -1))
+    return stack(attitudes), stack(rates), stack(thetas)
+
+
+@given(st.tuples(attitudes, rates, thetas) | stacks())
+def test_kernels_match_hand_written_entries(args):
+    x, v, theta = args
+    j = _inertia_by_hand(theta)
+    assert np.array_equal(skew(x), _skew_by_hand(x))
+    assert np.array_equal(l_operator(x), _l_operator_by_hand(x))
+    assert np.array_equal(f_operator(x, v), _f_operator_by_hand(x, v))
+    assert np.array_equal(inertia_from_theta(theta), j)
+    assert np.array_equal(theta_from_inertia(j), theta)
 
 
 def test_mrp_from_axis_angle():

@@ -144,11 +144,18 @@ def test_partial_step_duration_exits_2(tmp_path, capsys):
 def test_unallocatable_log_exits_2_naming_the_record_count(tmp_path, capsys,
                                                            duration, count):
     # past numpy's maximum dimension, or 146 TiB: refused before the first step
-    assert main(["run", "--preset", "paper-leaderless", "--duration", duration,
-                 "--out", str(tmp_path / "out")]) == 2
+    run = ["run", "--preset", "paper-leaderless", "--duration", duration]
+    assert main(run + ["--out", str(tmp_path / "new" / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: a log of %s records " % count)
     assert err.count("\n") == 1
+    # the refused run removes every directory it created, and only those
+    assert not (tmp_path / "new").exists()
+    assert main(run + ["--seeds", "1..2", "--out", str(tmp_path / "new" / "sweep")]) == 2
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "empty").mkdir()
+    assert main(run + ["--out", str(tmp_path / "empty")]) == 2
+    assert (tmp_path / "empty").is_dir()
 
 
 def test_divergence_exits_3(tmp_path, capsys):

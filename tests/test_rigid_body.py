@@ -38,6 +38,11 @@ def test_inertia_params_rejects_bad_matrices():
                                             [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError):
         InertiaParams(-np.eye(3))
+    # symmetric and indefinite although its (1,1) entry is positive
+    with pytest.raises(ValueError, match="positive definite"):
+        InertiaParams(np.array([[1.0, 2.0, 0.0],
+                                [2.0, 1.0, 0.0],
+                                [0.0, 0.0, 1.0]]))
 
 
 def test_spacecraft_state_shapes():
