@@ -3,8 +3,8 @@
 Library layout:
 
 * `attsync.attmath`: MRP kinematics and the inertia-factoring operators.
-* `attsync.rigid_body`: single-craft dynamics, the transformed
-  Euler-Lagrange matrices H* and C*, and the adaptive regressor.
+* `attsync.rigid_body`: single-craft dynamics, the transformed inertia H*
+  and the adaptive regressor, through which C* enters the control law.
 * `attsync.topology`: directed communication graphs, validity checks, and
   the neighborhood-average weights.
 * `attsync.control`: reference trajectories, the synchronization and

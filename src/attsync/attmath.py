@@ -24,6 +24,7 @@ two nonzero terms, each an input entry (for F, a product of two) times
 import numpy as np
 
 _ROW, _COL = (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)
+_EYE = np.eye(3)
 
 # Levi-Civita symbol eps[i, j, k]: +1 / -1 on even / odd permutations of
 # (0, 1, 2), 0 on a repeated index
@@ -85,17 +86,21 @@ def kinematics_matrix(sigma):
     sigma = np.asarray(sigma, dtype=float)
     ss = np.einsum("...i,...i->...", sigma, sigma)
     outer = sigma[..., :, None] * sigma[..., None, :]
-    iso = np.asarray((1.0 - ss) / 2.0)[..., None, None] * np.eye(3)
+    iso = np.asarray((1.0 - ss) / 2.0)[..., None, None] * _EYE
     return 0.5 * (iso - skew(sigma) + outer)
 
 
 def kinematics_matrix_inverse(sigma):
     """Exact inverse of G(sigma): 16 / (1 + sigma.sigma)^2 * G(sigma)^T."""
+    return inverse_from_kinematics(sigma, kinematics_matrix(sigma))
+
+
+def inverse_from_kinematics(sigma, g):
+    """G(sigma)^{-1} from g = G(sigma) already built, so G is formed once."""
     sigma = np.asarray(sigma, dtype=float)
     ss = np.einsum("...i,...i->...", sigma, sigma)
-    g_t = np.swapaxes(kinematics_matrix(sigma), -1, -2)
     scale = 16.0 / np.square(1.0 + ss)
-    return np.asarray(scale)[..., None, None] * g_t
+    return np.asarray(scale)[..., None, None] * np.swapaxes(g, -1, -2)
 
 
 def kinematics_matrix_dot(sigma, sigma_dot):
@@ -115,7 +120,7 @@ def kinematics_matrix_dot(sigma, sigma_dot):
     sigma = np.asarray(sigma, dtype=float)
     sigma_dot = np.asarray(sigma_dot, dtype=float)
     dot = np.einsum("...i,...i->...", sigma, sigma_dot)
-    iso = np.asarray(dot)[..., None, None] * np.eye(3)
+    iso = np.asarray(dot)[..., None, None] * _EYE
     cross = sigma_dot[..., :, None] * sigma[..., None, :]
     cross = cross + sigma[..., :, None] * sigma_dot[..., None, :]
     return 0.5 * (-iso - skew(sigma_dot) + cross)
@@ -189,24 +194,6 @@ def spd_check(m, name):
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError("%s must be positive definite" % name) from None
-
-
-def mrp_from_axis_angle(axis, angle):
-    """MRP vector for a rotation of `angle` radians about `axis`.
-
-    sigma = axis/|axis| * tan(angle / 4).  The axis is normalized, so only
-    its direction matters.  Requires |angle| < 2*pi (the representation is
-    singular there) and a nonzero axis.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    norm = np.linalg.norm(axis)
-    if not norm > 0.0 or not np.isfinite(norm):
-        raise ValueError("axis must have positive finite norm, got %r" % norm)
-    if not abs(angle) < 2.0 * np.pi:
-        raise ValueError("angle must satisfy |angle| < 2*pi")
-    return axis / norm * np.tan(angle / 4.0)
 
 
 def mrp_shadow(sigma, sigma_dot=None):

@@ -10,11 +10,12 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   of summary.json, is taken to whichever of the reference and its shadow
   (the same attitude) lies closer to each craft.  Full double precision,
   '.' decimal separator.
-* summary.json: the scenario description the run used (as written, with
-  defaults and flag overrides applied; `ScenarioConfig.from_dict` of it
-  reproduces the run), step count, validity checks, and either final
-  metrics, record count and wall-clock time or, when the run diverged, a
-  `diverged` block naming the craft (1-based), quantity and time.
+* summary.json, compact JSON on one line: the scenario description the run
+  used (as written, with defaults and flag overrides applied;
+  `ScenarioConfig.from_dict` of it reproduces the run), step count, validity
+  checks, and either final metrics, record count and wall-clock time or,
+  when the run diverged, a `diverged` block naming the craft (1-based),
+  quantity and time.
 
 On stdout `run` prints per scenario the CSV path, record count, wall clock,
 metrics and any --assert-converged verdict; the config is only in summary.json.
@@ -143,8 +144,7 @@ def _parse_seeds(text):
 
 def _write_summary(out_dir, summary) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(summary) + "\n")  # no indent, so json uses its C encoder
 
 
 def _make_dirs(path) -> list:

@@ -9,7 +9,7 @@ share the same arithmetic:
     s   = e_dot + Lambda e           (filtered error)
     v_r = sigma_d_dot  - Lambda e    (reference velocity)
     a_r = sigma_d_ddot - Lambda e_dot
-    u   = G^T (Y(sigma, sigma_dot, v_r, a_r) theta_hat - K s)
+    u   = G^T (Y(sigma, sigma_dot, G, v_r, a_r) theta_hat - K s)
     theta_hat_dot = -Gamma Y^T s
 
 In leaderless mode the aggregates run over neighbors only; in tracking mode
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attmath import kinematics_matrix, mat_vec, spd_check
+from .attmath import mat_vec, spd_check
 from .rigid_body import regression
 
 
@@ -144,20 +144,20 @@ def filtered_error(e, e_dot, lam):
     return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
 
 
-def controller_outputs(sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot,
+def controller_outputs(sigma, sigma_dot, g, sigma_d, sigma_d_dot, sigma_d_ddot,
                        theta_hat, gains: GainSet):
     """The control law at one instant, sharing one regressor evaluation.
 
-    Returns (u, e, s, theta_hat_dot): the torque u = G^T (Y theta_hat - K s),
-    the error e = sigma - sigma_d, the filtered error s and the adaptation
-    rate theta_hat_dot = -Gamma Y^T s.
+    g is G(sigma), built once by the caller, which also formed sigma_dot
+    from it.  Returns (u, e, s, theta_hat_dot): the torque
+    u = G^T (Y theta_hat - K s), the error e = sigma - sigma_d, the filtered
+    error s and the adaptation rate theta_hat_dot = -Gamma Y^T s.
     """
     e, e_dot = sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot)
     v_r = sigma_d_dot - mat_vec(gains.Lambda, e)
     a_r = sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
-    y = regression(sigma, sigma_dot, v_r, a_r)
+    y = regression(sigma, sigma_dot, g, v_r, a_r)
     s = filtered_error(e, e_dot, gains.Lambda)
-    g_t = np.swapaxes(kinematics_matrix(sigma), -1, -2)
-    u = mat_vec(g_t, mat_vec(y, theta_hat) - mat_vec(gains.K, s))
+    u = mat_vec(np.swapaxes(g, -1, -2), mat_vec(y, theta_hat) - mat_vec(gains.K, s))
     theta_hat_dot = -gains.gamma_diag * mat_vec(np.swapaxes(y, -1, -2), s)
     return u, e, s, theta_hat_dot

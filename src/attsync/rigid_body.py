@@ -25,6 +25,7 @@ from .attmath import (
     kinematics_matrix,
     kinematics_matrix_dot,
     kinematics_matrix_inverse,
+    inverse_from_kinematics,
     f_operator,
     l_operator,
     mat_vec,
@@ -91,47 +92,23 @@ def mrp_rate(sigma, omega):
     return mat_vec(kinematics_matrix(sigma), omega)
 
 
-def mrp_acceleration(j, sigma, omega, torque):
-    """sigma_ddot along the true dynamics: dG/dt @ omega + G @ omega_dot."""
-    sigma_dot = mrp_rate(sigma, omega)
-    omega_dot = angular_acceleration(j, omega, torque)
-    g_dot = kinematics_matrix_dot(sigma, sigma_dot)
-    return mat_vec(g_dot, omega) + mat_vec(kinematics_matrix(sigma), omega_dot)
-
-
 def h_star(j, sigma):
     """Transformed inertia H* = G^{-T} J G^{-1}, symmetric positive definite."""
     g_inv = kinematics_matrix_inverse(sigma)
     return np.swapaxes(g_inv, -1, -2) @ j @ g_inv
 
 
-def c_star(j, sigma, sigma_dot):
-    """Coriolis-like matrix of the MRP-space Euler-Lagrange form.
-
-    C* = -G^{-T} J G^{-1} (dG/dt) G^{-1} - G^{-T} S(J G^{-1} sigma_dot) G^{-1}.
-
-    The sign of the first term is forced by d(H*)/dt - 2 C* being
-    skew-symmetric and by consistency with the body-frame dynamics; both are
-    pinned in tests.
-    """
-    g_inv = kinematics_matrix_inverse(sigma)
-    g_inv_t = np.swapaxes(g_inv, -1, -2)
-    g_dot = kinematics_matrix_dot(sigma, np.asarray(sigma_dot, dtype=float))
-    core = mat_vec(j, mat_vec(g_inv, sigma_dot))
-    return -(g_inv_t @ j @ g_inv @ g_dot @ g_inv) - g_inv_t @ skew(core) @ g_inv
-
-
-def regression(sigma, sigma_dot, v_r, a_r):
+def regression(sigma, sigma_dot, g, v_r, a_r):
     """Regressor Y with Y @ theta == H* a_r + C* v_r for every inertia.
 
     Y = G^{-T} ( L(G^{-1} a_r) - L(G^{-1} (dG/dt) G^{-1} v_r)
-                 - F(G^{-1} sigma_dot, G^{-1} v_r) ).
+                 - F(G^{-1} sigma_dot, G^{-1} v_r) ),
 
-    Inertia-free by construction; the controller evaluates it from measured
-    signals only.
+    with g = G(sigma) as built by the caller.  Inertia-free by construction;
+    the controller evaluates it from measured signals only.
     """
     sigma_dot = np.asarray(sigma_dot, dtype=float)
-    g_inv = kinematics_matrix_inverse(sigma)
+    g_inv = inverse_from_kinematics(sigma, g)
     g_inv_t = np.swapaxes(g_inv, -1, -2)
     g_dot = kinematics_matrix_dot(sigma, sigma_dot)
     gi_ar = mat_vec(g_inv, np.asarray(a_r, dtype=float))

@@ -32,7 +32,11 @@ choice in the loop.  Two sources are implemented:
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control law used for a single craft, `controller_outputs`,
 called once per right-hand-side evaluation with the aggregates as plain
-arrays; there is no separate batched formula path.
+arrays; there is no separate batched formula path.  The integrated state is
+one packed (N, 18) array, [sigma | omega | theta_hat | chi | chi_dot] along
+its last axis, and each derivative has the same layout, so an RK4 stage is
+one array expression.  Each evaluation builds G(sigma) once: sigma_dot, the
+control law, the record's H* and the "held" refresh all read that matrix.
 
 Each neighborhood average is an edge sum along the topology's edge list, each
 edge weighted by its share of the receiver's in-weight.  A table of source
@@ -63,17 +67,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attmath import mrp_shadow
+from .attmath import (
+    inverse_from_kinematics,
+    kinematics_matrix,
+    kinematics_matrix_dot,
+    mat_vec,
+    mrp_shadow,
+)
 from .control import GainSet, ReferenceTrajectory, controller_outputs
 from .errors import ConfigError, SimulationDiverged
-from .rigid_body import (
-    InertiaParams,
-    SpacecraftState,
-    angular_acceleration,
-    h_star,
-    mrp_acceleration,
-    mrp_rate,
-)
+from .rigid_body import InertiaParams, SpacecraftState, angular_acceleration, mrp_rate
 from .topology import CommTopology, graph_checks, has_directed_cycle
 
 MODES = ("leaderless", "tracking")
@@ -81,6 +84,10 @@ ACCEL_SOURCES = ("smoothed", "held")
 
 # trajectories beyond this attitude norm are treated as diverged
 DIVERGENCE_SIGMA_NORM = 1e3
+
+# fields of the packed state along its last axis: [sigma | omega | theta_hat | chi | chi_dot]
+_SIGMA, _OMEGA, _THETA, _CHI, _CHI_DOT = (
+    np.s_[..., a:b] for a, b in ((0, 3), (3, 6), (6, 12), (12, 15), (15, 18)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +239,21 @@ def _closer_image(x, x_dot, to):
     return np.where(use_shadow, shadow, x), np.where(use_shadow, shadow_dot, x_dot)
 
 
+def _certificate(j, sigma, g, s, err, gamma_diag):
+    """V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i over the
+    craft axis of (..., craft, axis) arrays, H* = G^-T J G^-1 from g = G(sigma)."""
+    g_inv = inverse_from_kinematics(sigma, g)
+    h = np.swapaxes(g_inv, -1, -2) @ j @ g_inv
+    return (0.5 * np.einsum("...ni,...nij,...nj->...", s, h, s)
+            + 0.5 * (err * err / gamma_diag).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
+
+
+def _mrp_acceleration(sigma, omega, g, sigma_dot, omega_dot):
+    """sigma_ddot = dG/dt omega + G omega_dot, from one evaluation's g = G(sigma)
+    and the rates sigma_dot and omega_dot it computed."""
+    return mat_vec(kinematics_matrix_dot(sigma, sigma_dot), omega) + mat_vec(g, omega_dot)
+
+
 def _same(a, b):
     """Equal values: dataclasses field by field, arrays by content."""
     if a is b:
@@ -321,12 +343,15 @@ class Simulation:
     def _eval(self, t, y, held_sdd):
         """Closed-loop derivatives and controller signals at one instant.
 
-        y is the state (sigma, omega, theta_hat, chi, chi_dot).  Returns
-        (dy, u, e, s): the derivative of y, then the torque, the error and
-        the filtered error; the chi derivatives are zero under "held".
+        y is the packed state (see the module docstring).  Returns
+        (dy, g, u, e, s): the derivative of y in the same layout, G(sigma),
+        the torque, the error and the filtered error; the chi derivatives
+        are zero under "held".
         """
-        sigma, omega, theta_hat, chi, chi_dot = y
-        sigma_dot = mrp_rate(sigma, omega)
+        sigma, omega, theta_hat, chi, chi_dot = (
+            y[_SIGMA], y[_OMEGA], y[_THETA], y[_CHI], y[_CHI_DOT])
+        g = kinematics_matrix(sigma)
+        sigma_dot = mat_vec(g, omega)
         sigma_d, sigma_d_dot, sigma_d_ddot = self._aggregates(
             t, sigma, sigma_dot, held_sdd)
         if self.smoothed:
@@ -336,45 +361,51 @@ class Simulation:
             sigma_d, sigma_d_dot, sigma_d_ddot = chi, chi_dot, chi_ddot
             d_chi = (chi_dot, chi_ddot)
         else:
-            d_chi = (np.zeros_like(sigma),) * 2
+            d_chi = (np.zeros(sigma.shape[:-1] + (6,)),)
         u, e, s, theta_dot = controller_outputs(
-            sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
+            sigma, sigma_dot, g, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
         if not self.scenario.control_enabled:
             u = np.zeros_like(sigma)
         if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
         omega_dot = angular_acceleration(self.j_stack, omega, u)
-        return (sigma_dot, omega_dot, theta_dot) + d_chi, u, e, s
+        return np.concatenate((sigma_dot, omega_dot, theta_dot) + d_chi, -1), g, u, e, s
 
     def _rk4(self, t, y, held_sdd, k1):
-        """One classical RK4 step of the state tuple y, given its derivative k1."""
+        """One classical RK4 step of the packed state y, given its derivative k1."""
         dt = self.dt
         h = dt / 2.0
-        k2 = self._eval(t + h, [x + h * d for x, d in zip(y, k1)], held_sdd)[0]
-        k3 = self._eval(t + h, [x + h * d for x, d in zip(y, k2)], held_sdd)[0]
-        k4 = self._eval(t + dt, [x + dt * d for x, d in zip(y, k3)], held_sdd)[0]
-        w = dt / 6.0
-        return tuple(x + w * (a + 2.0 * b + 2.0 * c + d)
-                     for x, a, b, c, d in zip(y, k1, k2, k3, k4))
+        k2 = self._eval(t + h, y + h * k1, held_sdd)[0]
+        k3 = self._eval(t + h, y + h * k2, held_sdd)[0]
+        k4 = self._eval(t + dt, y + dt * k3, held_sdd)[0]
+        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def _apply_shadow(self, sigma, omega, theta_hat, chi, chi_dot):
+    def _apply_shadow(self, y):
         """Flip craft beyond the unit ball to the equivalent representation.
 
         The desired-trajectory generator state is mapped through the same
         transform so the craft's errors stay continuous across its flip.
+        The state is copied only when some craft flips.
         """
+        sigma, chi, chi_dot = y[_SIGMA], y[_CHI], y[_CHI_DOT]
         mask = np.einsum("...ni,...ni->...n", sigma, sigma) > 1.0
-        if mask.any():
-            sigma = np.where(mask[..., None], mrp_shadow(sigma), sigma)
-            rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
-            chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
-            chi = np.where(rows, chi_sh, chi)
-            chi_dot = np.where(rows, chi_sh_dot, chi_dot)
-        return sigma, omega, theta_hat, chi, chi_dot
+        if not mask.any():
+            return y
+        out = y.copy()
+        out[_SIGMA] = np.where(mask[..., None], mrp_shadow(sigma), sigma)
+        rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
+        chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
+        out[_CHI] = np.where(rows, chi_sh, chi)
+        out[_CHI_DOT] = np.where(rows, chi_sh_dot, chi_dot)
+        return out
 
     def _check_state(self, t, sigma, omega, theta_hat, healthy=True):
         """{b: SimulationDiverged naming the first bad craft and quantity} for each
         member b with healthy[b] whose state is not finite or left the ball."""
+        # |sigma|^2 <= limit^2 implies |sigma| <= limit and rules out nan and inf
+        if ((np.einsum("...ni,...ni->...n", sigma, sigma) <= DIVERGENCE_SIGMA_NORM ** 2).all()
+                and np.isfinite(omega).all() and np.isfinite(theta_hat).all()):
+            return {}
         finite = [np.isfinite(x).all(axis=-1).reshape(-1, self.n)
                   for x in (sigma, omega, theta_hat)]
         norms = np.sqrt(np.einsum("...ni,...ni->...n", sigma, sigma)).reshape(-1, self.n)
@@ -394,14 +425,12 @@ class Simulation:
                 craft_index=i, time=t, quantity=name or "sigma")
         return found
 
-    def _record(self, out, r, t, y, sigma_dot, u, e, s):
+    def _record(self, out, r, t, y, sigma_dot, g, u, e, s):
         """Write record r of every member into `out`, the (member, record, ...)
         array of each log field, from the loop's evaluation at state y."""
-        sigma, omega, theta_hat = y[:3]
-        err = self.theta_true - theta_hat
-        # V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i
-        v = (0.5 * np.einsum("...ni,...nij,...nj->...", s, h_star(self.j_stack, sigma), s)
-             + 0.5 * (err * err / self.gains.gamma_diag).reshape(self.lead + (-1,)).sum(-1))
+        sigma, omega, theta_hat = y[_SIGMA], y[_OMEGA], y[_THETA]
+        v = _certificate(self.j_stack, sigma, g, s, self.theta_true - theta_hat,
+                         self.gains.gamma_diag)
         values = dict(times=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
                       sync_error=e, filtered_error=s, lyapunov=v,
                       disagreement=_max_pairwise(sigma),
@@ -452,7 +481,7 @@ class Simulation:
         logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
                 for b, sc in enumerate(self.scenarios)]
         healthy = np.ones((len(logs), 1), dtype=bool)
-        y = (sigma, omega, theta, sigma.copy(), mrp_rate(sigma, omega))
+        y = np.concatenate([sigma, omega, theta, sigma, mrp_rate(sigma, omega)], -1)
         held_sdd = None if self.smoothed else np.zeros_like(sigma)
         r = 0
         # a diverging state overflows before the guard stops the run
@@ -462,19 +491,21 @@ class Simulation:
                 if k:
                     y = self._rk4((k - 1) * self.dt, y, held_sdd, dy)
                     if self.scenario.shadow_switch:
-                        y = self._apply_shadow(*y)
+                        y = self._apply_shadow(y)
                 # a diverged member keeps integrating, unchecked, its log dropped
-                for b, exc in self._check_state(t, *y[:3], healthy).items():
+                bad = self._check_state(t, y[_SIGMA], y[_OMEGA], y[_THETA], healthy)
+                for b, exc in bad.items():
                     logs[b] = exc
                     healthy[b] = False
                 if not healthy.any():
                     break
-                dy, u, e, s = self._eval(t, y, held_sdd)
+                dy, g, u, e, s = self._eval(t, y, held_sdd)
                 if k % decimate == 0 or k == n_steps:
-                    self._record(out, r, t, y, dy[0], u, e, s)
+                    self._record(out, r, t, y, dy[_SIGMA], g, u, e, s)
                     r += 1
                 if k and not self.smoothed:
-                    held_sdd = mrp_acceleration(self.j_stack, y[0], y[1], u)
+                    held_sdd = _mrp_acceleration(y[_SIGMA], y[_OMEGA], g,
+                                                 dy[_SIGMA], dy[_OMEGA])
                     dy = self._eval(t, y, held_sdd)[0]
         if not self.ensemble and isinstance(logs[0], SimulationDiverged):
             raise logs[0]

@@ -71,16 +71,6 @@ class CommTopology:
         return self.adjacency.shape[0]
 
 
-def degree_matrix(topo: CommTopology) -> np.ndarray:
-    """Diagonal matrix of weighted in-degrees (row sums of the adjacency)."""
-    return np.diag(topo.adjacency.sum(axis=1))
-
-
-def laplacian(topo: CommTopology) -> np.ndarray:
-    """Graph Laplacian L = D - A; rows sum to zero."""
-    return degree_matrix(topo) - topo.adjacency
-
-
 def _out_edges(topo: CommTopology):
     """(starts, receivers): node j's edges lead to receivers[starts[j]:starts[j + 1]]."""
     dst, src, _ = topo.edges

@@ -12,13 +12,13 @@ from attsync.attmath import (
     kinematics_matrix_inverse,
     l_operator,
     mat_vec,
-    mrp_from_axis_angle,
     mrp_shadow,
     skew,
     theta_from_inertia,
 )
 from attsync.rigid_body import InertiaParams
 from tests.conftest import attitudes, directions, inertias, rates
+from tests.oracles import mrp_from_axis_angle
 
 RNG = np.random.default_rng(42)
 norm = np.linalg.norm

@@ -12,16 +12,11 @@ from attsync.control import (
     filtered_error,
     sync_error,
 )
-from attsync.rigid_body import (
-    InertiaParams,
-    c_star,
-    h_star,
-    mrp_rate,
-    regression,
-)
+from attsync.rigid_body import InertiaParams, h_star, mrp_rate, regression
 from attsync.simulator import Simulation
 from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import FLEET_J, attitudes, single_craft_scenario
+from tests.oracles import c_star
 
 RNG = np.random.default_rng(5)
 
@@ -33,7 +28,8 @@ def random_spd(rng):
 
 def torque(sigma, sigma_dot, agg, theta_hat, gains):
     """Torque at the aggregate agg = (sigma_d, sigma_d_dot, sigma_d_ddot)."""
-    return controller_outputs(sigma, sigma_dot, *agg, theta_hat, gains)[0]
+    return controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
+                              theta_hat, gains)[0]
 
 
 def random_aggregate(rng, scale=(0.3, 0.2, 0.1)):
@@ -195,7 +191,8 @@ def test_torque_zero_cases():
     sigma, sigma_dot = np.array([0.5, -0.25, 0.125]), np.array([0.5, 0.5, 0.5])
     agg = (np.full(3, 0.25), np.array([0.75, 0.0, 0.375]), RNG.normal(size=3))
     u, e, s, theta_dot = controller_outputs(
-        sigma, sigma_dot, *agg, np.zeros(6), GainSet.from_scalars(1.0, 3.0, 3.0))
+        sigma, sigma_dot, kinematics_matrix(sigma), *agg, np.zeros(6),
+        GainSet.from_scalars(1.0, 3.0, 3.0))
     assert np.array_equal(e, [0.25, -0.5, -0.125]) and np.array_equal(s, zero)
     assert np.array_equal(u, zero) and np.array_equal(theta_dot, np.zeros(6))
 
@@ -243,15 +240,16 @@ def test_controller_outputs_match_separate_calls(inputs):
     # `filtered_error`, Y from `regression`, u = G^T (Y theta_hat - K s) and
     # theta_hat_dot = -Gamma Y^T s
     sigma, sigma_dot, sd, sd_dot, sd_ddot, theta_hat, gains = inputs
-    stacked = controller_outputs(*inputs)
+    stacked = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *inputs[2:])
     for i in range(sigma.shape[0]):
         lam, k = gains.Lambda[i], gains.K[i]
         gi = GainSet(lam, k, gains.Gamma[i])
-        single = controller_outputs(sigma[i], sigma_dot[i], sd[i], sd_dot[i], sd_ddot[i],
-                                    theta_hat[i], gi)
+        single = controller_outputs(sigma[i], sigma_dot[i], kinematics_matrix(sigma[i]),
+                                    sd[i], sd_dot[i], sd_ddot[i], theta_hat[i], gi)
         e, e_dot = sigma[i] - sd[i], sigma_dot[i] - sd_dot[i]
         s = filtered_error(e, e_dot, lam)
-        y = regression(sigma[i], sigma_dot[i], sd_dot[i] - lam @ e, sd_ddot[i] - lam @ e_dot)
+        y = regression(sigma[i], sigma_dot[i], kinematics_matrix(sigma[i]),
+                       sd_dot[i] - lam @ e, sd_ddot[i] - lam @ e_dot)
         g_t = kinematics_matrix(sigma[i]).T
         want_u = g_t @ (y @ theta_hat[i] - k @ s)
         want_th = -gains.gamma_diag[i] * (y.T @ s)
@@ -303,7 +301,8 @@ def test_perfect_knowledge_closed_loop_cancellation():
             omega = RNG.normal(size=3) * 0.5
             sigma_dot = mrp_rate(sigma, omega)
             agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
-            u, _, s, _ = controller_outputs(sigma, sigma_dot, *agg, theta, gains)
+            u, _, s, _ = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
+                                            theta, gains)
             s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
             h = h_star(j_mat, sigma)
             c = c_star(j_mat, sigma, sigma_dot)
@@ -324,12 +323,13 @@ def test_estimation_error_closed_loop_residual():
         omega = RNG.normal(size=3) * 0.5
         sigma_dot = mrp_rate(sigma, omega)
         agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
-        u, e, s, _ = controller_outputs(sigma, sigma_dot, *agg, theta_hat, gains)
+        u, e, s, _ = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
+                                        theta_hat, gains)
         s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
         e_dot = sigma_dot - agg[1]
         v_r = agg[1] - gains.Lambda @ e
         a_r = agg[2] - gains.Lambda @ e_dot
-        y = regression(sigma, sigma_dot, v_r, a_r)
+        y = regression(sigma, sigma_dot, kinematics_matrix(sigma), v_r, a_r)
         residual = (
             h_star(j_mat, sigma) @ s_dot
             + c_star(j_mat, sigma, sigma_dot) @ s

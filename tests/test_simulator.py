@@ -1,5 +1,6 @@
 """Closed-loop fleet integration: stepping, logging, metrics, divergence."""
 import dataclasses
+import sys
 import warnings
 from time import perf_counter
 
@@ -8,12 +9,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attsync import simulator
-from attsync.attmath import mrp_shadow
+from attsync import attmath, simulator
+from attsync.attmath import (
+    inverse_from_kinematics,
+    kinematics_matrix,
+    kinematics_matrix_inverse,
+    mat_vec,
+    mrp_shadow,
+)
 from attsync.config import preset
 from attsync.control import GainSet, ReferenceTrajectory, controller_outputs
 from attsync.errors import ConfigError, SimulationDiverged
-from attsync.rigid_body import InertiaParams, SpacecraftState, mrp_rate
+from attsync.rigid_body import (
+    InertiaParams,
+    SpacecraftState,
+    angular_acceleration,
+    h_star,
+    mrp_rate,
+)
 from attsync.simulator import (
     Scenario,
     Simulation,
@@ -22,7 +35,15 @@ from attsync.simulator import (
     random_initial_states,
 )
 from attsync.topology import CommTopology, aggregate_weights
-from tests.conftest import FLEET_J, pair_scenario, single_craft_scenario
+from tests.conftest import (
+    FLEET_J,
+    attitudes,
+    inertias,
+    pair_scenario,
+    rates,
+    single_craft_scenario,
+)
+from tests.oracles import mrp_acceleration
 
 
 def chain_scenario(duration=3.0, **kw):
@@ -315,6 +336,93 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, hel
         Simulation(ensemble(build(duration=n * 0.005), 3)).run(decimate=d)
         assert len(calls) == (1 + 5 * n if held else 1 + 4 * n)
         assert calls[0][0].shape == (3, 2, 3)
+
+
+@pytest.mark.parametrize("build", [
+    pair_scenario,
+    lambda **kw: pair_scenario(control_enabled=False, **kw),
+    chain_scenario,
+], ids=["smoothed", "control-off", "held"])
+def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
+    # each evaluation builds G(sigma) once; sigma_dot, the control law, the
+    # record's V and the held refresh share it.  One more call seats the
+    # generator, chi_dot(0) = sigma_dot(0).  Records build none: the count
+    # does not depend on the decimation
+    calls = {"g": 0, "rhs": 0}
+
+    def counting(fn, key):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    original = attmath.kinematics_matrix
+    counted_g = counting(original, "g")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "attsync":  # every binding the program calls G by
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted_g)
+    monkeypatch.setattr(simulator, "controller_outputs",
+                        counting(controller_outputs, "rhs"))
+    n = 10
+    for d in (1, 3):
+        for scenario in (build(duration=n * 0.005), ensemble(build(duration=n * 0.005), 3)):
+            calls.update(g=0, rhs=0)
+            Simulation(scenario).run(decimate=d)
+            assert calls["rhs"] >= 1 + 4 * n
+            assert calls["g"] == calls["rhs"] + 1
+
+
+@st.composite
+def craft_stacks(draw):
+    """(j, sigma, omega, torque): a single craft's 3-vectors, or (B, N, 3)
+    stacks with one inertia per craft, from conftest's strategies."""
+    shape = draw(st.sampled_from([(), (1, 1), (2, 3), (3, 2)]))
+    count = int(np.prod(shape, dtype=int))
+    n = shape[-1] if shape else 1
+
+    def stack(strategy, size):
+        return np.reshape(draw(st.lists(strategy, min_size=size, max_size=size)),
+                          shape + (3,) if shape else (3,))
+
+    j = np.stack([p.matrix for p in draw(st.lists(inertias, min_size=n, max_size=n))])
+    return (j if shape else j[0], stack(attitudes, count), stack(rates, count),
+            stack(rates, count))
+
+
+@given(craft_stacks())
+def test_inverse_from_a_shared_g_equals_kinematics_matrix_inverse(inputs):
+    # regression and the record form G^-1 from the evaluation's G
+    _, sigma, _, _ = inputs
+    got = inverse_from_kinematics(sigma, kinematics_matrix(sigma))
+    assert np.array_equal(got, kinematics_matrix_inverse(sigma))
+
+
+@given(craft_stacks())
+def test_held_refresh_from_the_evaluation_equals_the_oracle(inputs):
+    # the hold refresh reads G, sigma_dot and omega_dot off the evaluation of
+    # the state it refreshes; that must be the oracle's value bit for bit
+    j, sigma, omega, torque = inputs
+    g = kinematics_matrix(sigma)
+    got = simulator._mrp_acceleration(sigma, omega, g, mat_vec(g, omega),
+                                      angular_acceleration(j, omega, torque))
+    assert np.array_equal(got, mrp_acceleration(j, sigma, omega, torque), equal_nan=True)
+
+
+@given(craft_stacks(), st.data())
+def test_record_certificate_equals_the_h_star_form(inputs, data):
+    # the record's V takes H* from the evaluation's G; it must equal V formed
+    # with h_star(j, sigma) bit for bit
+    j, sigma, s, _ = inputs
+    if sigma.ndim == 1:  # one craft: the craft axis V sums over
+        sigma, s = sigma[None], s[None]
+    err = data.draw(arrays(float, sigma.shape[:-1] + (6,), elements=st.floats(-10.0, 10.0)))
+    gamma = data.draw(arrays(float, err.shape[-2:], elements=st.floats(0.5, 3.0)))
+    got = simulator._certificate(j, sigma, kinematics_matrix(sigma), s, err, gamma)
+    want = (0.5 * np.einsum("...ni,...nij,...nj->...", s, h_star(j, sigma), s)
+            + 0.5 * (err * err / gamma).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_divergence_guard_reports_craft_and_time():

@@ -11,16 +11,15 @@ from attsync.errors import ConfigError
 from attsync.topology import (
     CommTopology,
     aggregate_weights,
-    degree_matrix,
     graph_checks,
     has_directed_cycle,
     has_directed_spanning_tree,
-    laplacian,
     leader_reachable,
     leader_rooted_valid,
     leaderless_valid,
 )
 from tests.conftest import FLEET_ADJ, FLEET_LEADER_B, digraphs
+from tests.oracles import degree_matrix, laplacian
 
 RNG = np.random.default_rng(11)
 
