@@ -104,6 +104,8 @@ def _integer(value, path, least):
 def _vector(value, length, path):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         _fail(path, "expected a list of %d numbers" % length)
+    if {type(v) for v in value} <= {int, float} and np.isfinite(value).all():
+        return np.array(value, dtype=float)  # else the paths name the first bad entry
     return np.array([_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)])
 
 

@@ -9,8 +9,11 @@ share the same arithmetic:
     s   = e_dot + Lambda e           (filtered error)
     v_r = sigma_d_dot  - Lambda e    (reference velocity)
     a_r = sigma_d_ddot - Lambda e_dot
-    u   = G^T (Y(sigma, sigma_dot, G, v_r, a_r) theta_hat - K s)
-    theta_hat_dot = -Gamma Y^T s
+    u   = G^T (Y theta_hat - K s)  = M theta_hat - G^T K s
+    theta_hat_dot = -Gamma Y^T s  = -Gamma M^T (G^{-1} s)
+
+evaluated in the right-hand, body-frame form: Y = G^{-T} M, with
+M = L(alpha) - F(omega, omega_r) from `rigid_body.body_regression`.
 
 In leaderless mode the aggregates run over neighbors only; in tracking mode
 the leader joins them with weight b_i.  Gains may differ per spacecraft.
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attmath import mat_vec, spd_check
-from .rigid_body import regression
+from .attmath import inverse_from_kinematics, mat_vec, spd_check
+from .rigid_body import body_regression
 
 
 @dataclass(frozen=True)
@@ -144,20 +147,21 @@ def filtered_error(e, e_dot, lam):
     return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
 
 
-def controller_outputs(sigma, sigma_dot, g, sigma_d, sigma_d_dot, sigma_d_ddot,
+def controller_outputs(sigma, sigma_dot, omega, g, sigma_d, sigma_d_dot, sigma_d_ddot,
                        theta_hat, gains: GainSet):
-    """The control law at one instant, sharing one regressor evaluation.
+    """The control law at one instant, in its body-frame form.
 
-    g is G(sigma), built once by the caller, which also formed sigma_dot
-    from it.  Returns (u, e, s, theta_hat_dot): the torque
-    u = G^T (Y theta_hat - K s), the error e = sigma - sigma_d, the filtered
-    error s and the adaptation rate theta_hat_dot = -Gamma Y^T s.
+    g is G(sigma), built once by the caller, and sigma_dot = G omega.  Returns
+    (u, e, s, theta_hat_dot): the torque u = M theta_hat - G^T K s, the error
+    e = sigma - sigma_d, the filtered error s and the adaptation rate
+    theta_hat_dot = -Gamma M^T G^{-1} s (M: see the module docstring).
     """
     e, e_dot = sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot)
     v_r = sigma_d_dot - mat_vec(gains.Lambda, e)
     a_r = sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
-    y = regression(sigma, sigma_dot, g, v_r, a_r)
+    g_inv = inverse_from_kinematics(sigma, g)
+    m = body_regression(sigma, sigma_dot, omega, g_inv, v_r, a_r)
     s = filtered_error(e, e_dot, gains.Lambda)
-    u = mat_vec(np.swapaxes(g, -1, -2), mat_vec(y, theta_hat) - mat_vec(gains.K, s))
-    theta_hat_dot = -gains.gamma_diag * mat_vec(np.swapaxes(y, -1, -2), s)
+    u = mat_vec(m, theta_hat) - mat_vec(np.swapaxes(g, -1, -2), mat_vec(gains.K, s))
+    theta_hat_dot = -gains.gamma_diag * mat_vec(np.swapaxes(m, -1, -2), mat_vec(g_inv, s))
     return u, e, s, theta_hat_dot

@@ -9,7 +9,8 @@ Two equivalent views of the same plant:
 
 H* is symmetric positive definite, d(H*)/dt - 2 C* is skew-symmetric, and
 H* a + C* v is linear in the packed inertia vector theta, which is what the
-adaptive controller exploits through `regression`.
+adaptive controller exploits through `regression` (Y) and `body_regression`
+(M, the body-frame factor of Y = G^{-T} M).
 
 Like the attmath kernels, the functions take the inertia as a (..., 3, 3)
 array, so the fleet simulator evaluates every spacecraft in one call.
@@ -80,11 +81,10 @@ class SpacecraftState:
         object.__setattr__(self, "omega", omega)
 
 
-def angular_acceleration(j, omega, torque):
-    """Body-frame omega_dot = J^{-1} (-S(omega) J omega + u)."""
-    omega = np.asarray(omega, dtype=float)
+def angular_acceleration(j, j_inv, omega, torque):
+    """Body-frame omega_dot = J^{-1} (-S(omega) J omega + u), given j_inv = J^{-1}."""
     rhs = -mat_vec(skew(omega), mat_vec(j, omega)) + np.asarray(torque, dtype=float)
-    return np.linalg.solve(j, rhs[..., None])[..., 0]
+    return mat_vec(j_inv, rhs)
 
 
 def mrp_rate(sigma, omega):
@@ -98,21 +98,22 @@ def h_star(j, sigma):
     return np.swapaxes(g_inv, -1, -2) @ j @ g_inv
 
 
+def body_regression(sigma, sigma_dot, omega, g_inv, v_r, a_r):
+    """Body-frame regressor M = L(alpha) - F(omega, omega_r), so M @ theta ==
+    J alpha - S(J omega) omega_r, at the reference rate omega_r = G^{-1} v_r and
+    acceleration alpha = G^{-1} (a_r - (dG/dt) omega_r); g_inv = G(sigma)^{-1}."""
+    omega_r = mat_vec(g_inv, v_r)
+    alpha = mat_vec(g_inv, a_r - mat_vec(kinematics_matrix_dot(sigma, sigma_dot), omega_r))
+    return l_operator(alpha) - f_operator(omega, omega_r)
+
+
 def regression(sigma, sigma_dot, g, v_r, a_r):
     """Regressor Y with Y @ theta == H* a_r + C* v_r for every inertia.
 
-    Y = G^{-T} ( L(G^{-1} a_r) - L(G^{-1} (dG/dt) G^{-1} v_r)
-                 - F(G^{-1} sigma_dot, G^{-1} v_r) ),
-
-    with g = G(sigma) as built by the caller.  Inertia-free by construction;
+    Y = G^{-T} M, with M the `body_regression` at omega = G^{-1} sigma_dot
+    and g = G(sigma) as built by the caller.  Inertia-free by construction;
     the controller evaluates it from measured signals only.
     """
-    sigma_dot = np.asarray(sigma_dot, dtype=float)
     g_inv = inverse_from_kinematics(sigma, g)
-    g_inv_t = np.swapaxes(g_inv, -1, -2)
-    g_dot = kinematics_matrix_dot(sigma, sigma_dot)
-    gi_ar = mat_vec(g_inv, np.asarray(a_r, dtype=float))
-    gi_vr = mat_vec(g_inv, np.asarray(v_r, dtype=float))
-    gi_sd = mat_vec(g_inv, sigma_dot)
-    mid = mat_vec(g_inv @ g_dot, gi_vr)
-    return g_inv_t @ (l_operator(gi_ar - mid) - f_operator(gi_sd, gi_vr))
+    m = body_regression(sigma, sigma_dot, mat_vec(g_inv, sigma_dot), g_inv, v_r, a_r)
+    return np.swapaxes(g_inv, -1, -2) @ m

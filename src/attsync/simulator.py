@@ -36,16 +36,19 @@ arrays; there is no separate batched formula path.  The integrated state is
 one packed (N, 18) array, [sigma | omega | theta_hat | chi | chi_dot] along
 its last axis, and each derivative has the same layout, so an RK4 stage is
 one array expression.  Each evaluation builds G(sigma) once: sigma_dot, the
-control law, the record's H* and the "held" refresh all read that matrix.
+control law, the record's H* and the "held" refresh all read that matrix.  The
+inverse inertia J^-1 is formed once, when the Simulation is built.
 
 Each neighborhood average is an edge sum along the topology's edge list, each
 edge weighted by its share of the receiver's in-weight.  A table of source
 states (the leader is row N in tracking mode) is gathered per edge; under
 shadow_switch each edge carries its source's image closer to the receiving
-craft (`_closer_image`); one segmented sum over the receiver-grouped edges
-gives every average.  A valid scenario gives every receiver an edge, so no
-segment is empty.  T and the tracking rate are taken to the reference's
-closer image by the same rule, so neither depends on its chart.
+craft (`_closer_image`: the shadow of x is closer to y iff |y - x|^2 >
+1 + |y|^2, so shadows are built only when an edge flips); one segmented sum
+over the receiver-grouped edges gives every average.  A valid scenario gives
+every receiver an edge, so no segment is empty.  T and the tracking rate are
+taken to the reference's closer image by the same rule, so neither depends on
+its chart.
 
 The log holds every series of a run, each written once from the loop's own
 evaluation at the recorded state; `metrics` only reduces it to scalar finals.
@@ -232,11 +235,15 @@ def _max_pairwise(x):
 
 
 def _closer_image(x, x_dot, to):
-    """x, or its shadow where closer to `to` (never at x = 0), with the matching rate."""
+    """x, or its shadow -x/|x|^2 where closer to `to` (iff |to - x|^2 > 1 + |to|^2,
+    never at x = 0), with the matching rate; x and x_dot as given if none flips."""
+    d = to - x
+    flip = (np.einsum("...i,...i->...", d, d)
+            > 1.0 + np.einsum("...i,...i->...", to, to))[..., None]
+    if not flip.any():
+        return x, x_dot
     shadow, shadow_dot = mrp_shadow(x, x_dot)
-    d_raw, d_sh = (np.einsum("...i,...i->...", d, d) for d in (to - x, to - shadow))
-    use_shadow = (d_sh < d_raw)[..., None]
-    return np.where(use_shadow, shadow, x), np.where(use_shadow, shadow_dot, x_dot)
+    return np.where(flip, shadow, x), np.where(flip, shadow_dot, x_dot)
 
 
 def _certificate(j, sigma, g, s, err, gamma_diag):
@@ -291,6 +298,7 @@ class Simulation:
         self.n = len(craft)
         self.dt = scenario.dt
         self.j_stack = np.stack([c.inertia.matrix for c in craft])
+        self.j_inv = np.linalg.inv(self.j_stack)
         self.theta_true = np.stack([c.inertia.theta for c in craft])
         self.gains = GainSet(
             np.stack([c.gains.Lambda for c in craft]),
@@ -362,13 +370,13 @@ class Simulation:
             d_chi = (chi_dot, chi_ddot)
         else:
             d_chi = (np.zeros(sigma.shape[:-1] + (6,)),)
-        u, e, s, theta_dot = controller_outputs(
-            sigma, sigma_dot, g, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
+        u, e, s, theta_dot = controller_outputs(sigma, sigma_dot, omega, g, sigma_d,
+                                                sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
         if not self.scenario.control_enabled:
             u = np.zeros_like(sigma)
         if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
-        omega_dot = angular_acceleration(self.j_stack, omega, u)
+        omega_dot = angular_acceleration(self.j_stack, self.j_inv, omega, u)
         return np.concatenate((sigma_dot, omega_dot, theta_dot) + d_chi, -1), g, u, e, s
 
     def _rk4(self, t, y, held_sdd, k1):

@@ -31,7 +31,7 @@ def c_star(j, sigma, sigma_dot):
 def mrp_acceleration(j, sigma, omega, torque):
     """sigma_ddot along the true dynamics: dG/dt @ omega + G @ omega_dot."""
     sigma_dot = mrp_rate(sigma, omega)
-    omega_dot = angular_acceleration(j, omega, torque)
+    omega_dot = angular_acceleration(j, np.linalg.inv(j), omega, torque)
     g_dot = kinematics_matrix_dot(sigma, sigma_dot)
     return mat_vec(g_dot, omega) + mat_vec(kinematics_matrix(sigma), omega_dot)
 

@@ -365,13 +365,15 @@ def held_chain_config(tmp_path, shadow_switch=False):
     lambda tmp: ["--preset", "paper-leaderless", "--duration", "0.5"],
     lambda tmp: ["--preset", "paper-tracking", "--duration", "0.5"],
     lambda tmp: ["--config", held_chain_config(tmp), "--duration", "0.5"],
-], ids=["leaderless-shadow", "tracking", "held-chain"])
+    # seed 1 flips to its shadow at t = 1.425 s, seeds 2 and 3 do not
+    lambda tmp: ["--preset", "paper-tracking", "--shadow-switch", "--duration", "1.5"],
+], ids=["leaderless-shadow", "tracking", "held-chain", "tracking-shadow-flip"])
 def test_seed_sweep_trajectories_match_single_seed_runs(tmp_path, capsys, source):
     # a sweep is one integration over all seeds; each seed's file must still
     # be byte for byte the file of its own run (criterion 8 relies on it)
     args = ["run"] + source(tmp_path) + ["--decimate", "3"]
     assert main(args + ["--seeds", "1..3", "--out", str(tmp_path / "sweep")]) == 0
-    walls = set()
+    walls, flipped = set(), []
     for s in (1, 2, 3):
         alone = tmp_path / ("alone_%d" % s)
         assert main(args + ["--seed", str(s), "--out", str(alone)]) == 0
@@ -380,7 +382,14 @@ def test_seed_sweep_trajectories_match_single_seed_runs(tmp_path, capsys, source
         summary = json.loads((swept / "summary.json").read_text(encoding="utf-8"))
         assert summary["config"]["seed"] == s
         walls.add(summary["wall_clock_s"])
+        # a craft's flip to its shadow shows as a jump of its logged attitude
+        header, *rows = (swept / "trajectory.csv").read_text(encoding="utf-8").split()
+        table = np.array([row.split(",") for row in rows], dtype=float)
+        sigma = table[:, [i for i, h in enumerate(header.split(",")) if h.startswith("sigma")]]
+        flipped.append(bool((np.abs(np.diff(sigma, axis=0)) > 0.5).any()))
     assert len(walls) == 1  # every seed reports the whole integration's wall
+    if "--shadow-switch" in args:  # the members must differ in whether they flip
+        assert flipped == [True, False, False]
     capsys.readouterr()
 
 

@@ -276,6 +276,16 @@ def test_adjacency_and_leader_shape_errors():
     data = minimal_dict(mode="tracking")
     data["topology"]["leader_weights"] = [1.0]
     assert "topology.leader_weights" in error_message(data)
+    # a bad entry deep in a 200-craft ring is named by its row and column
+    n = 200
+    ring = [[float((j - i) % n == 1) for j in range(n)] for i in range(n)]
+    for bad, i, j, what in (("0.5", 150, 73, "expected a number"),
+                            (float("inf"), 199, 3, "must be finite"),
+                            (True, 87, 198, "expected a number")):
+        data = minimal_dict(spacecraft=[{"inertia": FLEET_J[0]}] * n)
+        data["topology"]["adjacency"] = [row[:] for row in ring]
+        data["topology"]["adjacency"][i][j] = bad
+        assert error_message(data) == "topology.adjacency[%d][%d]: %s" % (i, j, what)
 
 
 def test_reference_errors():

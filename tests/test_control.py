@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attsync.attmath import kinematics_matrix, kinematics_matrix_dot
+from attsync.attmath import (
+    inertia_from_theta,
+    kinematics_matrix,
+    kinematics_matrix_dot,
+    kinematics_matrix_inverse,
+    mat_vec,
+    skew,
+)
 from attsync.control import (
     GainSet,
     ReferenceTrajectory,
@@ -26,10 +33,15 @@ def random_spd(rng):
     return m @ m.T + 3.0 * np.eye(3)
 
 
-def torque(sigma, sigma_dot, agg, theta_hat, gains):
-    """Torque at the aggregate agg = (sigma_d, sigma_d_dot, sigma_d_ddot)."""
-    return controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
-                              theta_hat, gains)[0]
+def law(sigma, omega, agg, theta_hat, gains):
+    """controller_outputs at the state (sigma, omega) and the aggregate
+    agg = (sigma_d, sigma_d_dot, sigma_d_ddot), with sigma_dot = G omega."""
+    g = kinematics_matrix(sigma)
+    return controller_outputs(sigma, mat_vec(g, omega), omega, g, *agg, theta_hat, gains)
+
+
+def torque(sigma, omega, agg, theta_hat, gains):
+    return law(sigma, omega, agg, theta_hat, gains)[0]
 
 
 def random_aggregate(rng, scale=(0.3, 0.2, 0.1)):
@@ -178,11 +190,11 @@ def test_filtered_error_values():
 
 def test_torque_zero_cases():
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
-    sigma = np.array([0.2, -0.1, 0.3])
-    sigma_dot = mrp_rate(sigma, np.array([0.1, 0.2, -0.1]))
+    sigma, omega = np.array([0.2, -0.1, 0.3]), np.array([0.1, 0.2, -0.1])
+    sigma_dot = mrp_rate(sigma, omega)
     zero = np.zeros(3)
     # s = 0 (aggregate equal to own state) and theta_hat = 0 kill both terms
-    u = torque(sigma, sigma_dot, (sigma, sigma_dot, zero), np.zeros(6), gains)
+    u = torque(sigma, omega, (sigma, sigma_dot, zero), np.zeros(6), gains)
     assert np.abs(u).max() <= 1e-15
     # at rest with a zero aggregate the regressor arguments vanish for any theta_hat
     u = torque(zero, zero, (zero, zero, zero), RNG.normal(size=6), gains)
@@ -191,8 +203,8 @@ def test_torque_zero_cases():
     sigma, sigma_dot = np.array([0.5, -0.25, 0.125]), np.array([0.5, 0.5, 0.5])
     agg = (np.full(3, 0.25), np.array([0.75, 0.0, 0.375]), RNG.normal(size=3))
     u, e, s, theta_dot = controller_outputs(
-        sigma, sigma_dot, kinematics_matrix(sigma), *agg, np.zeros(6),
-        GainSet.from_scalars(1.0, 3.0, 3.0))
+        sigma, sigma_dot, kinematics_matrix_inverse(sigma) @ sigma_dot,
+        kinematics_matrix(sigma), *agg, np.zeros(6), GainSet.from_scalars(1.0, 3.0, 3.0))
     assert np.array_equal(e, [0.25, -0.5, -0.125]) and np.array_equal(s, zero)
     assert np.array_equal(u, zero) and np.array_equal(theta_dot, np.zeros(6))
 
@@ -200,11 +212,10 @@ def test_torque_zero_cases():
 def test_torque_linear_in_theta_hat():
     gains = GainSet(random_spd(RNG), random_spd(RNG), np.diag(RNG.uniform(1, 3, 6)))
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
-    sigma_dot = mrp_rate(sigma, omega)
     agg = random_aggregate(RNG)
 
     def u(th):
-        return torque(sigma, sigma_dot, agg, th, gains)
+        return torque(sigma, omega, agg, th, gains)
 
     a, b = RNG.normal(size=6), RNG.normal(size=6)
     lhs = u(2.0 * a - 3.0 * b)
@@ -224,44 +235,63 @@ def fleet_control_inputs(draw):
     # |sigma| spread log-uniformly over [1e-3, 1e3]
     sigma = np.stack([draw(attitudes) for _ in range(n)])
     vectors = arrays(float, (n, 3), elements=st.floats(-1.0, 1.0))
-    sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot = (draw(vectors) for _ in range(4))
+    omega, sigma_d, sigma_d_dot, sigma_d_ddot = (draw(vectors) for _ in range(4))
     theta_hat = draw(arrays(float, (n, 6), elements=st.floats(-2.0, 2.0)))
     gamma = draw(arrays(float, (n, 6), elements=st.floats(0.5, 3.0)))
     gains = GainSet(draw(spd_stacks(n)), draw(spd_stacks(n)),
                     gamma[:, :, None] * np.eye(6))
-    return sigma, sigma_dot, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, gains
+    return sigma, omega, sigma_d, sigma_d_dot, sigma_d_ddot, theta_hat, gains
+
+
+# dJ/dtheta_p for each packed inertia entry p: Y's column p is H* a + C* v at that J
+UNIT_INERTIAS = inertia_from_theta(np.eye(6))
+
+
+def regressor_oracle(sigma, sigma_dot, v_r, a_r):
+    """Y from the H* and C* oracles, and the same sums taken over absolute
+    values: the size of the terms summed into each entry of Y."""
+    y = (mat_vec(h_star(UNIT_INERTIAS, sigma), a_r)
+         + mat_vec(c_star(UNIT_INERTIAS, sigma, sigma_dot), v_r)).T
+    gi = np.abs(kinematics_matrix_inverse(sigma))
+    gjg = gi.T @ UNIT_INERTIAS @ gi
+    spin = np.abs(skew(mat_vec(UNIT_INERTIAS, gi @ np.abs(sigma_dot))))
+    c_abs = gjg @ np.abs(kinematics_matrix_dot(sigma, sigma_dot)) @ gi + gi.T @ spin @ gi
+    return y, (mat_vec(gjg, np.abs(a_r)) + mat_vec(c_abs, np.abs(v_r))).T
 
 
 @settings(deadline=None, max_examples=200)
 @given(fleet_control_inputs())
 def test_controller_outputs_match_separate_calls(inputs):
     # one stacked call equals per-craft calls, and each craft's outputs equal
-    # the law composed from its oracles: e = sigma - sigma_d, s from
-    # `filtered_error`, Y from `regression`, u = G^T (Y theta_hat - K s) and
-    # theta_hat_dot = -Gamma Y^T s
-    sigma, sigma_dot, sd, sd_dot, sd_ddot, theta_hat, gains = inputs
-    stacked = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *inputs[2:])
+    # the MRP-space law composed from oracles: e = sigma - sigma_d, s from
+    # `filtered_error`, Y column by column from the H* and C* oracles,
+    # u = G^T (Y theta_hat - K s) and theta_hat_dot = -Gamma Y^T s
+    sigma, omega, sd, sd_dot, sd_ddot, theta_hat, gains = inputs
+    g = kinematics_matrix(sigma)
+    sigma_dot = mat_vec(g, omega)
+    stacked = controller_outputs(sigma, sigma_dot, omega, g, *inputs[2:])
     for i in range(sigma.shape[0]):
         lam, k = gains.Lambda[i], gains.K[i]
         gi = GainSet(lam, k, gains.Gamma[i])
-        single = controller_outputs(sigma[i], sigma_dot[i], kinematics_matrix(sigma[i]),
+        single = controller_outputs(sigma[i], sigma_dot[i], omega[i], g[i],
                                     sd[i], sd_dot[i], sd_ddot[i], theta_hat[i], gi)
         e, e_dot = sigma[i] - sd[i], sigma_dot[i] - sd_dot[i]
         s = filtered_error(e, e_dot, lam)
-        y = regression(sigma[i], sigma_dot[i], kinematics_matrix(sigma[i]),
-                       sd_dot[i] - lam @ e, sd_ddot[i] - lam @ e_dot)
-        g_t = kinematics_matrix(sigma[i]).T
-        want_u = g_t @ (y @ theta_hat[i] - k @ s)
+        v_r, a_r = sd_dot[i] - lam @ e, sd_ddot[i] - lam @ e_dot
+        y, y_abs = regressor_oracle(sigma[i], sigma_dot[i], v_r, a_r)
+        want_u = g[i].T @ (y @ theta_hat[i] - k @ s)
         want_th = -gains.gamma_diag[i] * (y.T @ s)
-        # tolerances scale with the magnitudes summed into each component
-        u_scale = np.abs(g_t) @ (np.abs(y) @ np.abs(theta_hat[i]) + np.abs(k) @ np.abs(s))
-        th_scale = gains.gamma_diag[i] * (np.abs(y).T @ np.abs(s))
+        # tolerances scale with the magnitudes summed into each component; the
+        # floor covers subnormal intermediates, which keep no relative precision
+        u_scale = np.abs(g[i].T) @ (y_abs @ np.abs(theta_hat[i]) + np.abs(k) @ np.abs(s))
+        th_scale = gains.gamma_diag[i] * (y_abs.T @ np.abs(s))
+        u_tol, th_tol = 1e-9 * u_scale + 1e-300, 1e-9 * th_scale + 1e-300
         for got in (single, tuple(x[i] for x in stacked)):
             u, e_got, s_got, th_dot = got
             assert np.array_equal(e_got, e)
             np.testing.assert_allclose(s_got, s, rtol=0.0, atol=1e-14 * (1 + np.abs(s).max()))
-            assert np.all(np.abs(u - want_u) <= 1e-9 * u_scale)
-            assert np.all(np.abs(th_dot - want_th) <= 1e-9 * th_scale)
+            assert np.all(np.abs(u - want_u) <= u_tol)
+            assert np.all(np.abs(th_dot - want_th) <= th_tol)
 
 
 def test_controller_single_arithmetic_path_for_both_modes():
@@ -269,10 +299,9 @@ def test_controller_single_arithmetic_path_for_both_modes():
     # however the aggregates were produced upstream
     gains = GainSet.from_scalars(1.0, 3.0, 3.0)
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
-    sigma_dot = mrp_rate(sigma, omega)
     agg = random_aggregate(RNG)
     theta_hat = RNG.normal(size=6)
-    results = [torque(sigma, sigma_dot, tuple(a.copy() for a in agg), theta_hat, gains)
+    results = [torque(sigma, omega, tuple(a.copy() for a in agg), theta_hat, gains)
                for _ in range(2)]
     assert np.array_equal(results[0], results[1])
 
@@ -301,8 +330,7 @@ def test_perfect_knowledge_closed_loop_cancellation():
             omega = RNG.normal(size=3) * 0.5
             sigma_dot = mrp_rate(sigma, omega)
             agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
-            u, _, s, _ = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
-                                            theta, gains)
+            u, _, s, _ = law(sigma, omega, agg, theta, gains)
             s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
             h = h_star(j_mat, sigma)
             c = c_star(j_mat, sigma, sigma_dot)
@@ -323,8 +351,7 @@ def test_estimation_error_closed_loop_residual():
         omega = RNG.normal(size=3) * 0.5
         sigma_dot = mrp_rate(sigma, omega)
         agg = random_aggregate(RNG, (0.4, 0.3, 0.2))
-        u, e, s, _ = controller_outputs(sigma, sigma_dot, kinematics_matrix(sigma), *agg,
-                                        theta_hat, gains)
+        u, e, s, _ = law(sigma, omega, agg, theta_hat, gains)
         s_dot = closed_loop_s_dot(j_mat, sigma, omega, u, agg, gains.Lambda)
         e_dot = sigma_dot - agg[1]
         v_r = agg[1] - gains.Lambda @ e

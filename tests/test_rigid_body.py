@@ -1,9 +1,9 @@
 """Rigid-body layer: inertia handling, dynamics, transformed matrices."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from attsync.attmath import kinematics_matrix, theta_from_inertia
+from attsync.attmath import kinematics_matrix, mat_vec, skew, theta_from_inertia
 from attsync.rigid_body import (
     InertiaParams,
     SpacecraftState,
@@ -53,8 +53,23 @@ def test_spacecraft_state_shapes():
 
 def test_angular_acceleration_example():
     inertia = InertiaParams(np.diag([1.0, 2.0, 3.0]))
-    got = angular_acceleration(inertia.matrix, np.array([1.0, 1.0, 1.0]), np.zeros(3))
+    got = angular_acceleration(inertia.matrix, np.linalg.inv(inertia.matrix),
+                               np.array([1.0, 1.0, 1.0]), np.zeros(3))
     assert np.allclose(got, [-1.0, 1.0, -1.0 / 3.0], atol=1e-12)
+
+
+@given(st.lists(st.tuples(inertias, rates, rates), min_size=1, max_size=4))
+def test_angular_acceleration_with_the_inverse_matches_a_solve(craft):
+    # omega_dot from J^-1 formed once equals solving J omega_dot = rhs, for a
+    # single craft and for a stack
+    j = np.stack([inertia.matrix for inertia, _, _ in craft])
+    omega, torque = (np.stack(v) for v in list(zip(*craft))[1:])
+    rhs = torque - mat_vec(skew(omega), mat_vec(j, omega))
+    want = np.linalg.solve(j, rhs[..., None])[..., 0]
+    got = angular_acceleration(j, np.linalg.inv(j), omega, torque)
+    single = angular_acceleration(j[0], np.linalg.inv(j[0]), omega[0], torque[0])
+    for g, w in ((got, want), (single, want[0])):
+        assert np.all(np.linalg.norm(g - w, axis=-1) <= 1e-12 * np.linalg.norm(w, axis=-1))
 
 
 def test_angular_acceleration_momentum_conservation():
@@ -62,7 +77,7 @@ def test_angular_acceleration_momentum_conservation():
     inertia = InertiaParams(random_spd(RNG))
     j = inertia.matrix
     w = RNG.normal(size=3)
-    wdot = angular_acceleration(j, w, np.zeros(3))
+    wdot = angular_acceleration(j, np.linalg.inv(j), w, np.zeros(3))
     dh = j @ wdot + np.cross(w, j @ w)
     assert np.allclose(dh, 0.0, atol=1e-12)
 
@@ -120,8 +135,9 @@ def test_mrp_acceleration_consistent_with_rate():
     got = mrp_acceleration(inertia.matrix, sigma, omega, torque)
     h = 1e-7
     # advance sigma and omega with their own derivatives and difference
+    j = inertia.matrix
     sdot = mrp_rate(sigma, omega)
-    wdot = angular_acceleration(inertia.matrix, omega, torque)
+    wdot = angular_acceleration(j, np.linalg.inv(j), omega, torque)
     fd = (mrp_rate(sigma + h * sdot, omega + h * wdot)
           - mrp_rate(sigma - h * sdot, omega - h * wdot)) / (2 * h)
     assert np.allclose(got, fd, atol=1e-6)

@@ -374,6 +374,27 @@ def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
             assert calls["g"] == calls["rhs"] + 1
 
 
+@pytest.mark.parametrize("build", [pair_scenario, chain_scenario], ids=["smoothed", "held"])
+def test_inertia_is_inverted_once_per_simulation(monkeypatch, build):
+    # J^-1 is formed once when the Simulation is built; no evaluation solves
+    calls = {"inv": 0, "solve": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv, "inv"))
+    monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "solve"))
+    for scenario in (build(duration=0.05), ensemble(build(duration=0.05), 3)):
+        calls.update(inv=0, solve=0)
+        sim = Simulation(scenario)
+        assert calls == {"inv": 1, "solve": 0}
+        sim.run(decimate=1)
+        assert calls == {"inv": 1, "solve": 0}
+
+
 @st.composite
 def craft_stacks(draw):
     """(j, sigma, omega, torque): a single craft's 3-vectors, or (B, N, 3)
@@ -405,8 +426,8 @@ def test_held_refresh_from_the_evaluation_equals_the_oracle(inputs):
     # the state it refreshes; that must be the oracle's value bit for bit
     j, sigma, omega, torque = inputs
     g = kinematics_matrix(sigma)
-    got = simulator._mrp_acceleration(sigma, omega, g, mat_vec(g, omega),
-                                      angular_acceleration(j, omega, torque))
+    omega_dot = angular_acceleration(j, np.linalg.inv(j), omega, torque)
+    got = simulator._mrp_acceleration(sigma, omega, g, mat_vec(g, omega), omega_dot)
     assert np.array_equal(got, mrp_acceleration(j, sigma, omega, torque), equal_nan=True)
 
 
@@ -652,6 +673,39 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
                     np.testing.assert_allclose(
                         g[b][i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
     assert (got[2] is None) == (not held)
+
+
+@given(st.data())
+def test_closer_image_closed_form_matches_the_explicit_distances(data):
+    # the shadow -x/|x|^2 is closer to `to` iff |to - x|^2 > 1 + |to|^2; away
+    # from ties that picks what comparing both distances picks, for per-edge
+    # states against their receivers and for a (3,) reference against (B, N, 3)
+    lead = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+
+    def stack(strategy, shape):
+        size = int(np.prod(shape, dtype=int))
+        return np.reshape(data.draw(st.lists(strategy, min_size=size, max_size=size)),
+                          shape + (3,))
+
+    to = stack(attitudes, lead)
+    shape = data.draw(st.sampled_from([lead, ()]))
+    x, x_dot = stack(attitudes, shape), stack(rates, shape)
+    if shape and data.draw(st.booleans()):  # each x 1e-6 inside or outside the boundary
+        norm = np.linalg.norm(x, axis=-1, keepdims=True)
+        t = np.einsum("...i,...i->...", to, x)[..., None] / norm
+        side = data.draw(arrays(float, lead + (1,), elements=st.sampled_from([-1e-6, 1e-6])))
+        x = x / norm * (t + np.sqrt(t * t + 1.0)) * (1.0 + side)
+    if data.draw(st.booleans()):  # a zero attitude, which never flips
+        x[(slice(None), data.draw(st.integers(0, lead[1] - 1))) if shape else ...] = 0.0
+    with np.errstate(all="ignore"):  # x = 0 has no finite shadow
+        shadow, shadow_dot = mrp_shadow(x, x_dot)
+        d_raw = np.einsum("...i,...i->...", to - x, to - x)
+        d_sh = np.einsum("...i,...i->...", to - shadow, to - shadow)
+        got = [np.broadcast_to(v, to.shape) for v in simulator._closer_image(x, x_dot, to)]
+    flip = (d_sh < d_raw)[..., None]  # a nan distance (x = 0) compares false
+    clear = ~(np.abs(d_sh - d_raw) <= 1e-9 * (d_sh + d_raw))
+    for g, want in zip(got, (np.where(flip, shadow, x), np.where(flip, shadow_dot, x_dot))):
+        assert np.array_equal(g[clear], want[clear])
 
 
 # ------------------------------------------------- logged-signal checks
