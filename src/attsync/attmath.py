@@ -100,7 +100,7 @@ def inverse_from_kinematics(sigma, g):
     sigma = np.asarray(sigma, dtype=float)
     ss = np.einsum("...i,...i->...", sigma, sigma)
     scale = 16.0 / np.square(1.0 + ss)
-    return np.asarray(scale)[..., None, None] * np.swapaxes(g, -1, -2)
+    return np.asarray(scale)[..., None, None] * g.swapaxes(-1, -2)
 
 
 def kinematics_matrix_dot(sigma, sigma_dot):
@@ -121,8 +121,8 @@ def kinematics_matrix_dot(sigma, sigma_dot):
     sigma_dot = np.asarray(sigma_dot, dtype=float)
     dot = np.einsum("...i,...i->...", sigma, sigma_dot)
     iso = np.asarray(dot)[..., None, None] * _EYE
-    cross = sigma_dot[..., :, None] * sigma[..., None, :]
-    cross = cross + sigma[..., :, None] * sigma_dot[..., None, :]
+    cross = sigma_dot[..., :, None] * sigma[..., None, :]  # its transpose is the other term
+    cross = cross + cross.swapaxes(-1, -2)
     return 0.5 * (-iso - skew(sigma_dot) + cross)
 
 
@@ -174,7 +174,7 @@ def theta_from_inertia(j):
     Raises ValueError if any |J - J^T| entry exceeds 1e-12.
     """
     j = np.asarray(j, dtype=float)
-    if np.max(np.abs(j - np.swapaxes(j, -1, -2))) > 1e-12:
+    if np.max(np.abs(j - j.swapaxes(-1, -2))) > 1e-12:
         raise ValueError("inertia matrix is not symmetric")
     return j[..., _ROW, _COL]
 
@@ -188,7 +188,7 @@ def inertia_from_theta(theta):
 def spd_check(m, name):
     """Raise ValueError unless each (..., n, n) matrix in `m` is symmetric
     (to 1e-9) and positive definite (its Cholesky factorization exists)."""
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-9:
+    if np.max(np.abs(m - m.swapaxes(-1, -2))) > 1e-9:
         raise ValueError("%s must be symmetric" % name)
     try:
         np.linalg.cholesky(m)

@@ -38,8 +38,8 @@ class GainSet:
     """Controller gains Lambda (slope), K (feedback), Gamma (adaptation).
 
     Lambda and K are symmetric positive definite 3x3; Gamma is a positive
-    diagonal 6x6.  Stacked (..., 3, 3) / (..., 6, 6) arrays are accepted so
-    one GainSet can carry per-spacecraft gains for a whole fleet.
+    diagonal 6x6 (gamma_diag).  Stacked (..., 3, 3) / (..., 6, 6) arrays are
+    accepted so one GainSet can carry per-spacecraft gains for a whole fleet.
     """
 
     Lambda: np.ndarray
@@ -62,17 +62,13 @@ class GainSet:
             raise ValueError("Gamma must be diagonal")
         if np.any(diag <= 0.0):
             raise ValueError("Gamma diagonal must be positive")
-        for arr, name in ((lam, "Lambda"), (k, "K"), (gam, "Gamma")):
+        for arr, name in ((lam, "Lambda"), (k, "K"), (gam, "Gamma"), (diag, "gamma_diag")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_scalars(cls, lam: float, k: float, gamma: float) -> "GainSet":
         return cls(lam * np.eye(3), k * np.eye(3), gamma * np.eye(6))
-
-    @property
-    def gamma_diag(self) -> np.ndarray:
-        return np.diagonal(self.Gamma, axis1=-2, axis2=-1)
 
 
 def _vec3(x, name):
@@ -142,11 +138,6 @@ def sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot):
     return e, e_dot
 
 
-def filtered_error(e, e_dot, lam):
-    """Sliding variable s = e_dot + Lambda e."""
-    return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
-
-
 def controller_outputs(sigma, sigma_dot, omega, g, sigma_d, sigma_d_dot, sigma_d_ddot,
                        theta_hat, gains: GainSet):
     """The control law at one instant, in its body-frame form.
@@ -157,11 +148,12 @@ def controller_outputs(sigma, sigma_dot, omega, g, sigma_d, sigma_d_dot, sigma_d
     theta_hat_dot = -Gamma M^T G^{-1} s (M: see the module docstring).
     """
     e, e_dot = sync_error(sigma, sigma_dot, sigma_d, sigma_d_dot)
-    v_r = sigma_d_dot - mat_vec(gains.Lambda, e)
+    lam_e = mat_vec(gains.Lambda, e)
+    v_r = sigma_d_dot - lam_e
     a_r = sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
     g_inv = inverse_from_kinematics(sigma, g)
     m = body_regression(sigma, sigma_dot, omega, g_inv, v_r, a_r)
-    s = filtered_error(e, e_dot, gains.Lambda)
-    u = mat_vec(m, theta_hat) - mat_vec(np.swapaxes(g, -1, -2), mat_vec(gains.K, s))
-    theta_hat_dot = -gains.gamma_diag * mat_vec(np.swapaxes(m, -1, -2), mat_vec(g_inv, s))
+    s = e_dot + lam_e
+    u = mat_vec(m, theta_hat) - mat_vec(g.swapaxes(-1, -2), mat_vec(gains.K, s))
+    theta_hat_dot = -gains.gamma_diag * mat_vec(m.swapaxes(-1, -2), mat_vec(g_inv, s))
     return u, e, s, theta_hat_dot

@@ -82,8 +82,8 @@ class SpacecraftState:
 
 
 def angular_acceleration(j, j_inv, omega, torque):
-    """Body-frame omega_dot = J^{-1} (-S(omega) J omega + u), given j_inv = J^{-1}."""
-    rhs = -mat_vec(skew(omega), mat_vec(j, omega)) + np.asarray(torque, dtype=float)
+    """Body-frame omega_dot = J^{-1} (u - S(omega) J omega), given j_inv = J^{-1}."""
+    rhs = np.asarray(torque, dtype=float) - mat_vec(skew(omega), mat_vec(j, omega))
     return mat_vec(j_inv, rhs)
 
 
@@ -95,7 +95,7 @@ def mrp_rate(sigma, omega):
 def h_star(j, sigma):
     """Transformed inertia H* = G^{-T} J G^{-1}, symmetric positive definite."""
     g_inv = kinematics_matrix_inverse(sigma)
-    return np.swapaxes(g_inv, -1, -2) @ j @ g_inv
+    return g_inv.swapaxes(-1, -2) @ j @ g_inv
 
 
 def body_regression(sigma, sigma_dot, omega, g_inv, v_r, a_r):
@@ -116,4 +116,4 @@ def regression(sigma, sigma_dot, g, v_r, a_r):
     """
     g_inv = inverse_from_kinematics(sigma, g)
     m = body_regression(sigma, sigma_dot, mat_vec(g_inv, sigma_dot), g_inv, v_r, a_r)
-    return np.swapaxes(g_inv, -1, -2) @ m
+    return g_inv.swapaxes(-1, -2) @ m

@@ -36,8 +36,8 @@ arrays; there is no separate batched formula path.  The integrated state is
 one packed (N, 18) array, [sigma | omega | theta_hat | chi | chi_dot] along
 its last axis, and each derivative has the same layout, so an RK4 stage is
 one array expression.  Each evaluation builds G(sigma) once: sigma_dot, the
-control law, the record's H* and the "held" refresh all read that matrix.  The
-inverse inertia J^-1 is formed once, when the Simulation is built.
+control law and the "held" refresh all read that matrix.  The inverse
+inertia J^-1 is formed once, when the Simulation is built.
 
 Each neighborhood average is an edge sum along the topology's edge list, each
 edge weighted by its share of the receiver's in-weight.  A table of source
@@ -50,8 +50,9 @@ every receiver an edge, so no segment is empty.  T and the tracking rate are
 taken to the reference's closer image by the same rule, so neither depends on
 its chart.
 
-The log holds every series of a run, each written once from the loop's own
-evaluation at the recorded state; `metrics` only reduces it to scalar finals.
+A record copies the raw series, from the state and the loop's evaluation of it;
+the derived ones (V, D, T) are reduced from them after the loop, in blocks of
+records.  `metrics` only reduces the log to scalar finals.
 
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
@@ -87,10 +88,14 @@ ACCEL_SOURCES = ("smoothed", "held")
 
 # trajectories beyond this attitude norm are treated as diverged
 DIVERGENCE_SIGMA_NORM = 1e3
+# craft pairs in a block of `Simulation._derive` and in a `_max_pairwise` chunk
+_BLOCK_ELEMENTS, _PAIRWISE_ELEMENTS = 2048, 65536
 
 # fields of the packed state along its last axis: [sigma | omega | theta_hat | chi | chi_dot]
 _SIGMA, _OMEGA, _THETA, _CHI, _CHI_DOT = (
     np.s_[..., a:b] for a, b in ((0, 3), (3, 6), (6, 12), (12, 15), (15, 18)))
+# the log series copied from the step loop; `Simulation._derive` reduces the rest
+_RAW = ("times", "sigma", "omega", "theta_hat", "torque", "sync_error", "filtered_error")
 
 
 @dataclass(frozen=True)
@@ -229,9 +234,14 @@ class TrajectoryLog:
 
 
 def _max_pairwise(x):
-    """max_ij |x_i - x_j|, the largest distance between craft, for x (..., craft, axis)."""
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
+    """max_ij |x_i - x_j|, the largest distance between craft, for x (..., craft, axis),
+    over chunks of rows i so that no temporary grows with craft^2."""
+    chunk = max(1, _PAIRWISE_ELEMENTS // (x.size // x.shape[-1]))
+    sq = []
+    for a in range(0, x.shape[-2], chunk):
+        diff = x[..., a:a + chunk, None, :] - x[..., None, :, :]
+        sq.append(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
+    return np.sqrt(np.max(sq, axis=0))
 
 
 def _closer_image(x, x_dot, to):
@@ -250,7 +260,7 @@ def _certificate(j, sigma, g, s, err, gamma_diag):
     """V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i over the
     craft axis of (..., craft, axis) arrays, H* = G^-T J G^-1 from g = G(sigma)."""
     g_inv = inverse_from_kinematics(sigma, g)
-    h = np.swapaxes(g_inv, -1, -2) @ j @ g_inv
+    h = g_inv.swapaxes(-1, -2) @ j @ g_inv
     return (0.5 * np.einsum("...ni,...nij,...nj->...", s, h, s)
             + 0.5 * (err * err / gamma_diag).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
 
@@ -336,15 +346,18 @@ class Simulation:
         receiver, so a source's representation flip never jumps the
         aggregate; one segmented sum adds each receiver's weighted edges.
         """
-        table = np.concatenate([x for x in (sigma, sigma_dot, held_sdd) if x is not None], -1)
+        table = np.empty(sigma.shape[:-2] + (self.n + self.tracking, 6 if held_sdd is None else 9))
+        table[..., :self.n, :3], table[..., :self.n, 3:6] = sigma, sigma_dot
+        if held_sdd is not None:
+            table[..., :self.n, 6:] = held_sdd
         if self.tracking:  # the reference joins every member as source N
-            lead = np.concatenate(self.ref.at(t))[:table.shape[-1]]
-            table = np.concatenate(
-                [table, np.broadcast_to(lead, table[..., :1, :].shape)], axis=-2)
-        edges = np.take(table, self._src, axis=-2)
+            table[..., self.n, :] = np.concatenate(self.ref.at(t))[:table.shape[-1]]
+        edges = table.take(self._src, axis=-2)
         if self.scenario.shadow_switch:
-            edges[..., :3], edges[..., 3:6] = _closer_image(
-                edges[..., :3], edges[..., 3:6], np.take(sigma, self._dst, axis=-2))
+            pos, rate = edges[..., :3], edges[..., 3:6]
+            aligned = _closer_image(pos, rate, sigma.take(self._dst, axis=-2))
+            if aligned[0] is not pos:  # some edge flips
+                edges[..., :3], edges[..., 3:6] = aligned
         agg = np.add.reduceat(edges * self._w, self._starts, axis=-2)
         return agg[..., :3], agg[..., 3:6], None if held_sdd is None else agg[..., 6:]
 
@@ -433,23 +446,25 @@ class Simulation:
                 craft_index=i, time=t, quantity=name or "sigma")
         return found
 
-    def _record(self, out, r, t, y, sigma_dot, g, u, e, s):
-        """Write record r of every member into `out`, the (member, record, ...)
-        array of each log field, from the loop's evaluation at state y."""
-        sigma, omega, theta_hat = y[_SIGMA], y[_OMEGA], y[_THETA]
-        v = _certificate(self.j_stack, sigma, g, s, self.theta_true - theta_hat,
-                         self.gains.gamma_diag)
-        values = dict(times=t, sigma=sigma, omega=omega, torque=u, theta_hat=theta_hat,
-                      sync_error=e, filtered_error=s, lyapunov=v,
-                      disagreement=_max_pairwise(sigma),
-                      disagreement_rate=_max_pairwise(sigma_dot))
-        if self.tracking:  # to the reference's image closer to each craft
-            ref, ref_rate = _closer_image(*self.ref.at(t)[:2], sigma)
-            values["tracking_error"] = np.linalg.norm(sigma - ref, axis=-1).max(axis=-1)
-            values["tracking_rate"] = (
-                np.linalg.norm(sigma_dot - ref_rate, axis=-1).max(axis=-1))
-        for name, x in values.items():
-            out[name][:, r] = x
+    def _derive(self, out, n_rec):
+        """Fill V, D, D's rate, and when tracking T and its rate, of records [0, n_rec)
+        of every member from the raw series, in blocks of _BLOCK_ELEMENTS craft pairs."""
+        block = max(1, _BLOCK_ELEMENTS // (len(self.scenarios) * self.n ** 2))
+        for a in range(0, n_rec, block):
+            rec = np.s_[:, a:a + block]
+            sigma = out["sigma"][rec]
+            g = kinematics_matrix(sigma)
+            sigma_dot = mat_vec(g, out["omega"][rec])
+            out["lyapunov"][rec] = _certificate(
+                self.j_stack, sigma, g, out["filtered_error"][rec],
+                self.theta_true - out["theta_hat"][rec], self.gains.gamma_diag)
+            out["disagreement"][rec] = _max_pairwise(sigma)
+            out["disagreement_rate"][rec] = _max_pairwise(sigma_dot)
+            if self.tracking:  # to the reference's image closer to each craft
+                ref = np.array([self.ref.at(t)[:2] for t in out["times"][0, a:a + block]])
+                ref, ref_rate = _closer_image(ref[:, None, 0], ref[:, None, 1], sigma)
+                out["tracking_error"][rec] = np.linalg.norm(sigma - ref, axis=-1).max(-1)
+                out["tracking_rate"][rec] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max(-1)
 
     # -- public stepping -------------------------------------------------
 
@@ -465,7 +480,8 @@ class Simulation:
         returns its TrajectoryLog or raises SimulationDiverged; an ensemble
         returns a list of, per member, either of the two.  Each accepted
         state is evaluated once, for its record, the hold refresh and the
-        next step's first RK4 stage (and again after a "held" refresh).
+        next step's first RK4 stage (and again after a "held" refresh); a
+        record copies its raw series, `_derive` reduces the rest after the loop.
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
@@ -509,12 +525,14 @@ class Simulation:
                     break
                 dy, g, u, e, s = self._eval(t, y, held_sdd)
                 if k % decimate == 0 or k == n_steps:
-                    self._record(out, r, t, y, dy[_SIGMA], g, u, e, s)
+                    for name, x in zip(_RAW, (t, y[_SIGMA], y[_OMEGA], y[_THETA], u, e, s)):
+                        out[name][:, r] = x
                     r += 1
                 if k and not self.smoothed:
                     held_sdd = _mrp_acceleration(y[_SIGMA], y[_OMEGA], g,
                                                  dy[_SIGMA], dy[_OMEGA])
                     dy = self._eval(t, y, held_sdd)[0]
+            self._derive(out, r)
         if not self.ensemble and isinstance(logs[0], SimulationDiverged):
             raise logs[0]
         return logs if self.ensemble else logs[0]

@@ -7,9 +7,10 @@ from attsync.attmath import (
     kinematics_matrix_dot,
     kinematics_matrix_inverse,
     mat_vec,
+    mrp_shadow,
     skew,
 )
-from attsync.rigid_body import angular_acceleration, mrp_rate
+from attsync.rigid_body import angular_acceleration, h_star, mrp_rate
 
 
 def c_star(j, sigma, sigma_dot):
@@ -62,3 +63,47 @@ def degree_matrix(topo):
 def laplacian(topo):
     """Graph Laplacian L = D - A; rows sum to zero."""
     return degree_matrix(topo) - topo.adjacency
+
+
+def filtered_error(e, e_dot, lam):
+    """Sliding variable s = e_dot + Lambda e."""
+    return np.asarray(e_dot, dtype=float) + mat_vec(lam, e)
+
+
+def max_pairwise(x):
+    """max_ij |x_i - x_j| over the craft axis of x (..., craft, axis), from the
+    whole (..., craft, craft, axis) difference tensor at once."""
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return np.sqrt(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
+
+
+def derived_series(log):
+    """The derived series of a TrajectoryLog, formed record by record from its
+    raw ones: V with H* = `h_star`, D and D of sigma_dot = G omega, and, when
+    tracking, T and its rate to the reference's image closer to each craft."""
+    sc = log.scenario
+    j = np.stack([c.inertia.matrix for c in sc.spacecraft])
+    theta = np.stack([c.inertia.theta for c in sc.spacecraft])
+    gamma = np.stack([c.gains.gamma_diag for c in sc.spacecraft])
+    names = ["lyapunov", "disagreement", "disagreement_rate"]
+    if sc.mode == "tracking":
+        names += ["tracking_error", "tracking_rate"]
+    out = {name: np.empty(log.n_records) for name in names}
+    for r, t in enumerate(log.times):
+        sigma, s = log.sigma[r], log.filtered_error[r]
+        sigma_dot = mrp_rate(sigma, log.omega[r])
+        err = theta - log.theta_hat[r]
+        out["lyapunov"][r] = (0.5 * np.einsum("ni,nij,nj->", s, h_star(j, sigma), s)
+                              + 0.5 * (err * err / gamma).reshape(-1).sum(-1))
+        out["disagreement"][r] = max_pairwise(sigma)
+        out["disagreement_rate"][r] = max_pairwise(sigma_dot)
+        if sc.mode == "tracking":
+            ref, ref_rate = sc.reference.at(t)[:2]
+            d = sigma - ref
+            flip = (np.einsum("ni,ni->n", d, d)
+                    > 1.0 + np.einsum("ni,ni->n", sigma, sigma))[:, None]
+            shadow, shadow_rate = mrp_shadow(ref, ref_rate)
+            ref, ref_rate = np.where(flip, shadow, ref), np.where(flip, shadow_rate, ref_rate)
+            out["tracking_error"][r] = np.linalg.norm(sigma - ref, axis=-1).max()
+            out["tracking_rate"][r] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max()
+    return out

@@ -16,14 +16,13 @@ from attsync.control import (
     GainSet,
     ReferenceTrajectory,
     controller_outputs,
-    filtered_error,
     sync_error,
 )
 from attsync.rigid_body import InertiaParams, h_star, mrp_rate, regression
 from attsync.simulator import Simulation
 from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import FLEET_J, attitudes, single_craft_scenario
-from tests.oracles import c_star
+from tests.oracles import c_star, filtered_error
 
 RNG = np.random.default_rng(5)
 

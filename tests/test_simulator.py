@@ -1,6 +1,8 @@
 """Closed-loop fleet integration: stepping, logging, metrics, divergence."""
 import dataclasses
+import itertools
 import sys
+import tracemalloc
 import warnings
 from time import perf_counter
 
@@ -43,6 +45,7 @@ from tests.conftest import (
     rates,
     single_craft_scenario,
 )
+from tests import oracles
 from tests.oracles import mrp_acceleration
 
 
@@ -338,21 +341,32 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, hel
         assert calls[0][0].shape == (3, 2, 3)
 
 
+def derived_blocks(members, n_records):
+    """Blocks of records the derived-series pass of `Simulation.run` takes."""
+    block = max(1, simulator._BLOCK_ELEMENTS // (len(members) * members[0].n ** 2))
+    return -(-n_records // block)
+
+
 @pytest.mark.parametrize("build", [
     pair_scenario,
     lambda **kw: pair_scenario(control_enabled=False, **kw),
     chain_scenario,
 ], ids=["smoothed", "control-off", "held"])
 def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
-    # each evaluation builds G(sigma) once; sigma_dot, the control law, the
-    # record's V and the held refresh share it.  One more call seats the
-    # generator, chi_dot(0) = sigma_dot(0).  Records build none: the count
-    # does not depend on the decimation
-    calls = {"g": 0, "rhs": 0}
+    # each evaluation builds G(sigma) once; sigma_dot, the control law and the
+    # held refresh share it.  One more call seats the generator, chi_dot(0) =
+    # sigma_dot(0), and the derived-series pass after the step loop builds one
+    # per block of records for V and sigma_dot.  The step loop forms no V and
+    # no D: every _certificate and _max_pairwise call comes after the last
+    # evaluation, one and two per block
+    calls = {"g": 0, "rhs": 0, "certificate": [], "max_pairwise": []}
 
     def counting(fn, key):
         def counted(*args):
-            calls[key] += 1
+            if isinstance(calls[key], list):  # evaluations made before this call
+                calls[key].append(calls["rhs"])
+            else:
+                calls[key] += 1
             return fn(*args)
         return counted
 
@@ -365,13 +379,22 @@ def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
                     monkeypatch.setattr(module, attr, counted_g)
     monkeypatch.setattr(simulator, "controller_outputs",
                         counting(controller_outputs, "rhs"))
+    for name in ("certificate", "max_pairwise"):
+        monkeypatch.setattr(simulator, "_" + name,
+                            counting(getattr(simulator, "_" + name), name))
     n = 10
-    for d in (1, 3):
+    for d, block_elements in itertools.product((1, 3), (simulator._BLOCK_ELEMENTS, 8)):
+        monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", block_elements)
         for scenario in (build(duration=n * 0.005), ensemble(build(duration=n * 0.005), 3)):
-            calls.update(g=0, rhs=0)
+            calls.update(g=0, rhs=0, certificate=[], max_pairwise=[])
             Simulation(scenario).run(decimate=d)
+            members = scenario if isinstance(scenario, list) else [scenario]
+            blocks = derived_blocks(members, 1 + -(-n // d))
+            assert (blocks > 1) == (block_elements == 8)
             assert calls["rhs"] >= 1 + 4 * n
-            assert calls["g"] == calls["rhs"] + 1
+            assert calls["g"] == calls["rhs"] + 1 + blocks
+            assert calls["certificate"] == [calls["rhs"]] * blocks
+            assert calls["max_pairwise"] == [calls["rhs"]] * (2 * blocks)
 
 
 @pytest.mark.parametrize("build", [pair_scenario, chain_scenario], ids=["smoothed", "held"])
@@ -444,6 +467,91 @@ def test_record_certificate_equals_the_h_star_form(inputs, data):
     want = (0.5 * np.einsum("...ni,...nij,...nj->...", s, h_star(j, sigma), s)
             + 0.5 * (err * err / gamma).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def sinusoid_tracking(**kw):
+    """pair_scenario tracking a sinusoid outside the unit ball: T takes shadows."""
+    return dataclasses.replace(pair_scenario(mode="tracking", **kw),
+                               reference=ReferenceTrajectory.sinusoid(
+                                   [0.3, -0.2, 0.4], [1.0, 2.0, 0.5], offset=[0.9, 0.8, -0.6]))
+
+
+def ring_scenario(n, duration):
+    """n craft on a directed ring, each hearing the next; seeded states."""
+    craft = [Spacecraft(inertia=InertiaParams(np.array(FLEET_J[i % len(FLEET_J)])),
+                        initial_state=s, gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+             for i, s in enumerate(random_initial_states(3, n, 0.5, 0.3))]
+    return Scenario(spacecraft=tuple(craft), topology=CommTopology(np.roll(np.eye(n), 1, 1)),
+                    mode="leaderless", duration=duration, shadow_switch=True)
+
+
+def diverging_ensemble():
+    """Three members at dt = 0.5: at rest, blowing up, and at rest in consensus."""
+    diverging = pair_scenario(dt=0.5, duration=50.0)
+    still = [with_states(diverging, [SpacecraftState(x, np.zeros(3))] * 2)
+             for x in (np.zeros(3), np.array([0.3, -0.2, 0.1]))]
+    return [still[0], diverging, still[1]]
+
+
+@pytest.mark.parametrize("build, block_elements", [
+    (lambda: pair_scenario(duration=1.0, shadow_switch=True), None),
+    (diverging_ensemble, None),
+    (lambda: pair_scenario(duration=1.0, mode="tracking", shadow_switch=True), None),
+    (lambda: sinusoid_tracking(duration=3.0, shadow_switch=True), None),
+    (lambda: chain_scenario(duration=1.0), None),
+    # 170 records a block: three blocks at decimate 1
+    (lambda: ensemble(sinusoid_tracking(duration=2.0, shadow_switch=True), 3), None),
+    (lambda: ensemble(pair_scenario(duration=1.0, shadow_switch=True), 3), 100),  # 8 a block
+    (lambda: ring_scenario(33, 0.05), None),  # 2048 < 33^2 craft pairs: 1 record a block
+], ids=["one", "ensemble-diverging", "tracking-constant", "tracking-sinusoid", "held",
+        "ensemble-tracking", "many-blocks", "one-record-blocks"])
+@pytest.mark.parametrize("decimate", [1, 3, 7])
+def test_derived_series_equal_the_per_record_oracle(monkeypatch, build, block_elements,
+                                                    decimate):
+    # the pass after the step loop reduces blocks of logged records; every
+    # derived series must equal the record-by-record oracle bit for bit
+    members = build()
+    if block_elements is not None:
+        monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", block_elements)
+    logs = Simulation(members).run(decimate=decimate)
+    logs = logs if isinstance(logs, list) else [logs]
+    assert ([isinstance(log, SimulationDiverged) for log in logs]
+            == [i == 1 and build is diverging_ensemble for i in range(len(logs))])
+    for log in logs:
+        if isinstance(log, SimulationDiverged):
+            continue
+        want = oracles.derived_series(log)
+        assert sorted(want) == sorted(
+            k for k in LOG_ARRAYS[7:] if getattr(log, k) is not None)
+        for name, series in want.items():
+            assert np.array_equal(getattr(log, name), series, equal_nan=True), name
+
+
+def test_max_pairwise_in_row_chunks_equals_the_whole_tensor(monkeypatch):
+    # D is the max of chunk maxima: exact, and nan wherever a difference is nan
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3, 7, 3))
+    x[0, 1, 4, 2] = np.nan
+    x[1, 0, 2, 0] = np.inf
+    x[1, 2, 5] = -np.inf
+    x[1, 1, 3, 1] = np.inf
+    for elements in (simulator._PAIRWISE_ELEMENTS, 1, 6, 42, 43, 84):
+        monkeypatch.setattr(simulator, "_PAIRWISE_ELEMENTS", elements)
+        for y in (x, x[1], x[0, 1], x[1, 2], x[0, 0]):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got, want = simulator._max_pairwise(y), oracles.max_pairwise(y)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_max_pairwise_temporaries_do_not_grow_with_craft_squared():
+    x = np.random.default_rng(8).normal(size=(2000, 3))
+    tracemalloc.start()
+    try:
+        simulator._max_pairwise(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20  # the whole 2000 x 2000 x 3 tensor is 92 MiB
 
 
 def test_divergence_guard_reports_craft_and_time():
