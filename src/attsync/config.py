@@ -10,8 +10,9 @@ scalar shorthand (``K: 3.0`` means 3 * identity), an initial state is
 either explicit or the string ``random`` (drawn from the configured bounds
 with the scenario seed).  Optional ``accel_source``, ``smoothing_rate``,
 and ``rate_leak`` keys select and tune the desired-acceleration source
-(see the simulator module).  Every parse error carries the offending field
-path, e.g. ``spacecraft[2].inertia``.
+(see the simulator module); ``accel_source: held`` builds only when every
+craft hears the leader alone.  Every parse error carries the offending
+field path, e.g. ``spacecraft[2].inertia``.
 
 Two presets ship with the package: ``paper-leaderless`` and
 ``paper-tracking``, the six-spacecraft fleet used throughout the test

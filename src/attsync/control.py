@@ -1,9 +1,10 @@
 """Distributed adaptive synchronization and tracking control laws.
 
-Each spacecraft only sees a convex average of its in-neighbors' attitude,
-rate, and (held) acceleration: the aggregate (sigma_d, sigma_d_dot,
-sigma_d_ddot), passed to the law as three plain arrays.  The two modes
-share the same arithmetic:
+Each spacecraft only sees its in-neighbors' attitude and rate.  The law
+takes a desired attitude, rate and acceleration (sigma_d, sigma_d_dot,
+sigma_d_ddot) as three plain arrays: a command-filtered convex average of
+the neighborhood, or the leader's reference for a craft that hears it alone
+(see the simulator module).  The two modes share the same arithmetic:
 
     e   = sigma - sigma_d            (attitude error to the aggregate)
     s   = e_dot + Lambda e           (filtered error)

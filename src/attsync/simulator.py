@@ -20,14 +20,14 @@ choice in the loop.  Two sources are implemented:
     keeping whatever common spin the initial conditions left.
 
 ``held``
-    Each craft's broadcast acceleration is held one step (zero-order hold,
-    initialized to zero) and refreshed after each step from the torques just
-    applied.  Around a directed cycle of craft the hold closes a discrete
-    feedback loop through the inertia-estimate feedforward whose per-step
-    gain does not shrink with the step size, so `Scenario` accepts this
-    source only on an acyclic craft graph (a tracking fleet fed from the
-    leader; a leaderless graph always has a cycle) and without shadow_switch,
-    as it has no generator state to carry across a flip.
+    The law reads the leader's reference (sigma_r, its rate and its
+    acceleration) directly, so `Scenario` accepts this source only when
+    every craft hears the leader alone: then each aggregate is the reference
+    itself and no neighbor acceleration is needed.  A craft that relays
+    another craft's state would need that craft's acceleration, and a
+    zero-order hold of it diverged on relay chains of 3 to 5 craft (one still
+    at a quarter of the step), so relays are refused and take ``smoothed``;
+    so is shadow_switch, as there is no generator state to carry across a flip.
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control law used for a single craft, `controller_outputs`,
@@ -35,9 +35,9 @@ called once per right-hand-side evaluation with the aggregates as plain
 arrays; there is no separate batched formula path.  The integrated state is
 one packed (N, 18) array, [sigma | omega | theta_hat | chi | chi_dot] along
 its last axis, and each derivative has the same layout, so an RK4 stage is
-one array expression.  Each evaluation builds G(sigma) once: sigma_dot, the
-control law and the "held" refresh all read that matrix.  The inverse
-inertia J^-1 is formed once, when the Simulation is built.
+one array expression.  Each evaluation builds G(sigma) once: sigma_dot and
+the control law both read that matrix.  The inverse inertia J^-1 is formed
+once, when the Simulation is built.
 
 Each neighborhood average is an edge sum along the topology's edge list, each
 edge weighted by its share of the receiver's in-weight.  A table of source
@@ -71,17 +71,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attmath import (
-    inverse_from_kinematics,
-    kinematics_matrix,
-    kinematics_matrix_dot,
-    mat_vec,
-    mrp_shadow,
-)
+from .attmath import inverse_from_kinematics, kinematics_matrix, mat_vec, mrp_shadow
 from .control import GainSet, ReferenceTrajectory, controller_outputs
 from .errors import ConfigError, SimulationDiverged
 from .rigid_body import InertiaParams, SpacecraftState, angular_acceleration, mrp_rate
-from .topology import CommTopology, graph_checks, has_directed_cycle
+from .topology import CommTopology, graph_checks
 
 MODES = ("leaderless", "tracking")
 ACCEL_SOURCES = ("smoothed", "held")
@@ -131,7 +125,8 @@ class Scenario:
     Construction checks that the topology matches the mode: leaderless runs
     need every craft to have an in-neighbor plus a directed spanning tree,
     tracking runs need a reference and a leader that reaches every craft,
-    and the "held" source needs an acyclic craft graph and no shadow_switch.
+    and the "held" source needs every craft to hear the leader alone and no
+    shadow_switch.
 
     accel_source picks how the desired acceleration is obtained ("smoothed"
     or "held", see the module docstring); smoothing_rate is the generator
@@ -193,11 +188,15 @@ class Scenario:
         if failed:
             raise ConfigError("%s topology invalid, failed checks: %s"
                               % (self.mode, "; ".join(failed)))
-        if self.accel_source == "held" and has_directed_cycle(self.topology):
-            raise ConfigError("accel_source 'held' needs an acyclic craft graph; "
-                              "this one has a directed cycle (use 'smoothed')")
-        if self.accel_source == "held" and self.shadow_switch:
-            raise ConfigError("shadow_switch needs accel_source 'smoothed', not 'held'")
+        if self.accel_source == "held":
+            dst, src, _ = self.topology.edges
+            relay = np.flatnonzero(src < n)  # edges from a craft, not the leader
+            if relay.size:
+                raise ConfigError("accel_source 'held' needs every craft to hear the leader "
+                                  "alone; craft %d hears craft %d (use 'smoothed')"
+                                  % (dst[relay[0]] + 1, src[relay[0]] + 1))
+            if self.shadow_switch:
+                raise ConfigError("shadow_switch needs accel_source 'smoothed', not 'held'")
 
     @property
     def n(self) -> int:
@@ -265,12 +264,6 @@ def _certificate(j, sigma, g, s, err, gamma_diag):
             + 0.5 * (err * err / gamma_diag).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
 
 
-def _mrp_acceleration(sigma, omega, g, sigma_dot, omega_dot):
-    """sigma_ddot = dG/dt omega + G omega_dot, from one evaluation's g = G(sigma)
-    and the rates sigma_dot and omega_dot it computed."""
-    return mat_vec(kinematics_matrix_dot(sigma, sigma_dot), omega) + mat_vec(g, omega_dot)
-
-
 def _same(a, b):
     """Equal values: dataclasses field by field, arrays by content."""
     if a is b:
@@ -335,53 +328,50 @@ class Simulation:
 
     # -- core evaluations ------------------------------------------------
 
-    def _aggregates(self, t, sigma, sigma_dot, held_sdd):
-        """Weighted neighborhood averages of attitude, rate and acceleration.
+    def _aggregates(self, t, sigma, sigma_dot):
+        """Weighted neighborhood averages of attitude and rate.
 
         The sources are the craft, plus the reference as leader in tracking
-        mode.  held_sdd holds the craft's held accelerations under the
-        "held" source; it is None under "smoothed", which needs no
-        acceleration aggregate.  A table of source states is gathered per
-        edge; chart alignment gives each edge the source image closer to its
-        receiver, so a source's representation flip never jumps the
-        aggregate; one segmented sum adds each receiver's weighted edges.
+        mode.  A table of source states is gathered per edge; chart alignment
+        gives each edge the source image closer to its receiver, so a
+        source's representation flip never jumps the aggregate; one segmented
+        sum adds each receiver's weighted edges.
         """
-        table = np.empty(sigma.shape[:-2] + (self.n + self.tracking, 6 if held_sdd is None else 9))
-        table[..., :self.n, :3], table[..., :self.n, 3:6] = sigma, sigma_dot
-        if held_sdd is not None:
-            table[..., :self.n, 6:] = held_sdd
+        table = np.empty(sigma.shape[:-2] + (self.n + self.tracking, 6))
+        table[..., :self.n, :3], table[..., :self.n, 3:] = sigma, sigma_dot
         if self.tracking:  # the reference joins every member as source N
-            table[..., self.n, :] = np.concatenate(self.ref.at(t))[:table.shape[-1]]
+            table[..., self.n, :] = np.concatenate(self.ref.at(t)[:2])
         edges = table.take(self._src, axis=-2)
         if self.scenario.shadow_switch:
-            pos, rate = edges[..., :3], edges[..., 3:6]
+            pos, rate = edges[..., :3], edges[..., 3:]
             aligned = _closer_image(pos, rate, sigma.take(self._dst, axis=-2))
             if aligned[0] is not pos:  # some edge flips
-                edges[..., :3], edges[..., 3:6] = aligned
+                edges[..., :3], edges[..., 3:] = aligned
         agg = np.add.reduceat(edges * self._w, self._starts, axis=-2)
-        return agg[..., :3], agg[..., 3:6], None if held_sdd is None else agg[..., 6:]
+        return agg[..., :3], agg[..., 3:]
 
-    def _eval(self, t, y, held_sdd):
+    def _eval(self, t, y):
         """Closed-loop derivatives and controller signals at one instant.
 
         y is the packed state (see the module docstring).  Returns
-        (dy, g, u, e, s): the derivative of y in the same layout, G(sigma),
-        the torque, the error and the filtered error; the chi derivatives
-        are zero under "held".
+        (dy, u, e, s): the derivative of y in the same layout, the torque, the
+        error and the filtered error.  Under "held" the law reads the
+        reference itself, every craft's only neighbor, and the chi
+        derivatives are zero.
         """
         sigma, omega, theta_hat, chi, chi_dot = (
             y[_SIGMA], y[_OMEGA], y[_THETA], y[_CHI], y[_CHI_DOT])
         g = kinematics_matrix(sigma)
         sigma_dot = mat_vec(g, omega)
-        sigma_d, sigma_d_dot, sigma_d_ddot = self._aggregates(
-            t, sigma, sigma_dot, held_sdd)
         if self.smoothed:
+            sigma_d, sigma_d_dot = self._aggregates(t, sigma, sigma_dot)
             chi_ddot = (self._gen_kd * (sigma_d_dot - chi_dot)
                         + self._gen_kp * (sigma_d - chi)
                         - self._gen_leak * chi_dot)
             sigma_d, sigma_d_dot, sigma_d_ddot = chi, chi_dot, chi_ddot
             d_chi = (chi_dot, chi_ddot)
         else:
+            sigma_d, sigma_d_dot, sigma_d_ddot = self.ref.at(t)
             d_chi = (np.zeros(sigma.shape[:-1] + (6,)),)
         u, e, s, theta_dot = controller_outputs(sigma, sigma_dot, omega, g, sigma_d,
                                                 sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
@@ -390,15 +380,15 @@ class Simulation:
         if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
         omega_dot = angular_acceleration(self.j_stack, self.j_inv, omega, u)
-        return np.concatenate((sigma_dot, omega_dot, theta_dot) + d_chi, -1), g, u, e, s
+        return np.concatenate((sigma_dot, omega_dot, theta_dot) + d_chi, -1), u, e, s
 
-    def _rk4(self, t, y, held_sdd, k1):
+    def _rk4(self, t, y, k1):
         """One classical RK4 step of the packed state y, given its derivative k1."""
         dt = self.dt
         h = dt / 2.0
-        k2 = self._eval(t + h, y + h * k1, held_sdd)[0]
-        k3 = self._eval(t + h, y + h * k2, held_sdd)[0]
-        k4 = self._eval(t + dt, y + dt * k3, held_sdd)[0]
+        k2 = self._eval(t + h, y + h * k1)[0]
+        k3 = self._eval(t + h, y + h * k2)[0]
+        k4 = self._eval(t + dt, y + dt * k3)[0]
         return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def _apply_shadow(self, y):
@@ -476,12 +466,11 @@ class Simulation:
         craft's own state, chi(0) = sigma(0) and chi_dot(0) = sigma_dot(0),
         so the initial reference error is exactly zero and the reference
         slides toward the neighborhood aggregate at the generator
-        bandwidth; the held acceleration starts at zero.  A single scenario
-        returns its TrajectoryLog or raises SimulationDiverged; an ensemble
-        returns a list of, per member, either of the two.  Each accepted
-        state is evaluated once, for its record, the hold refresh and the
-        next step's first RK4 stage (and again after a "held" refresh); a
-        record copies its raw series, `_derive` reduces the rest after the loop.
+        bandwidth.  A single scenario returns its TrajectoryLog or raises
+        SimulationDiverged; an ensemble returns a list of, per member, either
+        of the two.  Each accepted state is evaluated once, for its record and
+        the next step's first RK4 stage; a record copies its raw series,
+        `_derive` reduces the rest after the loop.
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
@@ -506,14 +495,13 @@ class Simulation:
                 for b, sc in enumerate(self.scenarios)]
         healthy = np.ones((len(logs), 1), dtype=bool)
         y = np.concatenate([sigma, omega, theta, sigma, mrp_rate(sigma, omega)], -1)
-        held_sdd = None if self.smoothed else np.zeros_like(sigma)
         r = 0
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):
             for k in range(n_steps + 1):
                 t = k * self.dt
                 if k:
-                    y = self._rk4((k - 1) * self.dt, y, held_sdd, dy)
+                    y = self._rk4((k - 1) * self.dt, y, dy)
                     if self.scenario.shadow_switch:
                         y = self._apply_shadow(y)
                 # a diverged member keeps integrating, unchecked, its log dropped
@@ -523,15 +511,11 @@ class Simulation:
                     healthy[b] = False
                 if not healthy.any():
                     break
-                dy, g, u, e, s = self._eval(t, y, held_sdd)
+                dy, u, e, s = self._eval(t, y)
                 if k % decimate == 0 or k == n_steps:
                     for name, x in zip(_RAW, (t, y[_SIGMA], y[_OMEGA], y[_THETA], u, e, s)):
                         out[name][:, r] = x
                     r += 1
-                if k and not self.smoothed:
-                    held_sdd = _mrp_acceleration(y[_SIGMA], y[_OMEGA], g,
-                                                 dy[_SIGMA], dy[_OMEGA])
-                    dy = self._eval(t, y, held_sdd)[0]
             self._derive(out, r)
         if not self.ensemble and isinstance(logs[0], SimulationDiverged):
             raise logs[0]

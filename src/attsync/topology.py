@@ -13,9 +13,7 @@ leader last.  The simulator sums along it; each check below is O(n + E):
   exists.  In a sweep of traversals from each still unvisited craft, the one
   that visits a tree root reaches all that is left, so it is the last, and
   its root reaches that tree root: one more traversal from it decides;
-* leader-rooted: one traversal from node n reaches every spacecraft;
-* acyclic craft graph (the "held" source): a Kahn peel, repeatedly removing
-  craft with no remaining in-edge from a craft, removes them all.
+* leader-rooted: one traversal from node n reaches every spacecraft.
 """
 
 from __future__ import annotations
@@ -101,19 +99,6 @@ def has_directed_spanning_tree(topo: CommTopology) -> bool:
             root = r
             _reach_from(graph, [r], seen)
     return root is not None and bool(_reach_from(graph, [root], np.zeros(n + 1, bool))[:n].all())
-
-
-def has_directed_cycle(topo: CommTopology) -> bool:
-    """True if some craft's state can travel back to it along directed edges."""
-    (starts, receivers), (dst, src, _) = _out_edges(topo), topo.edges
-    indeg = np.bincount(dst[src < topo.n], minlength=topo.n)  # from craft only
-    ready, left = np.flatnonzero(indeg == 0).tolist(), topo.n
-    while ready:  # Kahn: peel craft with no remaining in-edge
-        j, left = ready.pop(), left - 1
-        nxt = receivers[starts[j]:starts[j + 1]]
-        indeg[nxt] -= 1
-        ready.extend(nxt[indeg[nxt] == 0].tolist())
-    return left > 0
 
 
 def leader_reachable(topo: CommTopology) -> np.ndarray:

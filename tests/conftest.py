@@ -97,6 +97,19 @@ def single_craft_scenario(j=None, sigma0=(0.3, -0.2, 0.4), omega0=(0.2, 0.1, -0.
         adaptation_enabled=not perfect, accel_source=accel_source, **kw)
 
 
+def star_scenario(duration=3.0, **kw):
+    """Leader -> craft 1 and leader -> craft 2 (b = [1, 2]): every craft hears the
+    leader alone, the one graph the held source accepts."""
+    states = [SpacecraftState(np.array([0.2, -0.1, 0.1]), np.array([0.1, 0.0, -0.1])),
+              SpacecraftState(np.array([-0.1, 0.2, -0.2]), np.array([0.0, 0.1, 0.1]))]
+    craft = tuple(Spacecraft(inertia=InertiaParams(np.array(j)), initial_state=st,
+                             gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+                  for j, st in zip(FLEET_J[:2], states))
+    return Scenario(spacecraft=craft, topology=CommTopology(np.zeros((2, 2)), [1.0, 2.0]),
+                    mode="tracking", reference=ReferenceTrajectory.constant([0.1, 0.0, -0.1]),
+                    duration=duration, accel_source="held", **kw)
+
+
 def pair_scenario(duration=2.0, mode="leaderless", **kw):
     """Two craft hearing each other; the smallest valid leaderless fleet."""
     states = [SpacecraftState(np.array([0.2, -0.1, 0.1]), np.array([0.1, 0.0, -0.1])),

@@ -3,8 +3,8 @@
 Every test here checks one shipping criterion at its stated tolerance and
 reports a single pass/fail line through ``record_acceptance`` (printed in the
 terminal summary).  The two preset fleets are simulated once per module
-(seeds 1..5, full-rate logging) and shared across the criteria that grade
-them.
+(seeds 1..5 as one ensemble, full-rate logging) and shared across the
+criteria that grade them.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from attsync.attmath import (
 )
 from attsync.cli import main
 from attsync.config import preset
+from attsync.errors import SimulationDiverged
 from attsync.rigid_body import h_star, mrp_rate, regression
 from attsync.simulator import Simulation, metrics
 from attsync.topology import (
@@ -59,18 +60,24 @@ def mixed_inertias(rng, count):
 
 
 def _preset_sweep(name):
-    """Run one preset for seeds 1..5 at full logging rate; return logs+walls."""
-    logs = {}
-    for seed in range(1, 6):
-        scenario = preset(name).with_overrides(seed=seed).to_scenario()
+    """Run one preset for seeds 1..5 at full logging rate as one ensemble; return
+    {seed: (log, wall)}, each seed's wall the whole ensemble's, as `attsync run
+    --seeds` reports it."""
+    seeds = range(1, 6)
+    scenarios = [preset(name).with_overrides(seed=seed).to_scenario() for seed in seeds]
+    for scenario in scenarios:
         assert scenario.dt == 0.005 and scenario.duration == 40.0
         for craft in scenario.spacecraft:
             state = craft.initial_state
             assert np.linalg.norm(state.sigma) <= 0.5 + 1e-12
             assert np.linalg.norm(state.omega) <= 0.5 + 1e-12
-        start = perf_counter()
-        logs[seed] = (Simulation(scenario).run(decimate=1), perf_counter() - start)
-    return logs
+    start = perf_counter()
+    logs = Simulation(scenarios).run(decimate=1)
+    wall = perf_counter() - start
+    for log in logs:
+        if isinstance(log, SimulationDiverged):
+            raise log
+    return {seed: (log, wall) for seed, log in zip(seeds, logs)}
 
 
 @pytest.fixture(scope="module")

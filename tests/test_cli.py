@@ -20,6 +20,7 @@ from attsync.cli import (
     main,
 )
 from attsync.config import ScenarioConfig, preset
+from attsync.errors import ConfigError
 from tests.conftest import FLEET_J
 
 
@@ -183,21 +184,32 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
-def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys):
-    path = write_config(tmp_path, accel_source="held")
+@pytest.mark.parametrize("relay, pair", [
+    (lambda tmp: write_config(tmp, accel_source="held"), "craft 1 hears craft 2"),
+    # leader -> craft 1 -> craft 2: no cycle, but craft 2 relays craft 1
+    (lambda tmp: held_config(tmp, adjacency=[[0.0, 0.0], [1.0, 0.0]],
+                             leader_weights=[1.0, 0.0]), "craft 2 hears craft 1"),
+], ids=["cyclic-pair", "relay-chain"])
+def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys, relay, pair):
+    # the held source takes only craft that hear the leader alone
+    path = relay(tmp_path)
+    with pytest.raises(ConfigError, match=pair):
+        ScenarioConfig.from_yaml_file(path).to_scenario()
     assert main(["validate", "--config", path]) == 1
     out = capsys.readouterr().out
     assert out.count("[fail]") == 1
     assert "[fail] scenario construction failed: accel_source 'held'" in out
+    assert pair in out
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "acyclic craft graph" in capsys.readouterr().err
-    # an acyclic graph still refuses the hold with shadow_switch, from the flag
-    # or from the file
-    chain = held_chain_config(tmp_path)
-    assert main(["run", "--config", chain, "--out", str(tmp_path / "out"),
+    assert pair in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the star it accepts still refuses the hold with shadow_switch, from the
+    # flag or from the file
+    star = held_config(tmp_path)
+    assert main(["run", "--config", star, "--out", str(tmp_path / "out"),
                  "--shadow-switch"]) == 2
     assert "shadow_switch" in capsys.readouterr().err
-    assert main(["validate", "--config", held_chain_config(tmp_path, shadow_switch=True)]) == 1
+    assert main(["validate", "--config", held_config(tmp_path, shadow_switch=True)]) == 1
     out = capsys.readouterr().out
     assert out.count("[fail]") == 1
     assert "[fail] scenario construction failed: shadow_switch" in out
@@ -352,11 +364,13 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def held_chain_config(tmp_path, shadow_switch=False):
-    # leader -> craft 1 -> craft 2: acyclic, so the held source is accepted
+def held_config(tmp_path, adjacency=((0.0, 0.0), (0.0, 0.0)), leader_weights=(1.0, 2.0),
+                shadow_switch=False):
+    # by default leader -> craft 1 and leader -> craft 2, the held source's star
     return write_config(
-        tmp_path, name="chain.yaml", mode="tracking", accel_source="held",
-        topology={"adjacency": [[0.0, 0.0], [1.0, 0.0]], "leader_weights": [1.0, 0.0]},
+        tmp_path, name="held.yaml", mode="tracking", accel_source="held",
+        topology={"adjacency": [list(row) for row in adjacency],
+                  "leader_weights": list(leader_weights)},
         reference={"kind": "constant", "value": [0.1, 0.0, -0.1]},
         shadow_switch=shadow_switch, rate_leak=0.0)
 
@@ -364,10 +378,10 @@ def held_chain_config(tmp_path, shadow_switch=False):
 @pytest.mark.parametrize("source", [
     lambda tmp: ["--preset", "paper-leaderless", "--duration", "0.5"],
     lambda tmp: ["--preset", "paper-tracking", "--duration", "0.5"],
-    lambda tmp: ["--config", held_chain_config(tmp), "--duration", "0.5"],
+    lambda tmp: ["--config", held_config(tmp), "--duration", "0.5"],
     # seed 1 flips to its shadow at t = 1.425 s, seeds 2 and 3 do not
     lambda tmp: ["--preset", "paper-tracking", "--shadow-switch", "--duration", "1.5"],
-], ids=["leaderless-shadow", "tracking", "held-chain", "tracking-shadow-flip"])
+], ids=["leaderless-shadow", "tracking", "held-star", "tracking-shadow-flip"])
 def test_seed_sweep_trajectories_match_single_seed_runs(tmp_path, capsys, source):
     # a sweep is one integration over all seeds; each seed's file must still
     # be byte for byte the file of its own run (criterion 8 relies on it)

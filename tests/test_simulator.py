@@ -4,7 +4,6 @@ import itertools
 import sys
 import tracemalloc
 import warnings
-from time import perf_counter
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from attsync.attmath import (
     inverse_from_kinematics,
     kinematics_matrix,
     kinematics_matrix_inverse,
-    mat_vec,
     mrp_shadow,
 )
 from attsync.config import preset
@@ -25,7 +23,6 @@ from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import (
     InertiaParams,
     SpacecraftState,
-    angular_acceleration,
     h_star,
     mrp_rate,
 )
@@ -44,37 +41,9 @@ from tests.conftest import (
     pair_scenario,
     rates,
     single_craft_scenario,
+    star_scenario,
 )
 from tests import oracles
-from tests.oracles import mrp_acceleration
-
-
-def chain_scenario(duration=3.0, **kw):
-    """Leader -> craft 1 -> craft 2, acyclic, so the held source is exact."""
-    states = [
-        SpacecraftState(np.array([0.2, -0.1, 0.1]), np.array([0.1, 0.0, -0.1])),
-        SpacecraftState(np.array([-0.1, 0.2, -0.2]), np.array([0.0, 0.1, 0.1])),
-    ]
-    craft = [
-        Spacecraft(
-            inertia=InertiaParams(np.array(j)),
-            initial_state=st,
-            gains=GainSet.from_scalars(1.0, 3.0, 3.0),
-        )
-        for j, st in zip(FLEET_J[:2], states)
-    ]
-    topo = CommTopology(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), leader_weights=np.array([1.0, 0.0])
-    )
-    return Scenario(
-        spacecraft=tuple(craft),
-        topology=topo,
-        mode="tracking",
-        reference=ReferenceTrajectory.constant([0.1, 0.0, -0.1]),
-        duration=duration,
-        accel_source="held",
-        **kw,
-    )
 
 
 def with_states(sc, states):
@@ -133,29 +102,15 @@ def test_spacecraft_gains_must_be_single_matrices(stacked):
 
 @pytest.mark.parametrize("mode", ["leaderless", "tracking"])
 def test_held_source_rejects_a_cyclic_craft_graph(mode):
-    # the two craft hear each other: a 2-cycle, which every leaderless graph
-    # has somewhere; the hold around it diverges within a fraction of a second
-    with pytest.raises(ConfigError, match="acyclic craft graph"):
+    # the two craft hear each other, as some craft does in every leaderless
+    # graph; the held source takes only craft that hear the leader alone
+    with pytest.raises(ConfigError, match="craft 1 hears craft 2 \\(use 'smoothed'\\)$"):
         pair_scenario(mode=mode, accel_source="held")
     assert pair_scenario(mode=mode).accel_source == "smoothed"
-    assert chain_scenario().accel_source == "held"  # leader -> 1 -> 2 builds
-    # nor can the hold follow a shadow flip: it has no generator state to map
+    assert star_scenario().accel_source == "held"  # leader -> 1, leader -> 2 builds
+    # nor can it follow a shadow flip: it has no generator state to map
     with pytest.raises(ConfigError, match="shadow_switch needs accel_source 'smoothed'"):
-        chain_scenario(shadow_switch=True)
-
-
-def test_held_scenario_on_a_long_chain_validates_in_linear_time():
-    # leader -> 1 -> 2 -> ... -> 1000: the cycle check peels one craft at a
-    # time, and the leader's one traversal walks the whole chain
-    n = 1000
-    topo = CommTopology(np.diag(np.ones(n - 1), -1), leader_weights=np.eye(n)[0])
-    craft = chain_scenario().spacecraft[0]
-    start = perf_counter()
-    sc = Scenario(spacecraft=(craft,) * n, topology=topo, mode="tracking",
-                  reference=ReferenceTrajectory.constant([0.1, 0.0, -0.1]),
-                  accel_source="held")
-    assert perf_counter() - start < 1.0
-    assert sc.n == n
+        star_scenario(shadow_switch=True)
 
 
 @pytest.mark.parametrize("name", ["paper-leaderless", "paper-tracking"])
@@ -311,17 +266,16 @@ def test_record_counts_and_times():
         Simulation(sc).run(decimate=0)
 
 
-@pytest.mark.parametrize("build, held", [
-    (pair_scenario, False),
-    (lambda **kw: pair_scenario(control_enabled=False, **kw), False),
-    (chain_scenario, True),
+@pytest.mark.parametrize("build", [
+    pair_scenario,
+    lambda **kw: pair_scenario(control_enabled=False, **kw),
+    star_scenario,
 ], ids=["smoothed", "control-off", "held"])
-def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, held):
+def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build):
     # bench/run.py reads rhs_evals_per_step and us_per_rhs off these calls:
     # the initial state's evaluation, then per step three RK4 stages and one
     # evaluation of the accepted state, which is also the next step's first
-    # stage and feeds any record; "held" evaluates that state again after
-    # refreshing the hold.  The decimation does not enter the count.
+    # stage and feeds any record.  The decimation does not enter the count.
     calls = []
 
     def counted(*args):
@@ -333,11 +287,11 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build, hel
     for d in (1, 3):
         calls.clear()
         Simulation(build(duration=n * 0.005)).run(decimate=d)
-        assert len(calls) == (1 + 5 * n if held else 1 + 4 * n)
+        assert len(calls) == 1 + 4 * n
         # an ensemble advances all its members in each of those same calls
         calls.clear()
         Simulation(ensemble(build(duration=n * 0.005), 3)).run(decimate=d)
-        assert len(calls) == (1 + 5 * n if held else 1 + 4 * n)
+        assert len(calls) == 1 + 4 * n
         assert calls[0][0].shape == (3, 2, 3)
 
 
@@ -350,11 +304,11 @@ def derived_blocks(members, n_records):
 @pytest.mark.parametrize("build", [
     pair_scenario,
     lambda **kw: pair_scenario(control_enabled=False, **kw),
-    chain_scenario,
+    star_scenario,
 ], ids=["smoothed", "control-off", "held"])
 def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
-    # each evaluation builds G(sigma) once; sigma_dot, the control law and the
-    # held refresh share it.  One more call seats the generator, chi_dot(0) =
+    # each evaluation builds G(sigma) once; sigma_dot and the control law share
+    # it.  One more call seats the generator, chi_dot(0) =
     # sigma_dot(0), and the derived-series pass after the step loop builds one
     # per block of records for V and sigma_dot.  The step loop forms no V and
     # no D: every _certificate and _max_pairwise call comes after the last
@@ -391,13 +345,13 @@ def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
             members = scenario if isinstance(scenario, list) else [scenario]
             blocks = derived_blocks(members, 1 + -(-n // d))
             assert (blocks > 1) == (block_elements == 8)
-            assert calls["rhs"] >= 1 + 4 * n
+            assert calls["rhs"] == 1 + 4 * n
             assert calls["g"] == calls["rhs"] + 1 + blocks
             assert calls["certificate"] == [calls["rhs"]] * blocks
             assert calls["max_pairwise"] == [calls["rhs"]] * (2 * blocks)
 
 
-@pytest.mark.parametrize("build", [pair_scenario, chain_scenario], ids=["smoothed", "held"])
+@pytest.mark.parametrize("build", [pair_scenario, star_scenario], ids=["smoothed", "held"])
 def test_inertia_is_inverted_once_per_simulation(monkeypatch, build):
     # J^-1 is formed once when the Simulation is built; no evaluation solves
     calls = {"inv": 0, "solve": 0}
@@ -441,17 +395,6 @@ def test_inverse_from_a_shared_g_equals_kinematics_matrix_inverse(inputs):
     _, sigma, _, _ = inputs
     got = inverse_from_kinematics(sigma, kinematics_matrix(sigma))
     assert np.array_equal(got, kinematics_matrix_inverse(sigma))
-
-
-@given(craft_stacks())
-def test_held_refresh_from_the_evaluation_equals_the_oracle(inputs):
-    # the hold refresh reads G, sigma_dot and omega_dot off the evaluation of
-    # the state it refreshes; that must be the oracle's value bit for bit
-    j, sigma, omega, torque = inputs
-    g = kinematics_matrix(sigma)
-    omega_dot = angular_acceleration(j, np.linalg.inv(j), omega, torque)
-    got = simulator._mrp_acceleration(sigma, omega, g, mat_vec(g, omega), omega_dot)
-    assert np.array_equal(got, mrp_acceleration(j, sigma, omega, torque), equal_nan=True)
 
 
 @given(craft_stacks(), st.data())
@@ -498,7 +441,7 @@ def diverging_ensemble():
     (diverging_ensemble, None),
     (lambda: pair_scenario(duration=1.0, mode="tracking", shadow_switch=True), None),
     (lambda: sinusoid_tracking(duration=3.0, shadow_switch=True), None),
-    (lambda: chain_scenario(duration=1.0), None),
+    (lambda: star_scenario(duration=1.0), None),
     # 170 records a block: three blocks at decimate 1
     (lambda: ensemble(sinusoid_tracking(duration=2.0, shadow_switch=True), 3), None),
     (lambda: ensemble(pair_scenario(duration=1.0, shadow_switch=True), 3), 100),  # 8 a block
@@ -603,7 +546,7 @@ def assert_same_log(a, b):
 @pytest.mark.parametrize("build", [
     lambda: pair_scenario(duration=1.0, shadow_switch=True),
     lambda: pair_scenario(duration=1.0, mode="tracking"),
-    lambda: chain_scenario(duration=1.0),
+    lambda: star_scenario(duration=1.0),
 ], ids=["leaderless-aligned", "tracking", "held"])
 def test_ensemble_members_match_their_solo_runs(build):
     members = ensemble(build(), 3)
@@ -642,8 +585,7 @@ def test_diverged_member_is_reported_and_the_rest_finish():
     ("dt", lambda sc: dataclasses.replace(sc, dt=0.01)),
     ("duration", lambda sc: dataclasses.replace(sc, duration=1.0)),
     ("shadow_switch", lambda sc: dataclasses.replace(sc, shadow_switch=True)),
-    ("accel_source", lambda sc: dataclasses.replace(chain_scenario(duration=2.0),
-                                                    accel_source="smoothed")),
+    ("accel_source", lambda sc: dataclasses.replace(sc, accel_source="smoothed")),
     ("inertia", lambda sc: dataclasses.replace(sc, spacecraft=(
         dataclasses.replace(sc.spacecraft[0], inertia=InertiaParams(np.eye(3))),
         sc.spacecraft[1]))),
@@ -658,7 +600,7 @@ def test_ensemble_members_must_match(field, change):
     # only the craft initial states may differ; anything else names itself
     base = pair_scenario(mode="tracking")
     if field == "accel_source":
-        base = chain_scenario(duration=2.0)
+        base = star_scenario(duration=2.0)
     Simulation([base, with_states(base, random_initial_states(5, 2))])
     with pytest.raises(ConfigError, match="ensemble members differ in %s$" % field):
         Simulation([base, change(base)])
@@ -682,13 +624,12 @@ weights = st.floats(0.1, 2.0)
 
 
 @st.composite
-def fleets(draw, leader=True, acyclic=False):
+def fleets(draw, leader=True):
     """A fleet state on a valid graph; returns (topology, reference, t, sigma,
-    rate, accel).  With `leader` the graph is leader-rooted and the reference
-    lies inside, outside or at zero of the unit ball; without, every craft
-    hears one and a spanning tree exists, and the reference is None.  The
-    states carry a member axis of 3 or none.  With `acyclic`, craft only hear
-    craft earlier in a drawn order."""
+    rate).  With `leader` the graph is leader-rooted and the reference lies
+    inside, outside or at zero of the unit ball; without, every craft hears
+    one and a spanning tree exists, and the reference is None.  The states
+    carry a member axis of 3 or none."""
     n = draw(st.integers(1 if leader else 2, 5))
     order = draw(st.permutations(range(n)))
     adj, b = np.zeros((n, n)), np.zeros(n)
@@ -705,7 +646,7 @@ def fleets(draw, leader=True, acyclic=False):
             adj[i, order[parent]] = draw(weights)
     for k, i in enumerate(order):
         for m, j in enumerate(order):
-            if m != k and (m < k or not acyclic) and draw(st.booleans()):
+            if m != k and draw(st.booleans()):
                 adj[i, j] = draw(weights)
         if leader and draw(st.booleans()):
             b[i] = draw(weights)
@@ -725,18 +666,16 @@ def fleets(draw, leader=True, acyclic=False):
     fleet = arrays(float, draw(st.sampled_from([(), (3,)])) + (n, 3),
                    elements=st.floats(-2.0, 2.0))
     return (CommTopology(adj, leader_weights=b if leader else None), ref, t,
-            draw(fleet), draw(fleet), draw(fleet))
+            draw(fleet), draw(fleet))
 
 
-@pytest.mark.parametrize("accel_source, shadow_switch",
-                         [("smoothed", True), ("smoothed", False), ("held", False)])
+@pytest.mark.parametrize("accel_source, shadow_switch", [("smoothed", True), ("smoothed", False)])
 @settings(deadline=None)
 @given(data=st.data())
 def test_aggregates_align_the_leader_by_the_neighbor_rule(
         accel_source, shadow_switch, data):
-    held = accel_source == "held"  # the held source needs an acyclic craft graph
-    leader = held or data.draw(st.booleans())  # and a leader feeding it
-    topo, ref, t, sigma, sigma_dot, held_sdd = data.draw(fleets(leader, acyclic=held))
+    leader = data.draw(st.booleans())
+    topo, ref, t, sigma, sigma_dot = data.draw(fleets(leader))
     n = topo.n
     craft = [Spacecraft(inertia=InertiaParams(np.array(j)),
                         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
@@ -746,10 +685,10 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
                               mode="tracking" if leader else "leaderless",
                               reference=ref, accel_source=accel_source,
                               shadow_switch=shadow_switch))
-    sr, srd, srdd = ref.at(t) if leader else (None, None, None)
+    sr, srd, _ = ref.at(t) if leader else (None, None, None)
     weights = aggregate_weights(topo, with_leader=leader)  # the leader's value last
     with np.errstate(all="ignore"):  # a zero attitude has no finite shadow
-        got = sim._aggregates(t, sigma, sigma_dot, held_sdd if held else None)
+        got = sim._aggregates(t, sigma, sigma_dot)
 
         # oracle: each receiver takes each source's closer image, then
         # averages; member by member when the states have a member axis
@@ -775,12 +714,9 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
 
                 want = [average([x for x, _ in imgs], lead),
                         average([v for _, v in imgs], lead_dot)]
-                if held:
-                    want.append(average(held_sdd[b], srdd))
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(
                         g[b][i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
-    assert (got[2] is None) == (not held)
 
 
 @given(st.data())
@@ -820,19 +756,16 @@ def test_closer_image_closed_form_matches_the_explicit_distances(data):
 
 
 def test_logged_errors_match_offline_recomputation():
-    # on an acyclic graph the held source has no causality gap, so the
-    # logged errors must equal the aggregates recomputed from the log alone
-    sc = chain_scenario(duration=3.0)
+    # under the held source every craft hears the leader alone and the law
+    # reads the reference itself, so the logged errors must equal the errors
+    # to the reference recomputed from the log alone
+    sc = star_scenario(duration=3.0)
     log = Simulation(sc).run(decimate=1)
-    w = aggregate_weights(sc.topology, with_leader=True)  # leader: last column
     sigma_dot = mrp_rate(log.sigma, log.omega)
     sr = np.stack([sc.reference.at(t)[0] for t in log.times])
     sr_dot = np.stack([sc.reference.at(t)[1] for t in log.times])
-    sigma_d = np.einsum("ij,rjk->rik", w, np.concatenate([log.sigma, sr[:, None]], axis=1))
-    sigma_d_dot = np.einsum("ij,rjk->rik", w, np.concatenate([sigma_dot, sr_dot[:, None]],
-                                                             axis=1))
-    e = log.sigma - sigma_d
-    s = (sigma_dot - sigma_d_dot) + e  # Lambda = I
+    e = log.sigma - sr[:, None]
+    s = (sigma_dot - sr_dot[:, None]) + e  # Lambda = I
     assert np.abs(e - log.sync_error).max() <= 1e-10
     assert np.abs(s - log.filtered_error).max() <= 1e-10
 
@@ -929,11 +862,12 @@ def test_tracking_error_zero_on_reference():
 
 def test_tracking_error_is_taken_to_the_closer_image_of_the_reference():
     # a reference near [0, 0, 1.5] and its shadow near [0, 0, -2/3] are one
-    # attitude; the chain starts closer to the shadow, which the aligned
-    # aggregate steers it to, so T and the tracking rate measure to it
+    # attitude; the chain leader -> 1 -> 2 starts closer to the shadow, which
+    # the aligned aggregate steers it to, so T and the tracking rate measure to it
     ref = ReferenceTrajectory.sinusoid([0.05, 0.0, 0.0], 1.0, offset=[0.0, 0.0, 1.5])
-    sc = dataclasses.replace(chain_scenario(duration=0.5), accel_source="smoothed",
-                             shadow_switch=True, reference=ref)
+    chain = CommTopology(np.array([[0.0, 0.0], [1.0, 0.0]]), leader_weights=[1.0, 0.0])
+    sc = Scenario(spacecraft=star_scenario().spacecraft, topology=chain, mode="tracking",
+                  reference=ref, duration=0.5, shadow_switch=True)
     log = Simulation(sc).run(decimate=10)
     sigma_dot = mrp_rate(log.sigma, log.omega)
     t_err, t_rate = [], []
@@ -965,7 +899,7 @@ def test_metrics_summary_consistent_with_log():
     assert np.allclose(log.disagreement_rate, d_rate, rtol=1e-14, atol=0.0)
     assert out["disagreement_rate_final"] == log.disagreement_rate[-1]
 
-    tlog = Simulation(chain_scenario(duration=1.0)).run()
+    tlog = Simulation(star_scenario(duration=1.0)).run()
     tout = metrics(tlog)
     assert tout["tracking_error_final"] == tlog.tracking_error[-1]
     assert tout["tracking_rate_final"] == tlog.tracking_rate[-1]
