@@ -4,7 +4,7 @@ Library layout:
 
 * `attsync.attmath`: MRP kinematics and the inertia-factoring operators.
 * `attsync.rigid_body`: single-craft dynamics, the transformed inertia H*
-  and the adaptive regressor, through which C* enters the control law.
+  and the adaptive regressor; C* itself is a test oracle.
 * `attsync.topology`: directed communication graphs, validity checks, and
   the neighborhood-average weights.
 * `attsync.control`: reference trajectories, the synchronization and

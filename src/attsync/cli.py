@@ -61,11 +61,11 @@ def validity_report(cfg: ScenarioConfig, scenario=None) -> dict:
     the construction succeeds.
     """
     report = {
-        "mode": cfg.mode,
+        "mode": cfg.doc["mode"],
         "spacecraft": cfg.n,
         "in_degrees": [float(d) for d in cfg.topology.adjacency.sum(axis=1)],
     }
-    checks = graph_checks(cfg.topology, cfg.mode)
+    checks = graph_checks(cfg.topology, cfg.doc["mode"])
     if all(ok for ok, _ in checks):
         try:
             if scenario is None:
@@ -149,13 +149,18 @@ def _write_summary(out_dir, summary) -> None:
 
 def _make_dirs(path) -> list:
     """`os.makedirs(path, exist_ok=True)`; returns the directories it created,
-    outermost first."""
+    outermost first, and removes them again if it fails."""
     missing = []
     head = os.path.abspath(path)
     while not os.path.isdir(head):
         missing.append(head)
         head = os.path.dirname(head)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError:
+        for made in filter(os.path.isdir, missing):
+            os.rmdir(made)
+        raise
     return missing[::-1]
 
 
@@ -179,7 +184,7 @@ def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol)
     for key in sorted(finals):
         print("  %s: %s" % (key, finals[key]))
     if assert_tol is not None:
-        if cfg.mode == "leaderless":
+        if cfg.doc["mode"] == "leaderless":
             ok = (finals["disagreement_final"] < assert_tol
                   and finals["disagreement_rate_final"] < assert_tol)
         else:
@@ -201,13 +206,13 @@ def cmd_run(args) -> int:
         runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))
                 for s in _parse_seeds(args.seeds)]
     scenarios = [c.to_scenario() for c, _ in runs]
-    created = []  # an unusable path fails before the integration
-    for _, out_dir in runs:
-        created += _make_dirs(out_dir)
-    t0 = time.perf_counter()
+    created = []  # a run refused before its first step leaves none of these
     try:
-        results = Simulation(scenarios).run(decimate=cfg.decimate)
-    except ConfigError:  # refused before the first step: leave no empty directory
+        for _, out_dir in runs:  # an unusable path fails before the integration
+            created += _make_dirs(out_dir)
+        t0 = time.perf_counter()
+        results = Simulation(scenarios).run(decimate=cfg.doc["decimate"])
+    except (ConfigError, OSError):
         for path in reversed(created):
             os.rmdir(path)
         raise
@@ -215,7 +220,7 @@ def cmd_run(args) -> int:
     status = 0
     for (c, out_dir), scenario, result in zip(runs, scenarios, results):
         if args.seeds is not None:
-            print("seed %d -> %s" % (c.seed, out_dir))
+            print("seed %d -> %s" % (c.doc["seed"], out_dir))
         status = max(status, _write_run(c, scenario, result, wall, out_dir,
                                         args.assert_converged))
     return status
@@ -230,7 +235,7 @@ def cmd_validate(args) -> int:
 def cmd_preset(args) -> int:
     for name in preset_names():
         cfg = preset(name)
-        print("%-18s %d spacecraft, %s" % (name, cfg.n, cfg.mode))
+        print("%-18s %d spacecraft, %s" % (name, cfg.n, cfg.doc["mode"]))
     return 0
 
 

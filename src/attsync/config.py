@@ -4,15 +4,18 @@ A description is a mapping: a YAML file, a preset, or either with CLI
 overrides laid over its top-level keys.  `ScenarioConfig.from_dict` is the
 one parser for all of them.  The config keeps the mapping as given (`doc`,
 optional top-level keys filled from `DEFAULTS`) as its only serialized
-form, so `to_dict`/`to_yaml` return the description as written.  Inertia
-may be given as a full symmetric 3x3 or a packed 6-vector, gains accept a
-scalar shorthand (``K: 3.0`` means 3 * identity), an initial state is
-either explicit or the string ``random`` (drawn from the configured bounds
-with the scenario seed).  Optional ``accel_source``, ``smoothing_rate``,
-and ``rate_leak`` keys select and tune the desired-acceleration source
-(see the simulator module); ``accel_source: held`` builds only when every
-craft hears the leader alone.  Every parse error carries the offending
-field path, e.g. ``spacecraft[2].inertia``.
+form, so `to_dict`/`to_yaml` return the description as written; beside it
+the config holds only what parsing builds (`topology`, `reference`, `craft`),
+and scalars such as `seed` are read off `doc`.  Inertia may be given as a
+full symmetric 3x3 or a packed 6-vector, gains accept a scalar shorthand
+(``K: 3.0`` means 3 * identity), an initial state is either explicit or the
+string ``random`` (drawn from the configured bounds with the scenario seed),
+and a reference takes the fields `ReferenceTrajectory.KINDS` lists for its
+kind.  Optional ``accel_source``, ``smoothing_rate``, and ``rate_leak`` keys
+select and tune the desired-acceleration source (see the simulator module);
+``accel_source: held`` builds only when every craft hears the leader alone.
+Every parse error carries the offending field path, e.g.
+``spacecraft[2].inertia``.
 
 Two presets ship with the package: ``paper-leaderless`` and
 ``paper-tracking``, the six-spacecraft fleet used throughout the test
@@ -148,16 +151,15 @@ def _parse_gains(value, n, path):
 
 
 def _parse_reference(value, path):
+    kinds = ReferenceTrajectory.KINDS
     kind = _mapping(value, path).get("kind")
-    if kind not in ("constant", "sinusoid"):
-        _fail(path + ".kind", "must be 'constant' or 'sinusoid'")
+    if not isinstance(kind, str) or kind not in kinds:
+        _fail(path + ".kind", "must be %s" % " or ".join(map(repr, kinds)))
     # fields the kind does not read are refused, so `doc` holds only checked values
-    _mapping(value, path, allowed={"kind", "value"} if kind == "constant" else
-             {"kind", "amplitude", "frequency", "phase", "offset"})
-    if kind == "sinusoid":
-        for name in ("amplitude", "frequency"):
-            if value.get(name) is None:
-                _fail(path + "." + name, "missing required field")
+    _mapping(value, path, allowed={"kind", *kinds[kind]})
+    for name, default in kinds[kind].items():
+        if default is None and value.get(name) is None:
+            _fail(path + "." + name, "missing required field")
 
     def vec(name):
         raw = value[name]
@@ -198,31 +200,17 @@ def _parse_craft(entry, path):
 class ScenarioConfig:
     """Parsed, validated scenario description; `to_scenario` builds the real thing.
 
-    Built only by `from_dict`; every field but `doc` is parsed from `doc`.
+    Built only by `from_dict`: `doc` plus what parsing builds from it.
     """
 
     doc: dict
-    mode: str
     topology: CommTopology
-    inertias: tuple
-    gains: tuple
     reference: ReferenceTrajectory | None
-    initial_states: tuple      # per craft, None entry = random
-    theta_hat0: tuple
-    dt: float
-    duration: float
-    seed: int
-    shadow_switch: bool
-    decimate: int
-    sigma_bound: float
-    omega_bound: float
-    accel_source: str
-    smoothing_rate: float
-    rate_leak: float
+    craft: tuple  # per craft: inertia, initial state (None: seeded draw), gains, theta_hat0
 
     @property
     def n(self) -> int:
-        return len(self.inertias)
+        return len(self.craft)
 
     # -- construction ----------------------------------------------------
 
@@ -261,27 +249,18 @@ class ScenarioConfig:
         reference = None
         if doc.get("reference") is not None:
             reference = _parse_reference(doc["reference"], "reference")
-        bounds = doc["random_bounds"]
-        return cls(
-            doc=doc,
-            mode=doc["mode"],
-            topology=topology,
-            inertias=tuple(p[0] for p in parsed),
-            gains=_parse_gains(doc["gains"], n, "gains"),
-            reference=reference,
-            initial_states=tuple(p[1] for p in parsed),
-            theta_hat0=tuple(p[2] for p in parsed),
-            dt=_number(doc["dt"], "dt"),
-            duration=_number(doc["duration"], "duration"),
-            seed=_integer(doc["seed"], "seed", 0),
-            shadow_switch=doc["shadow_switch"],
-            decimate=_integer(doc["decimate"], "decimate", 1),
-            sigma_bound=_number(bounds["sigma"], "random_bounds.sigma", least=0.0),
-            omega_bound=_number(bounds["omega"], "random_bounds.omega", least=0.0),
-            accel_source=doc["accel_source"],
-            smoothing_rate=_number(doc["smoothing_rate"], "smoothing_rate"),
-            rate_leak=_number(doc["rate_leak"], "rate_leak"),
-        )
+        gains = _parse_gains(doc["gains"], n, "gains")
+        # the scalars stay in `doc`, where `to_scenario` reads them
+        _number(doc["dt"], "dt")
+        _number(doc["duration"], "duration")
+        _integer(doc["seed"], "seed", 0)
+        _integer(doc["decimate"], "decimate", 1)
+        for axis in ("sigma", "omega"):
+            _number(doc["random_bounds"][axis], "random_bounds." + axis, least=0.0)
+        _number(doc["smoothing_rate"], "smoothing_rate")
+        _number(doc["rate_leak"], "rate_leak")
+        return cls(doc, topology, reference,
+                   tuple((j, s, g, th) for (j, s, th), g in zip(parsed, gains)))
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
@@ -317,16 +296,16 @@ class ScenarioConfig:
         order (explicit entries discard theirs), so a given seed yields the
         same states no matter which subset is explicit.
         """
-        draws = random_initial_states(self.seed, self.n,
-                                      self.sigma_bound, self.omega_bound)
-        states = [s if s is not None else d for s, d in zip(self.initial_states, draws)]
-        craft = tuple(map(Spacecraft, self.inertias, states, self.gains, self.theta_hat0))
+        doc, bounds = self.doc, self.doc["random_bounds"]
+        draws = random_initial_states(doc["seed"], self.n,
+                                      float(bounds["sigma"]), float(bounds["omega"]))
+        craft = tuple(Spacecraft(j, s if s is not None else d, g, th)
+                      for (j, s, g, th), d in zip(self.craft, draws))
         return Scenario(
-            spacecraft=craft, topology=self.topology, mode=self.mode,
-            reference=self.reference, dt=self.dt, duration=self.duration,
-            shadow_switch=self.shadow_switch,
-            accel_source=self.accel_source, smoothing_rate=self.smoothing_rate,
-            rate_leak=self.rate_leak)
+            spacecraft=craft, topology=self.topology, mode=doc["mode"],
+            reference=self.reference, shadow_switch=doc["shadow_switch"],
+            accel_source=doc["accel_source"],
+            **{k: float(doc[k]) for k in ("dt", "duration", "smoothing_rate", "rate_leak")})
 
 
 # -- presets -------------------------------------------------------------

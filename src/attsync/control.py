@@ -26,7 +26,7 @@ evaluates the whole fleet at once through this exact code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class GainSet:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_scalars(cls, lam: float, k: float, gamma: float) -> "GainSet":
-        return cls(lam * np.eye(3), k * np.eye(3), gamma * np.eye(6))
-
 
 def _vec3(x, name):
     out = np.broadcast_to(np.asarray(x, dtype=float), (3,)).astype(float)
@@ -85,7 +81,8 @@ class ReferenceTrajectory:
     """Leader attitude profile, evaluated as (sigma_r, rate, accel) at time t.
 
     Two kinds, both smooth: a constant attitude, and a per-axis sinusoid
-    sigma_r(t) = offset + amplitude * sin(frequency * t + phase).
+    sigma_r(t) = offset + amplitude * sin(frequency * t + phase).  `KINDS`
+    holds each kind's fields and defaults (None: required); no other is taken.
     """
 
     kind: str
@@ -94,32 +91,24 @@ class ReferenceTrajectory:
     frequency: np.ndarray | None = None
     phase: np.ndarray | None = None
     offset: np.ndarray | None = None
+    KINDS = {"constant": {"value": 0.0},
+             "sinusoid": {"amplitude": None, "frequency": None, "phase": 0.0, "offset": 0.0}}
     _ZERO = _vec3(0.0, "zero")  # rate and acceleration of a constant reference
 
     def __post_init__(self):
-        if self.kind == "constant":
-            object.__setattr__(self, "value", _vec3(
-                self.value if self.value is not None else 0.0, "value"))
-        elif self.kind == "sinusoid":
-            for name, default in (("amplitude", None), ("frequency", None),
-                                  ("phase", 0.0), ("offset", 0.0)):
-                given = getattr(self, name)
-                if given is None:
-                    if default is None:
-                        raise ValueError("sinusoid reference requires %s" % name)
-                    given = default
-                object.__setattr__(self, name, _vec3(given, name))
-        else:
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise ValueError("unknown reference kind %r" % self.kind)
-
-    @classmethod
-    def constant(cls, value) -> "ReferenceTrajectory":
-        return cls(kind="constant", value=value)
-
-    @classmethod
-    def sinusoid(cls, amplitude, frequency, phase=0.0, offset=0.0) -> "ReferenceTrajectory":
-        return cls(kind="sinusoid", amplitude=amplitude, frequency=frequency,
-                   phase=phase, offset=offset)
+        defaults = self.KINDS[self.kind]
+        for f in fields(self)[1:]:
+            if f.name not in defaults and getattr(self, f.name) is not None:
+                raise ValueError("a %s reference takes no %s" % (self.kind, f.name))
+        for name, default in defaults.items():
+            given = getattr(self, name)
+            if given is None:
+                if default is None:
+                    raise ValueError("%s reference requires %s" % (self.kind, name))
+                given = default
+            object.__setattr__(self, name, _vec3(given, name))
 
     def at(self, t: float):
         """Return (sigma_r, sigma_r_dot, sigma_r_ddot) at time t."""

@@ -24,10 +24,9 @@ choice in the loop.  Two sources are implemented:
     acceleration) directly, so `Scenario` accepts this source only when
     every craft hears the leader alone: then each aggregate is the reference
     itself and no neighbor acceleration is needed.  A craft that relays
-    another craft's state would need that craft's acceleration, and a
-    zero-order hold of it diverged on relay chains of 3 to 5 craft (one still
-    at a quarter of the step), so relays are refused and take ``smoothed``;
-    so is shadow_switch, as there is no generator state to carry across a flip.
+    another craft's state would need that craft's acceleration, which no craft
+    exchanges, so relays are refused and take ``smoothed``; so is
+    shadow_switch, as there is no generator state to carry across a flip.
 
 The whole fleet is advanced as stacked (N, 3) / (N, 6) arrays through the
 same public control law used for a single craft, `controller_outputs`,

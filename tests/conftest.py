@@ -31,6 +31,9 @@ FLEET_ADJ = np.array([
 
 FLEET_LEADER_B = np.array([1.0, 0, 0, 0, 0, 0])
 
+# the presets' gains: Lambda = I, K = 3 I, Gamma = 3 I
+PAPER_GAINS = GainSet(np.eye(3), 3.0 * np.eye(3), 3.0 * np.eye(6))
+
 # attitudes with |x| spread log-uniformly over [1e-3, 1e3], and a rate
 directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 0.1)
@@ -74,7 +77,7 @@ def fleet_topology():
 
 @pytest.fixture
 def unit_gains():
-    return GainSet.from_scalars(1.0, 3.0, 3.0)
+    return PAPER_GAINS
 
 
 def single_craft_scenario(j=None, sigma0=(0.3, -0.2, 0.4), omega0=(0.2, 0.1, -0.3),
@@ -87,12 +90,12 @@ def single_craft_scenario(j=None, sigma0=(0.3, -0.2, 0.4), omega0=(0.2, 0.1, -0.
     craft = Spacecraft(
         inertia=inertia,
         initial_state=SpacecraftState(np.array(sigma0), np.array(omega0)),
-        gains=GainSet.from_scalars(1.0, 3.0, 3.0),
+        gains=PAPER_GAINS,
         theta_hat0=inertia.theta if perfect else np.zeros(6))
     topo = CommTopology(np.zeros((1, 1)), leader_weights=np.array([1.0]))
     return Scenario(
         spacecraft=(craft,), topology=topo, mode="tracking",
-        reference=ReferenceTrajectory.constant(list(sigma_ref)),
+        reference=ReferenceTrajectory("constant", value=list(sigma_ref)),
         dt=dt, duration=duration,
         adaptation_enabled=not perfect, accel_source=accel_source, **kw)
 
@@ -103,10 +106,11 @@ def star_scenario(duration=3.0, **kw):
     states = [SpacecraftState(np.array([0.2, -0.1, 0.1]), np.array([0.1, 0.0, -0.1])),
               SpacecraftState(np.array([-0.1, 0.2, -0.2]), np.array([0.0, 0.1, 0.1]))]
     craft = tuple(Spacecraft(inertia=InertiaParams(np.array(j)), initial_state=st,
-                             gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+                             gains=PAPER_GAINS)
                   for j, st in zip(FLEET_J[:2], states))
     return Scenario(spacecraft=craft, topology=CommTopology(np.zeros((2, 2)), [1.0, 2.0]),
-                    mode="tracking", reference=ReferenceTrajectory.constant([0.1, 0.0, -0.1]),
+                    mode="tracking",
+                    reference=ReferenceTrajectory("constant", value=[0.1, 0.0, -0.1]),
                     duration=duration, accel_source="held", **kw)
 
 
@@ -118,13 +122,13 @@ def pair_scenario(duration=2.0, mode="leaderless", **kw):
     for j, st in zip(FLEET_J[:2], states):
         inertia = InertiaParams(np.array(j))
         craft.append(Spacecraft(inertia=inertia, initial_state=st,
-                                gains=GainSet.from_scalars(1.0, 3.0, 3.0)))
+                                gains=PAPER_GAINS))
     topo = CommTopology(np.array([[0.0, 1.0], [1.0, 0.0]]))
     extra = {}
     if mode == "tracking":
         topo = CommTopology(np.array([[0.0, 1.0], [1.0, 0.0]]),
                             leader_weights=np.array([1.0, 0.0]))
-        extra["reference"] = ReferenceTrajectory.constant([0.1, 0.0, -0.1])
+        extra["reference"] = ReferenceTrajectory("constant", value=[0.1, 0.0, -0.1])
     return Scenario(spacecraft=tuple(craft), topology=topo, mode=mode,
                     duration=duration, **extra, **kw)
 

@@ -123,6 +123,18 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     for seeds in ([], ["--seeds", "1..2"]):
         assert main(["run", "--config", both, "--out", both] + seeds) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # a sweep refused at its second directory removes its first
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / "seed_2").touch()
+    assert main(["run", "--preset", "paper-tracking", "--duration", "0.1",
+                 "--seeds", "1..2", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
+    assert os.listdir(tmp_path / "x") == ["seed_2"]
+    # and a path refused below directories it made removes them too
+    deep = tmp_path / "new" / "a" / ("n" * 300)
+    assert main(["run", "--preset", "paper-tracking", "--out", str(deep)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
     assert main(["run", "--preset", "paper-tracking", "--seed", "7",
                  "--seeds", "1..2", "--out", str(tmp_path / "out")]) == 2
     assert (capsys.readouterr().err
@@ -444,6 +456,13 @@ def test_assert_converged_gates_exit_status(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out),
                  "--assert-converged", "10"]) == 0
     assert "converged (tol 10): yes" in capsys.readouterr().out
+    # a tracking run is judged by its tracking error and rate
+    tracking = ["run", "--preset", "paper-tracking", "--duration", "0.5",
+                "--out", str(out), "--assert-converged"]
+    assert main(tracking) == 1
+    assert "converged (tol 0.01): no" in capsys.readouterr().out
+    assert main(tracking + ["10"]) == 0
+    assert "converged (tol 10): yes" in capsys.readouterr().out
 
 
 def test_environment_variable_sets_output_directory(tmp_path, capsys, monkeypatch):
@@ -512,6 +531,6 @@ def test_readme_commands_validate(tmp_path, monkeypatch):
         cfg = _load_config(args)
         if argv[0] == "run":
             cfg = _apply_overrides(cfg, args)
-        seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else [cfg.seed]
+        seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else [cfg.doc["seed"]]
         for seed in seeds:
             cfg.with_overrides(seed=seed).to_scenario()

@@ -81,32 +81,31 @@ def test_unknown_preset_lists_available():
 
 def test_leaderless_preset_contents():
     cfg = preset("paper-leaderless")
-    assert cfg.mode == "leaderless" and cfg.n == 6
-    assert cfg.dt == DEFAULTS["dt"] and cfg.duration == DEFAULTS["duration"]
-    assert cfg.seed == 0 and cfg.topology.leader_weights is None and cfg.reference is None
-    assert cfg.sigma_bound == DEFAULT_BOUND and cfg.omega_bound == DEFAULT_BOUND
+    doc = cfg.doc
+    assert doc["mode"] == "leaderless" and cfg.n == 6
+    assert doc["dt"] == DEFAULTS["dt"] and doc["duration"] == DEFAULTS["duration"]
+    assert doc["seed"] == 0 and cfg.topology.leader_weights is None and cfg.reference is None
+    assert doc["random_bounds"] == {"sigma": DEFAULT_BOUND, "omega": DEFAULT_BOUND}
     assert np.array_equal(cfg.topology.adjacency, FLEET_ADJ)
-    for inertia, j in zip(cfg.inertias, FLEET_J):
+    for (inertia, state, g, th0), j in zip(cfg.craft, FLEET_J):
         assert np.array_equal(inertia.matrix, np.array(j))
-    for g in cfg.gains:
+        assert state is None  # drawn from the seed
         assert np.array_equal(g.Lambda, np.eye(3))
         assert np.array_equal(g.K, 3.0 * np.eye(3))
         assert np.array_equal(g.Gamma, 3.0 * np.eye(6))
-    for th0 in cfg.theta_hat0:
         assert np.array_equal(th0, np.zeros(6))
-    assert all(state is None for state in cfg.initial_states)
-    assert cfg.accel_source == "smoothed"
-    assert cfg.shadow_switch and cfg.rate_leak > 0.0
+    assert doc["accel_source"] == "smoothed"
+    assert doc["shadow_switch"] and doc["rate_leak"] > 0.0
 
 
 def test_tracking_preset_contents():
     cfg = preset("paper-tracking")
-    assert cfg.mode == "tracking" and cfg.n == 6
+    assert cfg.doc["mode"] == "tracking" and cfg.n == 6
     assert np.array_equal(cfg.topology.leader_weights, FLEET_LEADER_B)
     assert cfg.reference.kind == "constant"
     assert np.array_equal(cfg.reference.value, [0.1, 0.3, 0.5])
     assert np.array_equal(cfg.topology.adjacency, FLEET_ADJ)
-    assert not cfg.shadow_switch and cfg.rate_leak == 0.0
+    assert not cfg.doc["shadow_switch"] and cfg.doc["rate_leak"] == 0.0
 
 
 @pytest.mark.parametrize("name", ["paper-leaderless", "paper-tracking"])
@@ -127,7 +126,7 @@ def test_preset_scenarios_validate():
 
 def test_scalar_gain_shorthand():
     cfg = ScenarioConfig.from_dict(minimal_dict(gains={"K": 3.0}))
-    for g in cfg.gains:
+    for _, _, g, _ in cfg.craft:
         assert np.array_equal(g.K, 3.0 * np.eye(3))
         assert np.array_equal(g.Lambda, np.eye(3))  # default 1.0 shorthand
         assert np.array_equal(g.Gamma, np.eye(6))
@@ -137,15 +136,15 @@ def test_gamma_diagonal_shorthand():
     cfg = ScenarioConfig.from_dict(
         minimal_dict(gains={"Gamma": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
     )
-    assert np.array_equal(cfg.gains[0].Gamma, np.diag([1.0, 2, 3, 4, 5, 6]))
+    assert np.array_equal(cfg.craft[0][2].Gamma, np.diag([1.0, 2, 3, 4, 5, 6]))
 
 
 def test_per_craft_gain_list():
     cfg = ScenarioConfig.from_dict(
         minimal_dict(gains=[{"K": 2.0}, {"K": 4.0}])
     )
-    assert np.array_equal(cfg.gains[0].K, 2.0 * np.eye(3))
-    assert np.array_equal(cfg.gains[1].K, 4.0 * np.eye(3))
+    assert np.array_equal(cfg.craft[0][2].K, 2.0 * np.eye(3))
+    assert np.array_equal(cfg.craft[1][2].K, 4.0 * np.eye(3))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(minimal_dict(gains=[{"K": 2.0}]))
 
@@ -157,7 +156,7 @@ def test_inertia_as_packed_vector_matches_matrix_form():
     data = minimal_dict()
     data["spacecraft"][1] = {"theta": theta}
     cfg = ScenarioConfig.from_dict(data)
-    assert np.allclose(cfg.inertias[1].matrix, j, atol=1e-15)
+    assert np.allclose(cfg.craft[1][0].matrix, j, atol=1e-15)
 
 
 def test_explicit_and_random_initial_states():
@@ -188,11 +187,10 @@ def test_random_bounds_respected():
 
 
 def test_generator_tuning_keys():
-    data = minimal_dict(accel_source="held")
-    cfg = ScenarioConfig.from_dict(data)
-    assert cfg.accel_source == "held"
+    data = minimal_dict(mode="tracking", accel_source="held")
+    data["topology"] = {"adjacency": [[0, 0], [0, 0]], "leader_weights": [1, 1]}
+    assert ScenarioConfig.from_dict(data).to_scenario().accel_source == "held"
     cfg = ScenarioConfig.from_dict(minimal_dict(smoothing_rate=2.5, rate_leak=0.1))
-    assert cfg.smoothing_rate == 2.5 and cfg.rate_leak == 0.1
     sc = cfg.to_scenario()
     assert sc.smoothing_rate == 2.5 and sc.rate_leak == 0.1
     echoed = cfg.to_dict()
@@ -201,12 +199,12 @@ def test_generator_tuning_keys():
 
 def test_with_overrides():
     cfg = preset("paper-leaderless").with_overrides(dt=0.01, duration=10.0, seed=7)
-    assert cfg.dt == 0.01 and cfg.duration == 10.0 and cfg.seed == 7
+    assert cfg.doc["seed"] == 7
     sc = cfg.to_scenario()
     assert sc.dt == 0.01 and sc.duration == 10.0
     # overrides are top-level keys, parsed like a file's
     cfg = cfg.with_overrides(random_bounds={"sigma": 0.2})
-    assert cfg.sigma_bound == 0.2 and cfg.omega_bound == DEFAULT_BOUND
+    assert cfg.doc["random_bounds"] == {"sigma": 0.2, "omega": DEFAULT_BOUND}
     with pytest.raises(ConfigError, match="^decimate: "):
         cfg.with_overrides(decimate=0)
     with pytest.raises(ConfigError, match="unknown field"):
@@ -242,6 +240,33 @@ def test_missing_required_fields():
     data = minimal_dict()
     del data["spacecraft"]
     assert "spacecraft" in error_message(data)
+    assert error_message(minimal_dict(topology=[[0, 1], [1, 0]])) == \
+        "topology: expected a mapping"
+    assert error_message(minimal_dict(topology={"leader_weights": [1, 0]})) == \
+        "topology.adjacency: missing required field"
+    assert error_message(minimal_dict(spacecraft=[])) == \
+        "spacecraft: expected a non-empty list"
+
+
+def test_first_of_several_errors_is_reported():
+    # parsing checks in a fixed order, so the same field is named every time
+    data = minimal_dict(mode="tracking", dt="fast", seed=-1, rate_leak=True,
+                        gains={"K": "stiff"}, shadow_switch="yes")
+    data["reference"] = {"kind": "constant", "value": [0, 0, 0], "amplitude": 1}
+    data["spacecraft"][1]["theta_hat0"] = [1, 2]
+    assert error_message(data) == "spacecraft[1].theta_hat0: expected a list of 6 numbers"
+    del data["spacecraft"][1]["theta_hat0"]
+    assert error_message(data) == "shadow_switch: expected true or false"
+    data["shadow_switch"] = False
+    assert error_message(data) == "reference: unknown field(s) amplitude"
+    del data["reference"]["amplitude"]
+    assert error_message(data) == "gains.K: expected 3 rows"
+    del data["gains"]
+    assert error_message(data) == "dt: expected a number"
+    data["dt"] = 0.01
+    assert error_message(data) == "seed: expected an integer of at least 0"
+    data["seed"] = 1
+    assert error_message(data) == "rate_leak: expected a number"
 
 
 def test_unknown_top_level_key():

@@ -21,7 +21,7 @@ from attsync.control import (
 from attsync.rigid_body import InertiaParams, h_star, mrp_rate, regression
 from attsync.simulator import Simulation
 from attsync.topology import CommTopology, aggregate_weights
-from tests.conftest import FLEET_J, attitudes, single_craft_scenario
+from tests.conftest import FLEET_J, PAPER_GAINS, attitudes, single_craft_scenario
 from tests.oracles import c_star, filtered_error
 
 RNG = np.random.default_rng(5)
@@ -66,8 +66,8 @@ def test_gain_set_validation():
         GainSet(eye3, eye3, 0.0 * eye6)  # nonpositive diagonal
 
 
-def test_gain_set_from_scalars_and_stacks():
-    g = GainSet.from_scalars(1.0, 3.0, 3.0)
+def test_gain_set_single_and_stacks():
+    g = GainSet(np.eye(3), 3.0 * np.eye(3), 3.0 * np.eye(6))
     assert np.array_equal(g.Lambda, np.eye(3))
     assert np.array_equal(g.K, 3.0 * np.eye(3))
     assert np.array_equal(g.Gamma, 3.0 * np.eye(6))
@@ -84,7 +84,7 @@ def test_gain_set_from_scalars_and_stacks():
 
 
 def test_gain_set_is_immutable():
-    g = GainSet.from_scalars(1.0, 1.0, 1.0)
+    g = GainSet(np.eye(3), np.eye(3), np.eye(6))
     with pytest.raises(ValueError):
         g.K[0, 0] = 5.0
 
@@ -94,8 +94,9 @@ def test_gain_set_is_immutable():
 
 def test_reference_is_immutable():
     # the vectors a reference stores or hands out are shared by every call
-    const = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
-    sine = ReferenceTrajectory.sinusoid([0.1, 0.2, 0.3], 1.0, phase=0.5, offset=0.1)
+    const = ReferenceTrajectory("constant", value=[0.1, 0.3, 0.5])
+    sine = ReferenceTrajectory("sinusoid", amplitude=[0.1, 0.2, 0.3], frequency=1.0,
+                               phase=0.5, offset=0.1)
     shared = list(const.at(0.0)) + [sine.amplitude, sine.frequency, sine.phase, sine.offset]
     for x in shared:
         with pytest.raises(ValueError):
@@ -105,7 +106,7 @@ def test_reference_is_immutable():
 
 
 def test_reference_constant():
-    ref = ReferenceTrajectory.constant([0.1, 0.3, 0.5])
+    ref = ReferenceTrajectory("constant", value=[0.1, 0.3, 0.5])
     for t in (0.0, 1.7, 40.0):
         sigma_r, rate, accel = ref.at(t)
         assert np.array_equal(sigma_r, [0.1, 0.3, 0.5])
@@ -114,7 +115,8 @@ def test_reference_constant():
 
 
 def test_reference_sinusoid_zero_amplitude_is_constant():
-    ref = ReferenceTrajectory.sinusoid(0.0, 1.0, offset=[0.2, -0.1, 0.0])
+    ref = ReferenceTrajectory("sinusoid", amplitude=0.0, frequency=1.0,
+                              offset=[0.2, -0.1, 0.0])
     sigma_r, rate, accel = ref.at(3.3)
     assert np.allclose(sigma_r, [0.2, -0.1, 0.0], atol=1e-15)
     assert np.array_equal(rate, np.zeros(3))
@@ -122,9 +124,8 @@ def test_reference_sinusoid_zero_amplitude_is_constant():
 
 
 def test_reference_sinusoid_derivatives_match_central_differences():
-    ref = ReferenceTrajectory.sinusoid(
-        [0.2, 0.1, 0.3], [0.5, 1.0, 0.7], phase=[0.0, 0.4, 1.0], offset=0.05
-    )
+    ref = ReferenceTrajectory("sinusoid", amplitude=[0.2, 0.1, 0.3],
+                              frequency=[0.5, 1.0, 0.7], phase=[0.0, 0.4, 1.0], offset=0.05)
     for t in (0.0, 1.3, 7.9):
         sigma_r, rate, accel = ref.at(t)
         h = 1e-5
@@ -138,12 +139,18 @@ def test_reference_sinusoid_derivatives_match_central_differences():
 
 
 def test_reference_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown reference kind 'spline'"):
         ReferenceTrajectory(kind="spline")
+    with pytest.raises(ValueError, match="^sinusoid reference requires frequency$"):
+        ReferenceTrajectory(kind="sinusoid", amplitude=[0.1, 0.1, 0.1])
+    # a field the kind does not read is refused, not kept unchecked
+    with pytest.raises(ValueError, match="^a constant reference takes no amplitude$"):
+        ReferenceTrajectory("constant", value=[0.1, 0.0, 0.0], amplitude="big")
+    with pytest.raises(ValueError, match="^a sinusoid reference takes no value$"):
+        ReferenceTrajectory("sinusoid", amplitude=0.1, frequency=1.0, value=[9, 9, 9])
+    assert set(ReferenceTrajectory.KINDS) == {"constant", "sinusoid"}
     with pytest.raises(ValueError):
-        ReferenceTrajectory(kind="sinusoid", amplitude=[0.1, 0.1, 0.1])  # no frequency
-    with pytest.raises(ValueError):
-        ReferenceTrajectory.constant([np.nan, 0.0, 0.0])
+        ReferenceTrajectory("constant", value=[np.nan, 0.0, 0.0])
 
 
 # ------------------------------------------------------ error definitions
@@ -188,7 +195,7 @@ def test_filtered_error_values():
 
 
 def test_torque_zero_cases():
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
+    gains = PAPER_GAINS
     sigma, omega = np.array([0.2, -0.1, 0.3]), np.array([0.1, 0.2, -0.1])
     sigma_dot = mrp_rate(sigma, omega)
     zero = np.zeros(3)
@@ -203,7 +210,7 @@ def test_torque_zero_cases():
     agg = (np.full(3, 0.25), np.array([0.75, 0.0, 0.375]), RNG.normal(size=3))
     u, e, s, theta_dot = controller_outputs(
         sigma, sigma_dot, kinematics_matrix_inverse(sigma) @ sigma_dot,
-        kinematics_matrix(sigma), *agg, np.zeros(6), GainSet.from_scalars(1.0, 3.0, 3.0))
+        kinematics_matrix(sigma), *agg, np.zeros(6), PAPER_GAINS)
     assert np.array_equal(e, [0.25, -0.5, -0.125]) and np.array_equal(s, zero)
     assert np.array_equal(u, zero) and np.array_equal(theta_dot, np.zeros(6))
 
@@ -296,7 +303,7 @@ def test_controller_outputs_match_separate_calls(inputs):
 def test_controller_single_arithmetic_path_for_both_modes():
     # the torque has no mode switch: identical inputs give identical bytes,
     # however the aggregates were produced upstream
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
+    gains = PAPER_GAINS
     sigma, omega = RNG.normal(size=3) * 0.3, RNG.normal(size=3)
     agg = random_aggregate(RNG)
     theta_hat = RNG.normal(size=6)
@@ -321,7 +328,7 @@ def closed_loop_s_dot(j, sigma, omega, u, agg, lam):
 def test_perfect_knowledge_closed_loop_cancellation():
     # with theta_hat = theta the filtered-error dynamics reduce to
     # H* s_dot + C* s + K s = 0 at every state
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
+    gains = PAPER_GAINS
     for j_mat in (FLEET_J[0], FLEET_J[3], np.diag([1.0, 2.0, 3.0])):
         theta = InertiaParams(j_mat).theta
         for _ in range(20):
@@ -341,7 +348,7 @@ def test_perfect_knowledge_closed_loop_cancellation():
 def test_estimation_error_closed_loop_residual():
     # with theta_hat != theta the same dynamics carry the regressor mismatch:
     # H* s_dot + C* s + K s + Y (theta - theta_hat) = 0
-    gains = GainSet.from_scalars(1.0, 3.0, 3.0)
+    gains = PAPER_GAINS
     j_mat = FLEET_J[1]
     theta = InertiaParams(j_mat).theta
     for _ in range(20):

@@ -42,6 +42,10 @@ def test_inertia_params_rejects_bad_matrices():
         InertiaParams(np.array([[1.0, 2.0, 0.0],
                                 [2.0, 1.0, 0.0],
                                 [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="must be 3x3"):
+        InertiaParams(np.eye(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        InertiaParams(np.diag([1.0, np.inf, 1.0]))
 
 
 def test_spacecraft_state_shapes():
@@ -49,6 +53,8 @@ def test_spacecraft_state_shapes():
     assert st.sigma.shape == (3,) and st.omega.shape == (3,)
     with pytest.raises(ValueError):
         SpacecraftState(np.zeros(4), np.zeros(3))
+    with pytest.raises(ValueError, match="must be finite"):
+        SpacecraftState(np.zeros(3), [0.0, np.nan, 0.0])
 
 
 def test_angular_acceleration_example():

@@ -36,6 +36,7 @@ from attsync.simulator import (
 from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import (
     FLEET_J,
+    PAPER_GAINS,
     attitudes,
     inertias,
     pair_scenario,
@@ -84,9 +85,14 @@ def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
         dataclasses.replace(base, rate_leak=-0.1)
     with pytest.raises(ConfigError):
-        dataclasses.replace(base, reference=ReferenceTrajectory.constant([0.1, 0, 0]))
+        dataclasses.replace(base, reference=ReferenceTrajectory("constant", value=[0.1, 0, 0]))
     with pytest.raises(ConfigError):
         dataclasses.replace(base, spacecraft=base.spacecraft[:1])
+    with pytest.raises(ConfigError, match="needs at least one spacecraft"):
+        dataclasses.replace(base, spacecraft=())
+    for bad, what in ((np.zeros(5), "a 6-vector"), (np.full(6, np.nan), "finite")):
+        with pytest.raises(ValueError, match="theta_hat0 must be " + what):
+            dataclasses.replace(base.spacecraft[0], theta_hat0=bad)
 
 
 @pytest.mark.parametrize("stacked", ["Lambda", "K", "Gamma"])
@@ -140,7 +146,7 @@ def test_single_craft_leaderless_is_invalid():
     craft = Spacecraft(
         inertia=InertiaParams(np.eye(3)),
         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
-        gains=GainSet.from_scalars(1.0, 3.0, 3.0),
+        gains=PAPER_GAINS,
     )
     with pytest.raises(ConfigError, match="failed checks: node 1 has no in-neighbor$"):
         Scenario(
@@ -415,14 +421,15 @@ def test_record_certificate_equals_the_h_star_form(inputs, data):
 def sinusoid_tracking(**kw):
     """pair_scenario tracking a sinusoid outside the unit ball: T takes shadows."""
     return dataclasses.replace(pair_scenario(mode="tracking", **kw),
-                               reference=ReferenceTrajectory.sinusoid(
-                                   [0.3, -0.2, 0.4], [1.0, 2.0, 0.5], offset=[0.9, 0.8, -0.6]))
+                               reference=ReferenceTrajectory(
+                                   "sinusoid", amplitude=[0.3, -0.2, 0.4],
+                                   frequency=[1.0, 2.0, 0.5], offset=[0.9, 0.8, -0.6]))
 
 
 def ring_scenario(n, duration):
     """n craft on a directed ring, each hearing the next; seeded states."""
     craft = [Spacecraft(inertia=InertiaParams(np.array(FLEET_J[i % len(FLEET_J)])),
-                        initial_state=s, gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+                        initial_state=s, gains=PAPER_GAINS)
              for i, s in enumerate(random_initial_states(3, n, 0.5, 0.3))]
     return Scenario(spacecraft=tuple(craft), topology=CommTopology(np.roll(np.eye(n), 1, 1)),
                     mode="leaderless", duration=duration, shadow_switch=True)
@@ -581,7 +588,7 @@ def test_diverged_member_is_reported_and_the_rest_finish():
     ("mode", lambda sc: dataclasses.replace(
         sc, mode="leaderless", reference=None)),
     ("reference", lambda sc: dataclasses.replace(
-        sc, reference=ReferenceTrajectory.constant([0.2, 0.0, 0.0]))),
+        sc, reference=ReferenceTrajectory("constant", value=[0.2, 0.0, 0.0]))),
     ("dt", lambda sc: dataclasses.replace(sc, dt=0.01)),
     ("duration", lambda sc: dataclasses.replace(sc, duration=1.0)),
     ("shadow_switch", lambda sc: dataclasses.replace(sc, shadow_switch=True)),
@@ -591,7 +598,8 @@ def test_diverged_member_is_reported_and_the_rest_finish():
         sc.spacecraft[1]))),
     ("gains", lambda sc: dataclasses.replace(sc, spacecraft=(
         sc.spacecraft[0],
-        dataclasses.replace(sc.spacecraft[1], gains=GainSet.from_scalars(1.0, 2.0, 3.0))))),
+        dataclasses.replace(sc.spacecraft[1],
+                            gains=GainSet(np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(6)))))),
     ("theta_hat0", lambda sc: dataclasses.replace(sc, spacecraft=(
         dataclasses.replace(sc.spacecraft[0], theta_hat0=np.ones(6)),
         sc.spacecraft[1]))),
@@ -654,14 +662,14 @@ def fleets(draw, leader=True):
     if leader:
         where = draw(st.sampled_from(["inside", "outside", "zero"]))
         if where == "zero":
-            ref = ReferenceTrajectory.constant(np.zeros(3))
+            ref = ReferenceTrajectory("constant", value=np.zeros(3))
         else:
             direction = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
             assume(np.linalg.norm(direction) > 0.1)
             radius = draw(st.floats(0.1, 0.9) if where == "inside" else st.floats(1.1, 3.0))
             amplitude = draw(arrays(float, 3, elements=st.floats(-0.03, 0.03)))
-            ref = ReferenceTrajectory.sinusoid(
-                amplitude, 2.0, offset=radius * direction / np.linalg.norm(direction))
+            ref = ReferenceTrajectory("sinusoid", amplitude=amplitude, frequency=2.0,
+                                      offset=radius * direction / np.linalg.norm(direction))
     t = draw(st.floats(0.0, 10.0))
     fleet = arrays(float, draw(st.sampled_from([(), (3,)])) + (n, 3),
                    elements=st.floats(-2.0, 2.0))
@@ -679,7 +687,7 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
     n = topo.n
     craft = [Spacecraft(inertia=InertiaParams(np.array(j)),
                         initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
-                        gains=GainSet.from_scalars(1.0, 3.0, 3.0))
+                        gains=PAPER_GAINS)
              for j in FLEET_J[:n]]
     sim = Simulation(Scenario(spacecraft=craft, topology=topo,
                               mode="tracking" if leader else "leaderless",
@@ -864,7 +872,8 @@ def test_tracking_error_is_taken_to_the_closer_image_of_the_reference():
     # a reference near [0, 0, 1.5] and its shadow near [0, 0, -2/3] are one
     # attitude; the chain leader -> 1 -> 2 starts closer to the shadow, which
     # the aligned aggregate steers it to, so T and the tracking rate measure to it
-    ref = ReferenceTrajectory.sinusoid([0.05, 0.0, 0.0], 1.0, offset=[0.0, 0.0, 1.5])
+    ref = ReferenceTrajectory("sinusoid", amplitude=[0.05, 0.0, 0.0], frequency=1.0,
+                              offset=[0.0, 0.0, 1.5])
     chain = CommTopology(np.array([[0.0, 0.0], [1.0, 0.0]]), leader_weights=[1.0, 0.0])
     sc = Scenario(spacecraft=star_scenario().spacecraft, topology=chain, mode="tracking",
                   reference=ref, duration=0.5, shadow_switch=True)

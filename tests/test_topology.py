@@ -172,6 +172,12 @@ def test_leader_rooted_validity():
     assert leader_reachable(rooted).all()
     unrooted = CommTopology(FLEET_ADJ.copy(), leader_weights=np.zeros(6))
     assert not leader_rooted_valid(unrooted)
+    # the leader on craft 2 reaches craft 3 through it, and no other craft
+    partial = CommTopology(FLEET_ADJ.copy(), leader_weights=np.eye(6)[1])
+    assert not leader_rooted_valid(partial)
+    assert [text for ok, text in graph_checks(partial, "tracking") if not ok] == [
+        "leader does not reach node %d" % k for k in (1, 4, 5, 6)] + [
+        "leader reaches every node"]
     solo = CommTopology(np.zeros((1, 1)), leader_weights=np.array([1.0]))
     assert leader_rooted_valid(solo)
     with pytest.raises(ConfigError):
