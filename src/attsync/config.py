@@ -273,7 +273,11 @@ class ScenarioConfig:
     @classmethod
     def from_yaml_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_yaml(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError("%s is not UTF-8 text: %s" % (path, exc)) from None
+        return cls.from_yaml(text)
 
     # -- serialization ---------------------------------------------------
 

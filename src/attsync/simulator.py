@@ -39,15 +39,15 @@ the control law both read that matrix.  The inverse inertia J^-1 is formed
 once, when the Simulation is built.
 
 Each neighborhood average is an edge sum along the topology's edge list, each
-edge weighted by its share of the receiver's in-weight.  A table of source
-states (the leader is row N in tracking mode) is gathered per edge; under
-shadow_switch each edge carries its source's image closer to the receiving
-craft (`_closer_image`: the shadow of x is closer to y iff |y - x|^2 >
-1 + |y|^2, so shadows are built only when an edge flips); one segmented sum
-over the receiver-grouped edges gives every average.  A valid scenario gives
-every receiver an edge, so no segment is empty.  T and the tracking rate are
-taken to the reference's closer image by the same rule, so neither depends on
-its chart.
+edge weighted by its share of the sum of its receiver's edges; the leader, row N
+of the table of source states, has edges only when tracking.  The table is
+gathered per edge; under shadow_switch each edge carries its source's image
+closer to the receiving craft (`_closer_image`: the shadow of x is closer to y
+iff |y - x|^2 > 1 + |y|^2, so shadows are built only when an edge flips); one
+segmented sum over the receiver-grouped edges gives every average.  A valid
+scenario gives every receiver an edge, so no segment is empty.  T and the
+tracking rate are taken to the reference's closer image by the same rule, so
+neither depends on its chart.
 
 A record copies the raw series, from the state and the loop's evaluation of it;
 the derived ones (V, D, T) are reduced from them after the loop, in blocks of
@@ -122,10 +122,10 @@ class Scenario:
     """A complete, validated simulation setup.
 
     Construction checks that the topology matches the mode: leaderless runs
-    need every craft to have an in-neighbor plus a directed spanning tree,
-    tracking runs need a reference and a leader that reaches every craft,
-    and the "held" source needs every craft to hear the leader alone and no
-    shadow_switch.
+    take no reference and no leader weights and need every craft to have an
+    in-neighbor plus a directed spanning tree, tracking runs need a reference
+    and a leader that reaches every craft, and the "held" source needs every
+    craft to hear the leader alone and no shadow_switch.
 
     accel_source picks how the desired acceleration is obtained ("smoothed"
     or "held", see the module docstring); smoothing_rate is the generator
@@ -181,6 +181,8 @@ class Scenario:
                               % (self.duration, self.dt))
         if self.mode == "leaderless" and self.reference is not None:
             raise ConfigError("leaderless mode takes no reference trajectory")
+        if self.mode == "leaderless" and self.topology.leader_weights is not None:
+            raise ConfigError("leaderless mode takes no leader weights")
         if self.mode == "tracking" and self.reference is None:
             raise ConfigError("tracking mode requires a reference trajectory")
         failed = [text for ok, text in graph_checks(self.topology, self.mode) if not ok]
@@ -308,14 +310,10 @@ class Simulation:
             np.stack([c.gains.Gamma for c in craft]),
         )
         self.tracking = scenario.mode == "tracking"
-        # the topology's edges j -> i by receiver, the leader (source N) last and only
-        # when tracking; Scenario gives each receiver one: no reduceat segment is empty
-        topo = scenario.topology
-        dst, src, w = topo.edges
-        keep = src < self.n + self.tracking
-        den = topo.adjacency.sum(axis=1) + (topo.leader_weights if self.tracking else 0.0)
-        self._dst, self._src = dst[keep], src[keep]
-        self._w = (w[keep] / den[self._dst])[:, None]
+        # the topology's edges j -> i by receiver, the leader (source N) last and only when
+        # tracking; Scenario gives each receiver one, so no reduceat segment is empty
+        self._dst, self._src, w = scenario.topology.edges
+        self._w = (w / np.bincount(self._dst, w)[self._dst])[:, None]
         self._starts = np.flatnonzero(np.diff(self._dst, prepend=-1))  # first edges
         self.ref = scenario.reference
         self.smoothed = scenario.accel_source == "smoothed"

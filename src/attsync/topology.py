@@ -30,7 +30,7 @@ class CommTopology:
     """Weighted digraph over n spacecraft, optionally with leader weights.
 
     adjacency : (n, n) nonnegative, zero diagonal.
-    leader_weights : (n,) nonnegative, or None in leaderless scenarios.
+    leader_weights : (n,) nonnegative; None in leaderless scenarios (`Scenario` checks).
     edges : derived (receiver, source, weight) arrays, see the module docstring.
     """
 

@@ -115,6 +115,13 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad.write_text("mode: [unclosed", encoding="utf-8")
     assert main(["validate", "--config", str(bad)]) == 2
     capsys.readouterr()
+    # a config that is not UTF-8 text is a config error naming the file
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b"mode: leaderless\n# \xff\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(latin)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: %s is not UTF-8 text: " % latin)
     # an unusable path is an error before any integration, never a traceback
     monkeypatch.setattr(cli, "Simulation", None)
     for command in ("validate", "run"):
@@ -194,6 +201,20 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert diverged["message"] == err.strip()[len("error: "):]
     assert "spacecraft %d diverged" % diverged["craft"] in diverged["message"]
     assert not (out / "trajectory.csv").exists()
+
+
+def test_leaderless_config_with_leader_weights_is_refused(tmp_path, capsys):
+    # the leader is a node of the graph only when tracking
+    path = write_config(tmp_path, topology={"adjacency": [[0.0, 1.0], [1.0, 0.0]],
+                                            "leader_weights": [5.0, 0.0]})
+    assert main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[fail]") == 1 and "valid: no" in out
+    assert "[fail] scenario construction failed: leaderless mode takes no leader weights\n" in out
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "config error: leaderless mode takes no leader weights\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("relay, pair", [

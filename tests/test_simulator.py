@@ -37,6 +37,7 @@ from attsync.topology import CommTopology, aggregate_weights
 from tests.conftest import (
     FLEET_J,
     PAPER_GAINS,
+    _spd,
     attitudes,
     inertias,
     pair_scenario,
@@ -45,6 +46,7 @@ from tests.conftest import (
     star_scenario,
 )
 from tests import oracles
+from tests.test_acceptance import V_SLACK, estimate_bound_margin, v_slack_violation
 
 
 def with_states(sc, states):
@@ -168,6 +170,16 @@ def test_tracking_needs_reference_and_rooted_leader():
         dataclasses.replace(tracking, topology=unrooted)
     with pytest.raises(ConfigError):
         dataclasses.replace(tracking, topology=CommTopology(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+def test_leaderless_takes_no_leader_weights():
+    # the leader is a node of the graph only when tracking: a leaderless fleet
+    # averages its neighbours alone, so any leader weights are refused, zeros too
+    leaderless = pair_scenario()
+    for b in ([5.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ConfigError, match="^leaderless mode takes no leader weights$"):
+            dataclasses.replace(leaderless, topology=CommTopology(
+                leaderless.topology.adjacency, leader_weights=b))
 
 
 # ------------------------------------------------ random initial states
@@ -586,7 +598,8 @@ def test_diverged_member_is_reported_and_the_rest_finish():
     ("topology", lambda sc: dataclasses.replace(sc, topology=CommTopology(
         2.0 * sc.topology.adjacency, leader_weights=sc.topology.leader_weights))),
     ("mode", lambda sc: dataclasses.replace(
-        sc, mode="leaderless", reference=None)),
+        sc, mode="leaderless", reference=None,
+        topology=CommTopology(sc.topology.adjacency))),
     ("reference", lambda sc: dataclasses.replace(
         sc, reference=ReferenceTrajectory("constant", value=[0.2, 0.0, 0.0]))),
     ("dt", lambda sc: dataclasses.replace(sc, dt=0.01)),
@@ -605,12 +618,15 @@ def test_diverged_member_is_reported_and_the_rest_finish():
         sc.spacecraft[1]))),
 ])
 def test_ensemble_members_must_match(field, change):
-    # only the craft initial states may differ; anything else names itself
+    # only the craft initial states may differ; anything else names itself.  A
+    # leaderless run takes no leader weights, so a mode change changes the
+    # topology too, and the first setting that differs is named
     base = pair_scenario(mode="tracking")
     if field == "accel_source":
         base = star_scenario(duration=2.0)
     Simulation([base, with_states(base, random_initial_states(5, 2))])
-    with pytest.raises(ConfigError, match="ensemble members differ in %s$" % field):
+    first = "topology" if field == "mode" else field
+    with pytest.raises(ConfigError, match="ensemble members differ in %s$" % first):
         Simulation([base, change(base)])
 
 
@@ -632,13 +648,12 @@ weights = st.floats(0.1, 2.0)
 
 
 @st.composite
-def fleets(draw, leader=True):
-    """A fleet state on a valid graph; returns (topology, reference, t, sigma,
-    rate).  With `leader` the graph is leader-rooted and the reference lies
-    inside, outside or at zero of the unit ball; without, every craft hears
-    one and a spanning tree exists, and the reference is None.  The states
-    carry a member axis of 3 or none."""
-    n = draw(st.integers(1 if leader else 2, 5))
+def valid_graphs(draw, leader=True, sizes=None, weight=weights):
+    """A topology valid for its mode, its craft count drawn from `sizes` (by
+    default 1..5 with `leader`, else 2..5) and each weight from `weight`.  With
+    `leader` the graph is leader-rooted; without, every craft hears one, a
+    spanning tree exists, and there are no leader weights."""
+    n = draw(st.integers(1 if leader else 2, 5) if sizes is None else sizes)
     order = draw(st.permutations(range(n)))
     adj, b = np.zeros((n, n)), np.zeros(n)
     for k, i in enumerate(order):
@@ -649,15 +664,26 @@ def fleets(draw, leader=True):
         else:
             parent = draw(st.integers(0, k - 1) if k else st.integers(1, n - 1))
         if parent < 0:
-            b[i] = draw(weights)
+            b[i] = draw(weight)
         else:
-            adj[i, order[parent]] = draw(weights)
+            adj[i, order[parent]] = draw(weight)
     for k, i in enumerate(order):
         for m, j in enumerate(order):
             if m != k and draw(st.booleans()):
-                adj[i, j] = draw(weights)
+                adj[i, j] = draw(weight)
         if leader and draw(st.booleans()):
-            b[i] = draw(weights)
+            b[i] = draw(weight)
+    return CommTopology(adj, leader_weights=b if leader else None)
+
+
+@st.composite
+def fleets(draw, leader=True):
+    """A fleet state on a valid graph; returns (topology, reference, t, sigma,
+    rate).  With `leader` the reference lies inside, outside or at zero of the
+    unit ball; without, it is None.  The states carry a member axis of 3 or
+    none."""
+    topo = draw(valid_graphs(leader))
+    n = topo.n
     ref = None
     if leader:
         where = draw(st.sampled_from(["inside", "outside", "zero"]))
@@ -673,8 +699,7 @@ def fleets(draw, leader=True):
     t = draw(st.floats(0.0, 10.0))
     fleet = arrays(float, draw(st.sampled_from([(), (3,)])) + (n, 3),
                    elements=st.floats(-2.0, 2.0))
-    return (CommTopology(adj, leader_weights=b if leader else None), ref, t,
-            draw(fleet), draw(fleet))
+    return topo, ref, t, draw(fleet), draw(fleet)
 
 
 @pytest.mark.parametrize("accel_source, shadow_switch", [("smoothed", True), ("smoothed", False)])
@@ -725,6 +750,27 @@ def test_aggregates_align_the_leader_by_the_neighbor_rule(
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(
                         g[b][i], w, rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).max()))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_edge_weights_are_each_receivers_shares(data):
+    # an edge weighs its share of its receiver's edge sum: the dense reference
+    # weights to 1e-15 relative, and bit for bit when every weight is an
+    # integer (from 8 craft up numpy's dense row sum adds in another order)
+    leader, integer = data.draw(st.booleans()), data.draw(st.booleans())
+    topo = data.draw(valid_graphs(leader, st.integers(2, 12),
+                                  st.integers(1, 9).map(float) if integer else weights))
+    craft = [Spacecraft(InertiaParams(np.eye(3)), SpacecraftState(np.zeros(3), np.zeros(3)),
+                        PAPER_GAINS)] * topo.n
+    ref = ReferenceTrajectory("constant", value=[0.1, 0.0, 0.0]) if leader else None
+    sim = Simulation(Scenario(spacecraft=craft, topology=topo, reference=ref,
+                              mode="tracking" if leader else "leaderless"))
+    w = aggregate_weights(topo, with_leader=leader)
+    dst, src = np.nonzero(w)
+    assert np.array_equal(sim._dst, dst) and np.array_equal(sim._src, src)
+    got, want = sim._w[:, 0], w[dst, src]
+    assert np.array_equal(got, want) if integer else np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 @given(st.data())
@@ -821,6 +867,45 @@ def test_lyapunov_nonincreasing_on_short_adaptive_run():
     log = Simulation(stable_pair_scenario()).run(decimate=1)
     v = log.lyapunov
     assert np.all(v[1:] <= v[:-1] + 1e-4 * (1.0 + v[:-1]))
+
+
+@st.composite
+def adaptive_fleets(draw):
+    """A `smoothed` scenario on a valid graph of 2-6 craft in either mode, with
+    or without shadow_switch, a constant reference inside the 0.5 ball, and
+    per-craft inertias 10^[-1, 1] (A A^T + I), A in [-1, 1], and gains."""
+    leader = draw(st.booleans())
+    topo = draw(valid_graphs(leader, st.integers(2, 6)))
+    ref = None
+    if leader:
+        direction = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+        assume(np.linalg.norm(direction) > 0.1)
+        ref = ReferenceTrajectory("constant", value=draw(st.floats(0.0, 0.5))
+                                  * direction / np.linalg.norm(direction))
+    scale = st.floats(0.3, 5.0)
+    craft = [Spacecraft(
+        inertia=draw(st.builds(_spd, arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+                               st.floats(-1.0, 1.0))),
+        initial_state=state,
+        gains=GainSet(draw(st.floats(0.3, 3.0)) * np.eye(3), draw(scale) * np.eye(3),
+                      np.diag(draw(arrays(float, 6, elements=scale)))))
+        for state in random_initial_states(draw(st.integers(0, 2**32 - 1)), topo.n)]
+    return Scenario(spacecraft=craft, topology=topo, reference=ref, duration=1.0,
+                    mode="tracking" if leader else "leaderless",
+                    shadow_switch=draw(st.booleans()),
+                    smoothing_rate=draw(st.floats(0.5, 6.0)),
+                    rate_leak=draw(st.floats(0.0, 0.5)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(adaptive_fleets())
+def test_lyapunov_claim_holds_on_any_valid_graph(sc):
+    # under the smoothed source V is non-increasing up to integration error on
+    # any valid digraph, and the estimates stay inside the V(0) cap: the
+    # gate's own slack and margin, over what the gate's presets fix
+    log = Simulation(sc).run(decimate=1)  # raises SimulationDiverged on divergence
+    assert v_slack_violation(log.lyapunov) <= 0.0, "V rose by more than V_SLACK = %g" % V_SLACK
+    assert estimate_bound_margin(log) <= 1.0
 
 
 def test_filtered_error_bounded_by_initial_lyapunov_level():
