@@ -15,7 +15,8 @@ kind.  Optional ``accel_source``, ``smoothing_rate``, and ``rate_leak`` keys
 select and tune the desired-acceleration source (see the simulator module);
 ``accel_source: held`` builds only when every craft hears the leader alone.
 Every parse error carries the offending field path, e.g.
-``spacecraft[2].inertia``.
+``spacecraft[2].inertia``.  A file loads to what PyYAML's safe loader
+returns, each distinct scalar resolved and constructed once per load.
 
 Two presets ship with the package: ``paper-leaderless`` and
 ``paper-tracking``, the six-spacecraft fleet used throughout the test
@@ -26,6 +27,7 @@ K = 3 I, Gamma = 3 I, zero initial inertia estimates).
 from __future__ import annotations
 
 import copy
+import datetime
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,9 +43,35 @@ from .simulator import (ACCEL_SOURCES, MODES, Scenario, Spacecraft,
                         random_initial_states)
 from .topology import CommTopology
 
-# libyaml when PyYAML was built with it, the pure-Python classes otherwise
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+class _ScalarMemo:
+    """Resolves and constructs each distinct scalar once per load (`_LOADER`)."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags, self._scalars = {}, {}  # per load, never on the class
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode or self.yaml_path_resolvers:
+            return super().resolve(kind, value, implicit)
+        if (value, implicit) not in self._tags:
+            self._tags[value, implicit] = super().resolve(kind, value, implicit)
+        return self._tags[value, implicit]
+
+    def construct_object(self, node, deep=False):
+        key = node.__class__ is yaml.ScalarNode and (node.tag, node.value)
+        if key in self._scalars:
+            return self._scalars[key]
+        data = super().construct_object(node, deep)
+        if key and isinstance(data, (int, float, str, bytes, type(None), datetime.date)):  # immutable
+            self._scalars[key] = data
+        return data
+
+
+# PyYAML's safe loader (libyaml's if built in), with equal results and the same errors
+_LOADER = type("_LOADER", (_ScalarMemo, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 DEFAULT_BOUND = 0.5  # radius of the random initial sigma and omega draws
 
@@ -268,6 +296,8 @@ class ScenarioConfig:
             data = yaml.load(text, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError("invalid YAML: %s" % exc) from None
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:  # a bad scalar, `!!int x`
+            raise ConfigError("invalid YAML: %s: %s" % (type(exc).__name__, exc)) from None
         return cls.from_dict(data)
 
     @classmethod

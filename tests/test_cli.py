@@ -115,6 +115,18 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad.write_text("mode: [unclosed", encoding="utf-8")
     assert main(["validate", "--config", str(bad)]) == 2
     capsys.readouterr()
+    # so is a scalar PyYAML cannot construct, whatever it raises, and a run
+    # refused for it leaves no --out directory
+    tagged = tmp_path / "tagged.yaml"
+    for scalar in ("!!int foo", "!!float x", "!!timestamp 2001-13-45",
+                   "!!bool maybe", "!!timestamp foo", "!!int ''"):
+        tagged.write_text("mode: %s\n" % scalar, encoding="utf-8")
+        assert main(["validate", "--config", str(tagged)]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid YAML: ")
+        assert main(["run", "--config", str(tagged),
+                     "--out", str(tmp_path / "bad_tag")]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid YAML: ")
+        assert not (tmp_path / "bad_tag").exists()
     # a config that is not UTF-8 text is a config error naming the file
     latin = tmp_path / "latin.yaml"
     latin.write_bytes(b"mode: leaderless\n# \xff\n")

@@ -1,7 +1,15 @@
 """Declarative scenario configs: parsing, presets, round trips, errors."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attsync import config
 from attsync.config import (
     DEFAULT_BOUND,
     DEFAULTS,
@@ -349,6 +357,102 @@ def test_scalar_field_errors():
 def test_yaml_parse_error():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_yaml("mode: [unclosed")
+
+
+# PyYAML's safe loaders: the pure-Python one, and libyaml's when PyYAML has it
+BASE_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+# scalars of every implicit and explicit kind the safe loader resolves
+SCALARS = st.sampled_from([
+    "0", "017", "0o17", "0x1F", "0b101", "1_000", "1:30", "-0", "+1", "1e3",
+    "1.5e3", ".inf", ".nan", "~", "null", "yes", "no", "on", "off", "True",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "'1'", '"0"', "!!str 1",
+    "!!float 1", "!!binary aGVsbG8="])
+# scalars whose construction fails: ValueError, KeyError, AttributeError and
+# PyYAML's ConstructorError
+FAILING = st.sampled_from(["!!int foo", "!!bool maybe", "2001-13-45",
+                           "!!timestamp foo", "!!binary \u00e9"])
+
+FLOW_NODES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4).map(lambda items: "[%s]" % ", ".join(items)),
+    st.lists(st.tuples(SCALARS, inner), max_size=4).map(
+        lambda pairs: "{%s}" % ", ".join("%s: %s" % p for p in pairs))),
+    max_leaves=10)
+
+
+@st.composite
+def yaml_documents(draw):
+    """A block mapping of flow and block nodes that repeat scalars, with
+    anchors, aliases to them and `<<` merge keys; now and then one scalar
+    fails to construct."""
+    lines, anchors, mappings = [], [], []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["flow", "mapping", "sequence", "alias", "merge"]))
+        anchor = "a%d" % i if draw(st.booleans()) else None
+        head = "k%d: %s" % (i, "&%s " % anchor if anchor else "")
+        if kind == "alias" and anchors:
+            lines.append("k%d: *%s" % (i, draw(st.sampled_from(anchors))))
+            continue
+        if kind == "sequence":
+            lines.append(head)
+            lines += ["  - " + draw(FLOW_NODES) for _ in range(draw(st.integers(1, 3)))]
+        elif kind in ("mapping", "merge"):
+            # a block or flow mapping, merging one earlier mapping or a list of them
+            pairs = [(draw(SCALARS), draw(FLOW_NODES)) for _ in range(draw(st.integers(0, 3)))]
+            if mappings and kind == "merge":
+                sources = ["*" + a for a in draw(st.lists(
+                    st.sampled_from(mappings), min_size=1, max_size=2))]
+                pairs.insert(draw(st.integers(0, len(pairs))), (
+                    "<<", sources[0] if len(sources) == 1 else "[%s]" % ", ".join(sources)))
+            if draw(st.booleans()):
+                lines.append(head + "{%s}" % ", ".join("%s: %s" % p for p in pairs))
+            else:
+                lines.append(head)
+                lines += ["  %s: %s" % p for p in pairs] or ["  {}"]
+            mappings += [anchor] if anchor else []
+        else:
+            lines.append(head + draw(FLOW_NODES))
+        anchors += [anchor] if anchor else []
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(len(lines) * draw(st.booleans()), "bad: [0, %s]" % draw(FAILING))
+    return "\n".join(lines) + "\n"
+
+
+def load_or_error(text, loader):
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except Exception as exc:  # the failure itself is what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("base", BASE_LOADERS, ids=lambda b: b.__name__)
+@settings(deadline=None, max_examples=300)
+@given(text=yaml_documents())
+def test_memoizing_loader_returns_what_its_base_returns(base, text):
+    # repr tells 1 from 1.0 and True, and a date from its string; a document
+    # that fails must fail with the same exception and message
+    loader = (config._LOADER if issubclass(config._LOADER, base)
+              else type("Memo", (config._ScalarMemo, base), {}))
+    assert load_or_error(text, loader) == load_or_error(text, base)
+
+
+@pytest.mark.parametrize("base", BASE_LOADERS, ids=lambda b: b.__name__)
+def test_ring200_benchmark_input_parses_as_with_the_base_loader(base):
+    # the benchmark's 200-craft ring: 40,000 adjacency entries of two values
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    text = workloads.ring_yaml(seed=1, craft=200, duration=1.0)
+    cfg = ScenarioConfig.from_yaml(text)
+    expected = ScenarioConfig.from_dict(yaml.load(text, Loader=base))
+    assert cfg.doc == expected.doc
+    assert repr(cfg.doc) == repr(expected.doc)
+    assert scenarios_equal(cfg.to_scenario(), expected.to_scenario())
 
 
 def test_config_validity_checked_at_scenario_build():
