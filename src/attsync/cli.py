@@ -20,9 +20,11 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
 On stdout `run` prints per scenario the CSV path, record count, wall clock,
 metrics and any --assert-converged verdict; the config is only in summary.json.
 
-A --seeds a..b sweep is one integration (one `Simulation` ensemble); each
-seed_<n>/ gets the files of its own --seed n run, and each seed's
-wall_clock_s is the whole sweep's integration wall, never a share of it.
+A --seeds a..b sweep parses the description once, realizes it at each seed
+(`ScenarioConfig.to_scenario(seed)`) and runs one integration (one
+`Simulation` ensemble); each seed_<n>/ gets the files of its own --seed n
+run, with the run's one validity report, and each seed's wall_clock_s is
+the whole sweep's integration wall, never a share of it.
 
 Exit status: 0 on success, 1 on a failed validity or convergence check,
 2 on config errors (--seed with --seeds, say) or an unusable path, found before
@@ -147,28 +149,11 @@ def _write_summary(out_dir, summary) -> None:
         fh.write(json.dumps(summary) + "\n")  # no indent, so json uses its C encoder
 
 
-def _make_dirs(path) -> list:
-    """`os.makedirs(path, exist_ok=True)`; returns the directories it created,
-    outermost first, and removes them again if it fails."""
-    missing = []
-    head = os.path.abspath(path)
-    while not os.path.isdir(head):
-        missing.append(head)
-        head = os.path.dirname(head)
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError:
-        for made in filter(os.path.isdir, missing):
-            os.rmdir(made)
-        raise
-    return missing[::-1]
-
-
-def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol) -> int:
+def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol) -> int:
     """Write one run's files from its log or from the divergence that stopped it."""
-    summary = {"config": cfg.doc, "step_count": scenario.n_steps}
+    summary = {"config": doc, "step_count": scenario.n_steps}
     if isinstance(result, SimulationDiverged):
-        summary["validity"] = validity_report(cfg, scenario)
+        summary["validity"] = report
         summary["diverged"] = {"craft": result.craft_index + 1, "quantity": result.quantity,
                                "time": result.time, "message": str(result)}
         _write_summary(out_dir, summary)
@@ -177,14 +162,13 @@ def _write_run(cfg: ScenarioConfig, scenario, result, wall, out_dir, assert_tol)
     finals = metrics(result)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(result, csv_path)
-    summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall,
-                   validity=validity_report(cfg, scenario))
+    summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall, validity=report)
     _write_summary(out_dir, summary)
     print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, result.n_records, wall))
     for key in sorted(finals):
         print("  %s: %s" % (key, finals[key]))
     if assert_tol is not None:
-        if cfg.doc["mode"] == "leaderless":
+        if doc["mode"] == "leaderless":
             ok = (finals["disagreement_final"] < assert_tol
                   and finals["disagreement_rate_final"] < assert_tol)
         else:
@@ -201,28 +185,32 @@ def cmd_run(args) -> int:
         raise ConfigError("give at most one of --seed or --seeds")
     cfg = _apply_overrides(_load_config(args), args)
     out_base = args.out or os.environ.get(ENV_OUT_DIR) or DEFAULT_OUT_DIR
-    runs = [(cfg, out_base)]
+    runs = [(cfg.doc["seed"], out_base)]
     if args.seeds is not None:
-        runs = [(cfg.with_overrides(seed=s), os.path.join(out_base, "seed_%d" % s))
-                for s in _parse_seeds(args.seeds)]
-    scenarios = [c.to_scenario() for c, _ in runs]
+        runs = [(s, os.path.join(out_base, "seed_%d" % s)) for s in _parse_seeds(args.seeds)]
+    scenarios = [cfg.to_scenario(s) for s, _ in runs]  # one parse, realized per seed
     created = []  # a run refused before its first step leaves none of these
     try:
         for _, out_dir in runs:  # an unusable path fails before the integration
-            created += _make_dirs(out_dir)
+            head, made = os.path.abspath(out_dir), len(created)
+            while not os.path.isdir(head):
+                created.insert(made, head)  # outermost first
+                head = os.path.dirname(head)
+            os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
         results = Simulation(scenarios).run(decimate=cfg.doc["decimate"])
     except (ConfigError, OSError):
-        for path in reversed(created):
+        for path in filter(os.path.isdir, reversed(created)):
             os.rmdir(path)
         raise
     wall = time.perf_counter() - t0  # every seed reports the whole integration
+    report = validity_report(cfg, scenarios[0])  # the seed draws no part of it
     status = 0
-    for (c, out_dir), scenario, result in zip(runs, scenarios, results):
+    for (s, out_dir), scenario, result in zip(runs, scenarios, results):
         if args.seeds is not None:
-            print("seed %d -> %s" % (c.doc["seed"], out_dir))
-        status = max(status, _write_run(c, scenario, result, wall, out_dir,
-                                        args.assert_converged))
+            print("seed %d -> %s" % (s, out_dir))
+        status = max(status, _write_run({**cfg.doc, "seed": s}, report, scenario, result,
+                                        wall, out_dir, args.assert_converged))
     return status
 
 

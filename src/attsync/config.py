@@ -6,11 +6,12 @@ one parser for all of them.  The config keeps the mapping as given (`doc`,
 optional top-level keys filled from `DEFAULTS`) as its only serialized
 form, so `to_dict`/`to_yaml` return the description as written; beside it
 the config holds only what parsing builds (`topology`, `reference`, `craft`),
-and scalars such as `seed` are read off `doc`.  Inertia may be given as a
+and scalars such as `seed` are read off `doc`; `to_scenario(seed)` realizes
+it at any seed, so a seed sweep parses it once.  Inertia may be given as a
 full symmetric 3x3 or a packed 6-vector, gains accept a scalar shorthand
 (``K: 3.0`` means 3 * identity), an initial state is either explicit or the
-string ``random`` (drawn from the configured bounds with the scenario seed),
-and a reference takes the fields `ReferenceTrajectory.KINDS` lists for its
+string ``random`` (drawn from the configured bounds with the seed), and a
+reference takes the fields `ReferenceTrajectory.KINDS` lists for its
 kind.  Optional ``accel_source``, ``smoothing_rate``, and ``rate_leak`` keys
 select and tune the desired-acceleration source (see the simulator module);
 ``accel_source: held`` builds only when every craft hears the leader alone.
@@ -323,15 +324,18 @@ class ScenarioConfig:
         """The description with some top-level keys replaced, parsed again."""
         return self.from_dict({**self.doc, **keys})
 
-    def to_scenario(self) -> Scenario:
+    def to_scenario(self, seed=None) -> Scenario:
         """Build the validated Scenario, drawing any random initial states.
 
-        Random draws use the scenario seed and are made for every craft in
-        order (explicit entries discard theirs), so a given seed yields the
-        same states no matter which subset is explicit.
+        Random draws use `seed` (default: the description's own) and are
+        made for every craft in order (explicit entries discard theirs), so
+        a given seed yields the same states no matter which subset is
+        explicit.  Every seed's Scenario shares the parsed topology,
+        reference, inertias and gains.
         """
         doc, bounds = self.doc, self.doc["random_bounds"]
-        draws = random_initial_states(doc["seed"], self.n,
+        seed = doc["seed"] if seed is None else _integer(seed, "seed", 0)
+        draws = random_initial_states(seed, self.n,
                                       float(bounds["sigma"]), float(bounds["omega"]))
         craft = tuple(Spacecraft(j, s if s is not None else d, g, th)
                       for (j, s, g, th), d in zip(self.craft, draws))

@@ -403,6 +403,46 @@ def test_seed_sweep_writes_per_seed_directories(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(out), "--seeds", "5..1"]) == 2
     assert main(["run", "--config", path, "--out", str(out), "--seeds", "bogus"]) == 2
     capsys.readouterr()
+    # a negative seed is refused as the description's own would be, before any directory
+    neg = tmp_path / "neg"
+    assert main(["run", "--config", path, "--out", str(neg), "--seeds=-1..1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: expected an integer of at least 0\n"
+    assert not neg.exists()
+
+
+def test_seed_sweep_parses_once_and_reports_once(tmp_path, capsys, monkeypatch):
+    # the description is parsed once and realized at each seed; the members
+    # share what parsing built, and the run writes one validity report
+    path = write_config(tmp_path, duration=0.5)
+    counts = {"from_dict": 0, "validity_report": 0}
+    scenarios = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    from_dict = ScenarioConfig.from_dict
+    monkeypatch.setattr(ScenarioConfig, "from_dict",
+                        classmethod(lambda cls, data: counted("from_dict", from_dict)(data)))
+    monkeypatch.setattr(cli, "validity_report", counted("validity_report", cli.validity_report))
+    to_scenario = ScenarioConfig.to_scenario
+
+    def realize(self, *seed):
+        scenarios.append(to_scenario(self, *seed))
+        return scenarios[-1]
+
+    monkeypatch.setattr(ScenarioConfig, "to_scenario", realize)
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", path, "--seeds", "1..3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert counts == {"from_dict": 1, "validity_report": 1}
+    assert len(scenarios) == 3
+    assert all(sc.topology is scenarios[0].topology for sc in scenarios)
+    reports = [json.loads((out / ("seed_%d" % s) / "summary.json").read_text(
+        encoding="utf-8"))["validity"] for s in (1, 2, 3)]
+    assert reports[0]["valid"] and reports == reports[:1] * 3
 
 
 def sha256(path):
@@ -440,7 +480,11 @@ def test_seed_sweep_trajectories_match_single_seed_runs(tmp_path, capsys, source
         assert sha256(swept / "trajectory.csv") == sha256(alone / "trajectory.csv")
         summary = json.loads((swept / "summary.json").read_text(encoding="utf-8"))
         assert summary["config"]["seed"] == s
-        walls.add(summary["wall_clock_s"])
+        walls.add(summary.pop("wall_clock_s"))
+        # the rest of the summary, key order included, is the solo run's
+        solo = json.loads((alone / "summary.json").read_text(encoding="utf-8"))
+        del solo["wall_clock_s"]
+        assert json.dumps(summary) == json.dumps(solo)
         # a craft's flip to its shadow shows as a jump of its logged attitude
         header, *rows = (swept / "trajectory.csv").read_text(encoding="utf-8").split()
         table = np.array([row.split(",") for row in rows], dtype=float)
@@ -566,4 +610,4 @@ def test_readme_commands_validate(tmp_path, monkeypatch):
             cfg = _apply_overrides(cfg, args)
         seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else [cfg.doc["seed"]]
         for seed in seeds:
-            cfg.with_overrides(seed=seed).to_scenario()
+            cfg.to_scenario(seed)  # as `run` builds each seed

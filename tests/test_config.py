@@ -219,6 +219,23 @@ def test_with_overrides():
         cfg.with_overrides(sigma_bound=0.2)
 
 
+def test_to_scenario_realizes_one_description_at_any_seed():
+    cfg = ScenarioConfig.from_dict(minimal_dict(seed=42))
+    assert scenarios_equal(cfg.to_scenario(), cfg.to_scenario(42))
+    for seed in (0, 7):
+        # the same scenario as the description re-parsed at that seed, its
+        # parsed parts shared rather than rebuilt
+        sc = cfg.to_scenario(seed)
+        assert scenarios_equal(sc, cfg.with_overrides(seed=seed).to_scenario())
+        assert sc.topology is cfg.topology
+        assert sc.spacecraft[0].inertia is cfg.craft[0][0]
+    # a seed given here is checked as the description's own seed is
+    for seed in (-1, 1.0, True):
+        with pytest.raises(ConfigError) as exc:
+            cfg.to_scenario(seed)
+        assert str(exc.value) == "seed: expected an integer of at least 0"
+
+
 def test_to_dict_is_the_description_as_written():
     data = minimal_dict(gains={"K": 3.0}, random_bounds={"omega": 0.1})
     echoed = ScenarioConfig.from_dict(data).to_dict()
