@@ -180,6 +180,19 @@ def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol) -> int:
     return 0
 
 
+def _make_dirs(path, created):
+    """os.makedirs(path, exist_ok=True) one component at a time, appending each
+    directory it makes to `created`; `newdir/..` makes newdir, so it is listed."""
+    head, tail = os.path.split(path)
+    if not tail:  # a trailing separator
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.exists(head):
+        _make_dirs(head, created)
+    if not os.path.isdir(path):
+        os.mkdir(path)
+        created.append(path)
+
+
 def cmd_run(args) -> int:
     if args.seed is not None and args.seeds is not None:
         raise ConfigError("give at most one of --seed or --seeds")
@@ -192,11 +205,7 @@ def cmd_run(args) -> int:
     created = []  # a run refused before its first step leaves none of these
     try:
         for _, out_dir in runs:  # an unusable path fails before the integration
-            head, made = os.path.abspath(out_dir), len(created)
-            while not os.path.isdir(head):
-                created.insert(made, head)  # outermost first
-                head = os.path.dirname(head)
-            os.makedirs(out_dir, exist_ok=True)
+            _make_dirs(out_dir, created)
         t0 = time.perf_counter()
         results = Simulation(scenarios).run(decimate=cfg.doc["decimate"])
     except (ConfigError, OSError):

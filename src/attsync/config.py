@@ -17,7 +17,9 @@ select and tune the desired-acceleration source (see the simulator module);
 ``accel_source: held`` builds only when every craft hears the leader alone.
 Every parse error carries the offending field path, e.g.
 ``spacecraft[2].inertia``.  A file loads to what PyYAML's safe loader
-returns, each distinct scalar resolved and constructed once per load.
+returns, each distinct scalar resolved and constructed once per load, with
+the cyclic collector paused; a scalar that cannot be constructed is refused
+naming its line and column.
 
 Two presets ship with the package: ``paper-leaderless`` and
 ``paper-tracking``, the six-spacecraft fleet used throughout the test
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import datetime
+import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,6 +48,10 @@ from .simulator import (ACCEL_SOURCES, MODES, Scenario, Spacecraft,
 from .topology import CommTopology
 
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+# what PyYAML raises for a scalar it cannot construct, `!!int x`, besides YAMLError
+_SCALAR_ERRORS = (ValueError, LookupError, TypeError, AttributeError)
 
 
 class _ScalarMemo:
@@ -65,7 +72,12 @@ class _ScalarMemo:
         key = node.__class__ is yaml.ScalarNode and (node.tag, node.value)
         if key in self._scalars:
             return self._scalars[key]
-        data = super().construct_object(node, deep)
+        try:
+            data = super().construct_object(node, deep)
+        except _SCALAR_ERRORS as exc:  # type and message kept; the innermost node's mark
+            if not hasattr(exc, "start_mark"):
+                exc.start_mark = node.start_mark
+            raise
         if key and isinstance(data, (int, float, str, bytes, type(None), datetime.date)):  # immutable
             self._scalars[key] = data
         return data
@@ -293,12 +305,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
+        enabled = gc.isenabled()
+        gc.disable()  # else a large file's nodes trigger collections; cycles wait for the next
         try:
             data = yaml.load(text, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError("invalid YAML: %s" % exc) from None
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:  # a bad scalar, `!!int x`
-            raise ConfigError("invalid YAML: %s: %s" % (type(exc).__name__, exc)) from None
+        except _SCALAR_ERRORS as exc:
+            mark = getattr(exc, "start_mark", None)  # set by `_ScalarMemo`
+            where = mark and ", line %d, column %d" % (mark.line + 1, mark.column + 1)
+            raise ConfigError("invalid YAML: %s: %s%s" % (type(exc).__name__, exc,
+                                                          where or "")) from None
+        finally:
+            if enabled:
+                gc.enable()
         return cls.from_dict(data)
 
     @classmethod

@@ -51,7 +51,11 @@ neither depends on its chart.
 
 A record copies the raw series, from the state and the loop's evaluation of it;
 the derived ones (V, D, T) are reduced from them after the loop, in blocks of
-records.  `metrics` only reduces the log to scalar finals.
+records.  D and its rate are exact, the max over craft pairs taken only among
+craft whose distance to the bounding-box centre, plus the largest such distance,
+reaches a real pair's; every pair below _PRUNE_MIN_CRAFT craft, on a non-finite
+entry, or when nearly all craft are kept.  `metrics` only reduces the log to
+scalar finals.
 
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
@@ -83,6 +87,8 @@ ACCEL_SOURCES = ("smoothed", "held")
 DIVERGENCE_SIGMA_NORM = 1e3
 # craft pairs in a block of `Simulation._derive` and in a `_max_pairwise` chunk
 _BLOCK_ELEMENTS, _PAIRWISE_ELEMENTS = 2048, 65536
+# `_max_pairwise` prunes from this many craft on, keeping radii within this margin
+_PRUNE_MIN_CRAFT, _PRUNE_MARGIN = 64, 1e-9
 
 # fields of the packed state along its last axis: [sigma | omega | theta_hat | chi | chi_dot]
 _SIGMA, _OMEGA, _THETA, _CHI, _CHI_DOT = (
@@ -233,15 +239,43 @@ class TrajectoryLog:
         return self.times.shape[0]
 
 
-def _max_pairwise(x):
-    """max_ij |x_i - x_j|, the largest distance between craft, for x (..., craft, axis),
-    over chunks of rows i so that no temporary grows with craft^2."""
+def _all_pairs(x):
+    """max_ij |x_i - x_j| over every pair, in chunks of rows i so that no temporary
+    grows with craft^2."""
     chunk = max(1, _PAIRWISE_ELEMENTS // (x.size // x.shape[-1]))
     sq = []
     for a in range(0, x.shape[-2], chunk):
         diff = x[..., a:a + chunk, None, :] - x[..., None, :, :]
         sq.append(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
     return np.sqrt(np.max(sq, axis=0))
+
+
+def _max_pairwise(x):
+    """max_ij |x_i - x_j|, the largest distance between craft, for x (..., craft, axis).
+
+    Bit for bit the max over every pair, taken over candidates only: with c the
+    bounding-box centre, r_i = |x_i - c|, R = max r_i and L = |p - q| (p farthest from
+    c, q from p), a pair reaches L only if r_i, r_j >= L - R, less _PRUNE_MARGIN (L + R)
+    for rounding, a few ulps of each distance.  Per slice of the leading axes; every
+    pair below _PRUNE_MIN_CRAFT craft, on a non-finite entry (nan propagates), when L
+    is outside 1e-100..1e100 (squares could under- or overflow) or 9 in 10 are kept.
+    """
+    n = x.shape[-2]
+    if n < _PRUNE_MIN_CRAFT or not np.isfinite(x).all():
+        return _all_pairs(x)
+    flat = x.reshape(-1, n, x.shape[-1])
+    d = flat - 0.5 * (flat.min(axis=1) + flat.max(axis=1))[:, None]
+    r = np.sqrt(np.einsum("mij,mij->mi", d, d))
+    d = flat - flat[np.arange(len(flat)), r.argmax(axis=1)][:, None]  # from p
+    lower, radius = np.sqrt(np.einsum("mij,mij->mi", d, d).max(axis=1)), r.max(axis=1)
+    keep = r >= (lower - radius - _PRUNE_MARGIN * (lower + radius))[:, None]
+    pruned = (lower > 1e-100) & (lower < 1e100) & (10 * keep.sum(axis=1) < 9 * n)
+    out = np.empty(len(flat))
+    for m in np.flatnonzero(pruned):
+        out[m] = _all_pairs(flat[m, keep[m]])
+    if not pruned.all():
+        out[~pruned] = _all_pairs(flat[~pruned])
+    return out.reshape(x.shape[:-2])[()]  # a scalar for one slice, as _all_pairs
 
 
 def _closer_image(x, x_dot, to):

@@ -122,7 +122,9 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                    "!!bool maybe", "!!timestamp foo", "!!int ''"):
         tagged.write_text("mode: %s\n" % scalar, encoding="utf-8")
         assert main(["validate", "--config", str(tagged)]) == 2
-        assert capsys.readouterr().err.startswith("config error: invalid YAML: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid YAML: ")
+        assert err.endswith(", line 1, column 7\n")  # where the scalar starts
         assert main(["run", "--config", str(tagged),
                      "--out", str(tmp_path / "bad_tag")]) == 2
         assert capsys.readouterr().err.startswith("config error: invalid YAML: ")
@@ -188,6 +190,16 @@ def test_unallocatable_log_exits_2_naming_the_record_count(tmp_path, capsys,
     (tmp_path / "empty").mkdir()
     assert main(run + ["--out", str(tmp_path / "empty")]) == 2
     assert (tmp_path / "empty").is_dir()
+
+
+def test_refused_run_removes_directories_made_through_dotdot(tmp_path, capsys, monkeypatch):
+    # `newdir/..` is created on the way to `out`, so the refused run removes it too
+    monkeypatch.chdir(tmp_path)
+    run = ["run", "--preset", "paper-leaderless", "--duration", "1e12"]
+    for out in ("newdir/../out", "a/./b/../../c/d/", str(tmp_path / "newdir" / ".." / "out")):
+        assert main(run + ["--out", out]) == 2
+        assert "cannot be allocated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_divergence_exits_3(tmp_path, capsys):

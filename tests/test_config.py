@@ -1,4 +1,5 @@
 """Declarative scenario configs: parsing, presets, round trips, errors."""
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -374,6 +375,47 @@ def test_scalar_field_errors():
 def test_yaml_parse_error():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_yaml("mode: [unclosed")
+
+
+def test_unconstructible_scalar_names_its_line_and_column():
+    # PyYAML raises a ValueError without a place; the loader marks it with the
+    # failing node's start, the innermost node, and keeps its type and message
+    text = "mode: leaderless\nspacecraft:\n  - inertia: [1, 2, !!int foo]\n"
+    with pytest.raises(ValueError) as raised:
+        yaml.load(text, Loader=config._LOADER)
+    assert str(raised.value) == "invalid literal for int() with base 10: 'foo'"
+    assert (raised.value.start_mark.line, raised.value.start_mark.column) == (2, 20)
+    with pytest.raises(ConfigError) as raised:
+        ScenarioConfig.from_yaml(text)
+    assert str(raised.value) == ("invalid YAML: ValueError: invalid literal for int() with "
+                                 "base 10: 'foo', line 3, column 21")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("text", [yaml.safe_dump(minimal_dict()), "mode: [unclosed",
+                                  "mode: !!int foo\n"], ids=["valid", "refused", "bad-scalar"])
+def test_yaml_load_pauses_the_cyclic_collector(monkeypatch, enabled, text):
+    # the collector is off while PyYAML loads, and left as the caller had it
+    # after, whether the load succeeds or is refused
+    during = []
+
+    class Watched(config._LOADER):
+        def get_single_data(self):
+            during.append(gc.isenabled())
+            return super().get_single_data()
+
+    monkeypatch.setattr(config, "_LOADER", Watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            ScenarioConfig.from_yaml(text)
+        except ConfigError:
+            assert text != yaml.safe_dump(minimal_dict())
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False] and after is enabled
 
 
 # PyYAML's safe loaders: the pure-Python one, and libyaml's when PyYAML has it

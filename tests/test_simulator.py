@@ -465,8 +465,9 @@ def diverging_ensemble():
     (lambda: ensemble(sinusoid_tracking(duration=2.0, shadow_switch=True), 3), None),
     (lambda: ensemble(pair_scenario(duration=1.0, shadow_switch=True), 3), 100),  # 8 a block
     (lambda: ring_scenario(33, 0.05), None),  # 2048 < 33^2 craft pairs: 1 record a block
+    (lambda: ring_scenario(70, 0.05), None),  # D over pruned candidates
 ], ids=["one", "ensemble-diverging", "tracking-constant", "tracking-sinusoid", "held",
-        "ensemble-tracking", "many-blocks", "one-record-blocks"])
+        "ensemble-tracking", "many-blocks", "one-record-blocks", "pruned"])
 @pytest.mark.parametrize("decimate", [1, 3, 7])
 def test_derived_series_equal_the_per_record_oracle(monkeypatch, build, block_elements,
                                                     decimate):
@@ -503,6 +504,59 @@ def test_max_pairwise_in_row_chunks_equals_the_whole_tensor(monkeypatch):
             with np.errstate(invalid="ignore"):  # inf - inf
                 got, want = simulator._max_pairwise(y), oracles.max_pairwise(y)
             assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def point_sets(draw):
+    """(..., craft, 3) sets of at least _PRUNE_MIN_CRAFT points: tight clusters,
+    uniform balls, spherical shells about their centre, a few points repeated, or
+    lines; one set or (member, record) leading axes; some with nan or inf entries."""
+    lead = draw(st.sampled_from([(), (1, 1), (2, 3), (3, 1)]))
+    n = draw(st.integers(simulator._PRUNE_MIN_CRAFT, simulator._PRUNE_MIN_CRAFT + 150))
+    kind = draw(st.sampled_from(["cluster", "ball", "shell", "repeated", "line"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = lead + (n, 3)
+    unit = rng.normal(size=shape)
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    ball = unit * rng.uniform(size=shape[:-1] + (1,)) ** (1 / 3)
+    x = {"cluster": 1e-3 * ball, "ball": ball, "shell": unit,
+         "repeated": np.take(ball, rng.integers(draw(st.integers(1, 4)), size=n), axis=-2),
+         "line": rng.uniform(-1.0, 1.0, shape[:-1] + (1,)) * unit[..., :1, :]}[kind]
+    x = draw(st.sampled_from([1e-6, 0.5, 2.0])) * x + rng.uniform(-0.5, 0.5, 3)
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        x[tuple(rng.integers(s) for s in shape)] = draw(st.sampled_from([np.nan, np.inf,
+                                                                          -np.inf]))
+    return x
+
+
+@settings(deadline=None, max_examples=300)
+@given(point_sets())
+def test_pruned_max_pairwise_equals_every_pair(x):
+    # D over the candidates that can still beat the lower bound is the max over every
+    # pair bit for bit, nan and inf included
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.array_equal(simulator._max_pairwise(x), oracles.max_pairwise(x),
+                              equal_nan=True)
+
+
+def test_max_pairwise_takes_candidates_only_where_they_are_few(monkeypatch):
+    # a ball keeps a few craft; a shell about its centre keeps all of them, a set
+    # with a nan entry or under _PRUNE_MIN_CRAFT craft is taken whole
+    sizes = []
+    monkeypatch.setattr(simulator, "_all_pairs", lambda x: sizes.append(x.shape) or 0.0)
+    rng = np.random.default_rng(9)
+    unit = rng.normal(size=(2000, 3))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    ball = 0.5 * unit * rng.uniform(size=(2000, 1)) ** (1 / 3)
+    simulator._max_pairwise(ball)
+    simulator._max_pairwise(np.stack([unit, ball]))
+    assert sizes[0][0] < 200 and sizes == [sizes[0], sizes[0], (1, 2000, 3)]
+    ball[7, 1] = np.nan
+    small = ball[:simulator._PRUNE_MIN_CRAFT - 1]
+    sizes.clear()
+    simulator._max_pairwise(ball)
+    simulator._max_pairwise(small)
+    assert sizes == [ball.shape, small.shape]
 
 
 def test_max_pairwise_temporaries_do_not_grow_with_craft_squared():
