@@ -305,6 +305,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
+        """Parse `text`; the cyclic collector is paused process-wide while PyYAML
+        loads it, then re-enabled if it was enabled when the load began."""
         enabled = gc.isenabled()
         gc.disable()  # else a large file's nodes trigger collections; cycles wait for the next
         try:

@@ -51,11 +51,8 @@ neither depends on its chart.
 
 A record copies the raw series, from the state and the loop's evaluation of it;
 the derived ones (V, D, T) are reduced from them after the loop, in blocks of
-records.  D and its rate are exact, the max over craft pairs taken only among
-craft whose distance to the bounding-box centre, plus the largest such distance,
-reaches a real pair's; every pair below _PRUNE_MIN_CRAFT craft, on a non-finite
-entry, or when nearly all craft are kept.  `metrics` only reduces the log to
-scalar finals.
+records; D is exact, pruned from _PRUNE_MIN_CRAFT craft (see _max_pairwise).
+`metrics` only reduces the log to scalar finals.
 
 An ensemble (scenarios differing only in craft initial states: a seed sweep)
 takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
@@ -257,8 +254,8 @@ def _max_pairwise(x):
     bounding-box centre, r_i = |x_i - c|, R = max r_i and L = |p - q| (p farthest from
     c, q from p), a pair reaches L only if r_i, r_j >= L - R, less _PRUNE_MARGIN (L + R)
     for rounding, a few ulps of each distance.  Per slice of the leading axes; every
-    pair below _PRUNE_MIN_CRAFT craft, on a non-finite entry (nan propagates), when L
-    is outside 1e-100..1e100 (squares could under- or overflow) or 9 in 10 are kept.
+    pair below _PRUNE_MIN_CRAFT craft, on a non-finite entry (nan propagates) or when
+    L is outside 1e-100..1e100 (squares could under- or overflow).
     """
     n = x.shape[-2]
     if n < _PRUNE_MIN_CRAFT or not np.isfinite(x).all():
@@ -269,7 +266,7 @@ def _max_pairwise(x):
     d = flat - flat[np.arange(len(flat)), r.argmax(axis=1)][:, None]  # from p
     lower, radius = np.sqrt(np.einsum("mij,mij->mi", d, d).max(axis=1)), r.max(axis=1)
     keep = r >= (lower - radius - _PRUNE_MARGIN * (lower + radius))[:, None]
-    pruned = (lower > 1e-100) & (lower < 1e100) & (10 * keep.sum(axis=1) < 9 * n)
+    pruned = (lower > 1e-100) & (lower < 1e100)
     out = np.empty(len(flat))
     for m in np.flatnonzero(pruned):
         out[m] = _all_pairs(flat[m, keep[m]])

@@ -540,8 +540,8 @@ def test_pruned_max_pairwise_equals_every_pair(x):
 
 
 def test_max_pairwise_takes_candidates_only_where_they_are_few(monkeypatch):
-    # a ball keeps a few craft; a shell about its centre keeps all of them, a set
-    # with a nan entry or under _PRUNE_MIN_CRAFT craft is taken whole
+    # a ball keeps a few craft and a shell about its centre all of them, each slice
+    # on its own; a set with a nan entry or under _PRUNE_MIN_CRAFT craft is taken whole
     sizes = []
     monkeypatch.setattr(simulator, "_all_pairs", lambda x: sizes.append(x.shape) or 0.0)
     rng = np.random.default_rng(9)
@@ -550,7 +550,7 @@ def test_max_pairwise_takes_candidates_only_where_they_are_few(monkeypatch):
     ball = 0.5 * unit * rng.uniform(size=(2000, 1)) ** (1 / 3)
     simulator._max_pairwise(ball)
     simulator._max_pairwise(np.stack([unit, ball]))
-    assert sizes[0][0] < 200 and sizes == [sizes[0], sizes[0], (1, 2000, 3)]
+    assert sizes[0][0] < 200 and sizes == [sizes[0], (2000, 3), sizes[0]]
     ball[7, 1] = np.nan
     small = ball[:simulator._PRUNE_MIN_CRAFT - 1]
     sizes.clear()
@@ -560,14 +560,18 @@ def test_max_pairwise_takes_candidates_only_where_they_are_few(monkeypatch):
 
 
 def test_max_pairwise_temporaries_do_not_grow_with_craft_squared():
+    # a blob takes few candidates; a nan entry sends all 2000 craft to the chunked scan
     x = np.random.default_rng(8).normal(size=(2000, 3))
-    tracemalloc.start()
-    try:
-        simulator._max_pairwise(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20  # the whole 2000 x 2000 x 3 tensor is 92 MiB
+    full = x.copy()
+    full[5, 0] = np.nan
+    for points in (x, full):
+        tracemalloc.start()
+        try:
+            simulator._max_pairwise(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20  # the whole 2000 x 2000 x 3 tensor is 92 MiB
 
 
 def test_divergence_guard_reports_craft_and_time():
