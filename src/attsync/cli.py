@@ -51,6 +51,7 @@ from .topology import graph_checks
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
 DEFAULT_CONVERGED_TOL = 1e-2
+_CSV_BLOCK = 64  # records per block of trajectory.csv
 
 
 # -- validity reporting --------------------------------------------------
@@ -105,15 +106,20 @@ def csv_header(n: int, tracking: bool) -> list:
 
 
 def write_trajectory_csv(log, path) -> None:
-    """Write the documented column schema, full double precision."""
+    """Write the documented column schema, full double precision, formatting
+    `_CSV_BLOCK` records at a time straight from the log's arrays."""
     n_rec, n = log.sigma.shape[:2]
     tracking = log.tracking_error is not None
-    per_craft = np.concatenate([log.sigma, log.omega, log.torque, log.theta_hat], axis=2)
-    table = np.column_stack([log.times, per_craft.reshape(n_rec, -1), log.lyapunov,
-                             log.disagreement] + ([log.tracking_error] if tracking else []))
+    series = [log.lyapunov, log.disagreement] + ([log.tracking_error] if tracking else [])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(csv_header(n, tracking)) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        for r in range(0, n_rec, _CSV_BLOCK):
+            rows = slice(r, r + _CSV_BLOCK)
+            per_craft = np.concatenate([log.sigma[rows], log.omega[rows], log.torque[rows],
+                                        log.theta_hat[rows]], axis=2)
+            table = np.column_stack([log.times[rows], per_craft.reshape(len(per_craft), -1)]
+                                    + [x[rows] for x in series])
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 # -- subcommands ---------------------------------------------------------

@@ -17,9 +17,10 @@ select and tune the desired-acceleration source (see the simulator module);
 ``accel_source: held`` builds only when every craft hears the leader alone.
 Every parse error carries the offending field path, e.g.
 ``spacecraft[2].inertia``.  A file loads to what PyYAML's safe loader
-returns, each distinct scalar resolved and constructed once per load, with
-the cyclic collector paused; a scalar that cannot be constructed is refused
-naming its line and column.
+returns, with the cyclic collector paused: each distinct scalar is constructed
+once per load, resolution is memoized in C and, without path resolvers, the
+per-node resolver hooks are skipped (`_ScalarMemo`); a scalar that cannot be
+constructed is refused naming its line and column.
 
 Two presets ship with the package: ``paper-leaderless`` and
 ``paper-tracking``, the six-spacecraft fleet used throughout the test
@@ -31,8 +32,11 @@ from __future__ import annotations
 
 import copy
 import datetime
+import functools
 import gc
+import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -52,21 +56,24 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # what PyYAML raises for a scalar it cannot construct, `!!int x`, besides YAMLError
 _SCALAR_ERRORS = (ValueError, LookupError, TypeError, AttributeError)
+_TAG, _VALUE = operator.attrgetter("tag"), operator.attrgetter("value")
 
 
 class _ScalarMemo:
-    """Resolves and constructs each distinct scalar once per load (`_LOADER`)."""
+    """Constructs each distinct scalar once per load (`_LOADER`).  Without path
+    resolvers, a C-level cache runs the base's `resolve` once per distinct
+    (kind, value, implicit), and the per-node resolver hooks are C no-ops."""
 
     def __init__(self, stream):
         super().__init__(stream)
-        self._tags, self._scalars = {}, {}  # per load, never on the class
+        self._scalars = {}  # per load, never on the class
+        if not self.yaml_path_resolvers:  # else a tag depends on the node's path
+            self.resolve = functools.lru_cache(maxsize=None)(self.resolve)
+            self.descend_resolver = self.ascend_resolver = "".format  # takes any args
 
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode or self.yaml_path_resolvers:
-            return super().resolve(kind, value, implicit)
-        if (value, implicit) not in self._tags:
-            self._tags[value, implicit] = super().resolve(kind, value, implicit)
-        return self._tags[value, implicit]
+    def dispose(self):
+        self.__dict__.pop("resolve", None)  # the cache holds a method bound to self
+        super().dispose()
 
     def construct_object(self, node, deep=False):
         key = node.__class__ is yaml.ScalarNode and (node.tag, node.value)
@@ -81,6 +88,16 @@ class _ScalarMemo:
         if key and isinstance(data, (int, float, str, bytes, type(None), datetime.date)):  # immutable
             self._scalars[key] = data
         return data
+
+    def construct_sequence(self, node, deep=False):
+        items = node.value
+        if node.__class__ is yaml.SequenceNode and set(map(type, items)) <= {yaml.ScalarNode}:
+            try:  # scalars all constructed before: read off the memo, in C
+                return list(map(self._scalars.__getitem__,
+                                zip(map(_TAG, items), map(_VALUE, items))))
+            except KeyError:
+                pass
+        return super().construct_sequence(node, deep)
 
 
 # PyYAML's safe loader (libyaml's if built in), with equal results and the same errors
@@ -133,11 +150,15 @@ def _mapping(value, path, allowed=None):
 def _number(value, path, least=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, "must be finite")
     if least is not None and value < least:
         _fail(path, "must be at least %g" % least)
-    return float(value)
+    return value
 
 
 def _integer(value, path, least):
@@ -146,19 +167,37 @@ def _integer(value, path, least):
     return value
 
 
+def _floats(value, entries):
+    """`value` as one float array if its `entries` are all ints and floats that
+    convert to finite values, else None (and the caller names the bad entry)."""
+    if set(map(type, entries)) <= {int, float}:
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if np.isfinite(out).all():
+            return out
+    return None
+
+
 def _vector(value, length, path):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         _fail(path, "expected a list of %d numbers" % length)
-    if {type(v) for v in value} <= {int, float} and np.isfinite(value).all():
-        return np.array(value, dtype=float)  # else the paths name the first bad entry
-    return np.array([_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)])
+    out = _floats(value, value)
+    if out is None:
+        out = np.array([_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)])
+    return out
 
 
 def _matrix(value, rows, cols, path):
     if not isinstance(value, (list, tuple)) or len(value) != rows:
         _fail(path, "expected %d rows" % rows)
-    return np.stack([_vector(r, cols, "%s[%d]" % (path, i))
-                     for i, r in enumerate(value)])
+    out = None
+    if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {cols}:
+        out = _floats(value, itertools.chain.from_iterable(value))
+    if out is None:
+        out = np.stack([_vector(r, cols, "%s[%d]" % (path, i)) for i, r in enumerate(value)])
+    return out
 
 
 def _gain_matrix(value, size, path, diagonal_shorthand=False):

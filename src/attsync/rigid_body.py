@@ -51,7 +51,7 @@ class InertiaParams:
         j = np.array(self.matrix, dtype=float)
         if j.shape != (3, 3):
             raise ValueError("inertia matrix must be 3x3")
-        if not np.all(np.isfinite(j)):
+        if not np.isfinite(j).all():
             raise ValueError("inertia matrix must be finite")
         theta = theta_from_inertia(j)  # also enforces symmetry
         spd_check(j, "inertia matrix")
@@ -73,7 +73,7 @@ class SpacecraftState:
         omega = np.array(self.omega, dtype=float)
         if sigma.shape != (3,) or omega.shape != (3,):
             raise ValueError("sigma and omega must be 3-vectors")
-        if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(omega))):
+        if not (np.isfinite(sigma).all() and np.isfinite(omega).all()):
             raise ValueError("state components must be finite")
         sigma.flags.writeable = False
         omega.flags.writeable = False

@@ -114,7 +114,7 @@ class Spacecraft:
         th = np.array(self.theta_hat0, dtype=float)
         if th.shape != (6,):
             raise ValueError("theta_hat0 must be a 6-vector")
-        if not np.all(np.isfinite(th)):
+        if not np.isfinite(th).all():
             raise ValueError("theta_hat0 must be finite")
         th.flags.writeable = False
         object.__setattr__(self, "theta_hat0", th)
@@ -550,16 +550,6 @@ class Simulation:
         return logs if self.ensemble else logs[0]
 
 
-def _draw_in_ball(rng, bound):
-    # componentwise uniform, conditioned on the vector norm bound
-    if bound == 0.0:
-        return np.zeros(3)
-    while True:
-        v = rng.uniform(-bound, bound, 3)
-        if v @ v <= bound * bound:
-            return v
-
-
 def random_initial_states(seed, n, sigma_bound=0.5, omega_bound=0.5):
     """Draw per-craft states uniformly with norm-bounded vectors.
 
@@ -567,18 +557,38 @@ def random_initial_states(seed, n, sigma_bound=0.5, omega_bound=0.5):
     each attitude and rate vector also satisfies its norm bound.  Per
     craft, sigma is drawn first, then omega, so the sequence is stable for
     a given seed and count.  Bounds of zero give exactly zero states.
+    Each try is the next three doubles, as `rng.uniform(-bound, bound, 3)`
+    takes them; tries are drawn and tested in batches, under both bounds.
     """
     if n < 1:
         raise ValueError("need at least one spacecraft")
     if sigma_bound < 0.0 or omega_bound < 0.0:
         raise ValueError("bounds must be nonnegative")
+    bounds = (sigma_bound, omega_bound)
+    if not all(np.isfinite(b - -b) for b in bounds):  # refused as by rng.uniform
+        raise OverflowError("high - low range exceeds valid bounds")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        sigma = _draw_in_ball(rng, sigma_bound)
-        omega = _draw_in_ball(rng, omega_bound)
-        out.append(SpacecraftState(sigma, omega))
-    return out
+    u = rng.random((4 * n + 16, 3))  # about 3.8 tries per craft
+    while True:
+        tries = [-b + (b - -b) * u for b in bounds]
+        # the stacked matmul takes each try's dot product with the BLAS kernel of
+        # `v @ v`, so a try at the bound is accepted or refused alike
+        accepted = [((v[:, None, :] @ v[:, :, None])[:, 0, 0] <= b * b).tolist()
+                    for v, b in zip(tries, bounds)]
+        k, picks = 0, ([], [])  # per bound, the try each craft's vector takes
+        try:
+            for _ in range(n):
+                for pick, flags, b in zip(picks, accepted, bounds):
+                    if b != 0.0:
+                        k = flags.index(True, k)
+                        pick.append(k)
+                        k += 1
+            break
+        except ValueError:  # the tries ran out: the stream goes on
+            u = np.concatenate([u, rng.random(u.shape)])
+    sigma, omega = (v[p] if b != 0.0 else np.zeros((n, 3))
+                    for v, p, b in zip(tries, picks, bounds))
+    return [SpacecraftState(s, w) for s, w in zip(sigma, omega)]
 
 
 def metrics(log: TrajectoryLog) -> dict:

@@ -107,3 +107,21 @@ def derived_series(log):
             out["tracking_error"][r] = np.linalg.norm(sigma - ref, axis=-1).max()
             out["tracking_rate"][r] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max()
     return out
+
+
+def draw_in_ball(rng, bound):
+    """One vector, componentwise uniform on [-bound, bound], drawn again until
+    it lies in the bound's ball; zero for a zero bound."""
+    if bound == 0.0:
+        return np.zeros(3)
+    while True:
+        v = rng.uniform(-bound, bound, 3)
+        if v @ v <= bound * bound:
+            return v
+
+
+def random_initial_states(seed, n, sigma_bound, omega_bound):
+    """(sigma, omega) of each craft, sigma first, one vector at a time."""
+    rng = np.random.default_rng(seed)
+    return [(draw_in_ball(rng, sigma_bound), draw_in_ball(rng, omega_bound))
+            for _ in range(n)]

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -279,6 +281,11 @@ def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys, relay,
     ([], {"topology": {"adjacency": [[1.0, 1.0], [1.0, 0.0]]}}, "topology: "),
     ([], {"random_bounds": {"sigma": -0.5}}, "random_bounds.sigma: "),
     ([], {"seed": None}, "seed: "),  # a run without a seed cannot be reproduced
+    # integers past the float range, as a scalar, a vector entry and a matrix entry
+    ([], {"dt": 10 ** 400}, "dt: must be finite"),
+    ([], {"gains": {"Gamma": [10 ** 400] + [1.0] * 5}}, "gains.Gamma[0]: must be finite"),
+    ([], {"topology": {"adjacency": [[0.0, 10 ** 400], [1.0, 0.0]]}},
+     "topology.adjacency[0][1]: must be finite"),
 ])
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, argv, extra, field):
     path = write_config(tmp_path, **extra)
@@ -316,6 +323,32 @@ def test_run_writes_trajectory_and_summary(tmp_path, capsys):
     assert summary["config"]["duration"] == 1.0
     assert summary["metrics"]["disagreement_final"] == pytest.approx(
         float(csv_lines[-1].split(",")[-1]))
+
+
+def test_trajectory_csv_peak_does_not_grow_with_the_record_count(tmp_path):
+    # the writer formats a block of records at a time, so its Python allocation
+    # peak is the same for 4096 records as for 256
+    peaks = []
+    for n_rec in (256, 4096):
+        rng = np.random.default_rng(n_rec)
+        log = types.SimpleNamespace(
+            times=rng.random(n_rec), sigma=rng.random((n_rec, 6, 3)),
+            omega=rng.random((n_rec, 6, 3)), torque=rng.random((n_rec, 6, 3)),
+            theta_hat=rng.random((n_rec, 6, 6)), lyapunov=rng.random(n_rec),
+            disagreement=rng.random(n_rec), tracking_error=rng.random(n_rec))
+        tracemalloc.start()
+        try:
+            cli.write_trajectory_csv(log, tmp_path / "trajectory.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + n_rec
+        per_craft = np.concatenate([log.sigma, log.omega, log.torque, log.theta_hat], axis=2)
+        last = [log.times[-1], *per_craft[-1].ravel(), log.lyapunov[-1],
+                log.disagreement[-1], log.tracking_error[-1]]
+        assert np.array_equal(np.array(lines[-1].split(","), dtype=float), last)
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def rerun_from_summary(tmp_path, out):

@@ -1,7 +1,9 @@
 """Declarative scenario configs: parsing, presets, round trips, errors."""
+import collections
 import gc
 import importlib.util
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +374,28 @@ def test_scalar_field_errors():
     assert "gains.K" in error_message(minimal_dict(gains={"K": "stiff"}))
 
 
+def test_huge_integers_are_refused_as_not_finite():
+    # an integer past the float range is refused as 1e400 is, naming its entry
+    huge = 10 ** 400
+    assert error_message(minimal_dict(dt=huge)) == "dt: must be finite"
+    data = minimal_dict(gains={"Gamma": [1.0, 1.0, huge, 1.0, 1.0, 1.0]})
+    assert error_message(data) == "gains.Gamma[2]: must be finite"
+    data = minimal_dict()
+    data["topology"]["adjacency"][1][0] = huge
+    assert error_message(data) == "topology.adjacency[1][0]: must be finite"
+    data = minimal_dict()
+    data["spacecraft"][1] = {"inertia": [list(r) for r in FLEET_J[1]]}
+    data["spacecraft"][1]["inertia"][2][2] = huge
+    assert error_message(data) == "spacecraft[1].inertia[2][2]: must be finite"
+    with pytest.raises(ConfigError, match="^dt: must be finite$"):
+        ScenarioConfig.from_yaml(yaml.safe_dump(minimal_dict()) + "dt: %d\n" % huge)
+    # one inside the float range reads as its float, in a matrix as in a scalar
+    data = minimal_dict(dt=10 ** 300)
+    data["topology"]["adjacency"][0][1] = 10 ** 300
+    cfg = ScenarioConfig.from_dict(data)
+    assert cfg.topology.adjacency[0, 1] == 1e300 and cfg.doc["dt"] == 10 ** 300
+
+
 def test_yaml_parse_error():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_yaml("mode: [unclosed")
@@ -512,6 +536,86 @@ def test_ring200_benchmark_input_parses_as_with_the_base_loader(base):
     assert cfg.doc == expected.doc
     assert repr(cfg.doc) == repr(expected.doc)
     assert scenarios_equal(cfg.to_scenario(), expected.to_scenario())
+
+
+def with_path_resolvers(base):
+    """`base` with two path resolvers: a quoted or unresolved scalar at key k1
+    takes !!int, and the first item of a sequence at k2 takes !!str."""
+    loader = type("Path" + base.__name__, (base,), {})
+    loader.add_path_resolver("tag:yaml.org,2002:int", ["k1"], str)
+    loader.add_path_resolver("tag:yaml.org,2002:str", ["k2", 0], str)
+    return loader
+
+
+@pytest.mark.parametrize("base", BASE_LOADERS, ids=lambda b: b.__name__)
+@settings(deadline=None, max_examples=300)
+@given(text=yaml_documents())
+def test_memoizing_loader_under_a_path_resolver_returns_what_its_base_returns(base, text):
+    # a tag that depends on the node's path is resolved per node, as by the base
+    base = with_path_resolvers(base)
+    memo = type("Memo", (config._ScalarMemo, base), {})
+    assert load_or_error(text, memo) == load_or_error(text, base)
+
+
+def ring200_text():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.ring_yaml(seed=1, craft=200, duration=1.0)
+
+
+def test_loader_resolves_each_key_once_and_runs_no_hook_per_node():
+    # the composer calls resolve and the two resolver hooks for every
+    # node; the base resolve runs once per distinct (kind, value, implicit),
+    # and the hooks run no Python code
+    text = ring200_text()
+    keys = set()
+
+    class Keys(config._LOADER.__bases__[1]):
+        def resolve(self, *key):
+            keys.add(key)
+            return super().resolve(*key)
+
+    yaml.load(text, Loader=Keys)
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        yaml.load(text, Loader=config._LOADER)
+    finally:
+        sys.setprofile(None)
+    resolver = yaml.resolver.BaseResolver
+    assert calls[resolver.resolve.__code__] == len(keys) < 2000
+    assert calls[resolver.descend_resolver.__code__] == 0
+    assert calls[resolver.ascend_resolver.__code__] == 0
+
+
+def test_a_loaded_loader_is_freed_without_the_cyclic_collector():
+    # the memoized resolve is bound to its loader; dispose lets it go
+    loaders = []
+
+    class Watched(config._LOADER):
+        def __init__(self, stream):
+            super().__init__(stream)
+            loaders.append(weakref.ref(self))
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yaml.load("a: [1, 2.5, b]\n", Loader=Watched)
+        assert loaders[0]() is None
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_config_validity_checked_at_scenario_build():

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attsync import attmath, simulator
@@ -213,6 +213,29 @@ def test_random_initial_states_zero_bounds_and_errors():
         random_initial_states(1, 0)
     with pytest.raises(ValueError):
         random_initial_states(1, 2, sigma_bound=-0.1)
+
+
+BALL_BOUNDS = st.sampled_from([0.0, 1e-3, 0.5, 0.95, 2.0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300),
+       sigma_bound=BALL_BOUNDS, omega_bound=BALL_BOUNDS)
+@example(seed=4, n=300, sigma_bound=0.5, omega_bound=0.5)  # tries past the first batch
+def test_random_initial_states_equal_the_per_vector_draws(seed, n, sigma_bound, omega_bound):
+    # the batched draws are bit for bit the one-vector-at-a-time rejection loop
+    states = random_initial_states(seed, n, sigma_bound, omega_bound)
+    expected = oracles.random_initial_states(seed, n, sigma_bound, omega_bound)
+    assert [(s.sigma.tobytes(), s.omega.tobytes()) for s in states] == \
+        [(sigma.tobytes(), omega.tobytes()) for sigma, omega in expected]
+
+
+@pytest.mark.parametrize("bound", [1e308, np.inf, np.nan])
+def test_random_initial_states_refuse_what_the_per_vector_draws_refuse(bound):
+    # a bound whose range 2 * bound is not finite: an error, not an endless walk
+    for draw in (random_initial_states, oracles.random_initial_states):
+        with pytest.raises(OverflowError):
+            draw(1, 2, 0.5, bound)
 
 
 # ------------------------------------------------------- point dynamics
