@@ -16,9 +16,14 @@ Conventions fixed across the package:
 
 Every structured matrix (S, L, F and J(theta)) is one product of its
 input with a constant table of 0/+-1 entries, built at import from the
-packing order and the Levi-Civita symbol.  Each output entry sums at most
-two nonzero terms, each an input entry (for F, a product of two) times
-+-1, so its value does not depend on the order the product sums in.
+packing order and the Levi-Civita symbol; so are G and dG/dt, over the
+rate-like vector, their 3x3 product term and their isotropic coefficient.
+Each output entry sums at most two nonzero terms, each an input entry (for
+F, a product of two) times +-1, so its value does not depend on the order
+the product sums in, nor on the layout of the input.  A table product is
+taken as ``table @ x.T``, so it returns the transpose of a C-contiguous
+array: the craft-contiguous layout the simulator keeps its fleet in, where
+every elementwise kernel here keeps its input's layout.
 """
 
 import numpy as np
@@ -35,12 +40,17 @@ _EPS = (_i - _j) * (_j - _k) * (_k - _i) / 2.0
 _JK = np.zeros((6, 3, 3))
 _JK[range(6), _ROW, _COL] = _JK[range(6), _COL, _ROW] = 1.0
 
-# flattened (input entries, output entries) tables of the kernels below
-_SKEW = np.einsum("ikj->kij", _EPS).reshape(3, 9)        # S(x)_ij = eps_ikj x_k
-_J = _JK.reshape(6, 9)                                   # J(theta) = theta @ _J
-_L = np.einsum("pik->kip", _JK).reshape(3, 18)           # (J a)_i = J_ik a_k
+# the kernels' constant tables, transposed: (output entries, input entries), the output
+# entries taken in reverse axis order, so `table @ x.T` is the transpose of the result
+_SKEW = np.einsum("ikj->jik", _EPS).reshape(9, 3)        # S(x)_ij = eps_ikj x_k
+_J = np.einsum("pij->jip", _JK).reshape(9, 6)            # J(theta)_ij = theta_p _JK[p]_ij
+_L = _JK.reshape(18, 3)                                  # (J a)_i = J_ik a_k
 # S(J x) v = -S(v) J x: entry i is eps_ijm v_m J_jk x_k, linear in v_m x_k
-_F = np.einsum("ijm,pjk->mkip", _EPS, _JK).reshape(9, 18)
+_F = np.einsum("ijm,pjk->pimk", _EPS, _JK).reshape(18, 9)
+# G and dG/dt are 1/2 (-S(v) + P +- c I): one table over [v | P | c], with P the
+# kernel's 3x3 product term and c its isotropic coefficient
+_KIN, _KIN_DOT = (np.hstack([-_SKEW, np.eye(9), sign * _EYE.reshape(9, 1)])
+                  for sign in (1, -1))
 
 
 def mat_vec(m, v):
@@ -64,7 +74,7 @@ def skew(x):
         Skew-symmetric; S(x) @ x == 0.
     """
     x = np.asarray(x, dtype=float)
-    return (x @ _SKEW).reshape(x.shape[:-1] + (3, 3))
+    return _SKEW.dot(x.T.reshape(3, -1)).reshape((3,) + x.shape[::-1]).T
 
 
 def kinematics_matrix(sigma):
@@ -85,9 +95,15 @@ def kinematics_matrix(sigma):
     """
     sigma = np.asarray(sigma, dtype=float)
     ss = np.einsum("...i,...i->...", sigma, sigma)
-    outer = sigma[..., :, None] * sigma[..., None, :]
-    iso = np.asarray((1.0 - ss) / 2.0)[..., None, None] * _EYE
-    return 0.5 * (iso - skew(sigma) + outer)
+    s = sigma.T
+    return _half_table(_KIN, s, s[:, None] * s[None], ((1.0 - ss) / 2.0).T)
+
+
+def _half_table(table, v, p, c):
+    """1/2 table @ [v | p | c], given transposed: v (3, ...), p (3, 3, ...), c (...)."""
+    g = table.dot(np.concatenate((v.reshape(3, -1), p.reshape(9, -1), c.reshape(1, -1))))
+    g *= 0.5
+    return g.reshape(p.shape).T
 
 
 def kinematics_matrix_inverse(sigma):
@@ -119,11 +135,12 @@ def kinematics_matrix_dot(sigma, sigma_dot):
     """
     sigma = np.asarray(sigma, dtype=float)
     sigma_dot = np.asarray(sigma_dot, dtype=float)
+    if sigma.shape != sigma_dot.shape:  # the transposes below line up equal shapes only
+        sigma, sigma_dot = np.broadcast_arrays(sigma, sigma_dot)
     dot = np.einsum("...i,...i->...", sigma, sigma_dot)
-    iso = np.asarray(dot)[..., None, None] * _EYE
-    cross = sigma_dot[..., :, None] * sigma[..., None, :]  # its transpose is the other term
-    cross = cross + cross.swapaxes(-1, -2)
-    return 0.5 * (-iso - skew(sigma_dot) + cross)
+    s, v = sigma.T, sigma_dot.T
+    cross = s[:, None] * v[None]  # sigma_dot sigma^T; its transpose is the other term
+    return _half_table(_KIN_DOT, v, cross + cross.swapaxes(0, 1), dot.T)
 
 
 def l_operator(a):
@@ -144,7 +161,7 @@ def l_operator(a):
     ndarray, shape (..., 3, 6)
     """
     a = np.asarray(a, dtype=float)
-    return (a @ _L).reshape(a.shape[:-1] + (3, 6))
+    return _L.dot(a.T.reshape(3, -1)).reshape((6,) + a.shape[::-1]).T
 
 
 def f_operator(x, v):
@@ -163,9 +180,8 @@ def f_operator(x, v):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    outer = v[..., :, None] * x[..., None, :]  # v_m x_k at [..., m, k]
-    lead = outer.shape[:-2]
-    return (outer.reshape(lead + (9,)) @ _F).reshape(lead + (3, 6))
+    outer = (v[..., :, None] * x[..., None, :]).swapaxes(-1, -2).T  # v_m x_k at [m, k, ...]
+    return _F.dot(outer.reshape(9, -1)).reshape((6, 3) + outer.shape[2:]).T
 
 
 def theta_from_inertia(j):
@@ -182,7 +198,7 @@ def theta_from_inertia(j):
 def inertia_from_theta(theta):
     """Inverse of `theta_from_inertia`; always returns a symmetric matrix."""
     theta = np.asarray(theta, dtype=float)
-    return (theta @ _J).reshape(theta.shape[:-1] + (3, 3))
+    return _J.dot(theta.T.reshape(6, -1)).reshape((3, 3) + theta.shape[-2::-1]).T
 
 
 def spd_check(m, name):

@@ -336,7 +336,9 @@ class ScenarioConfig:
         _integer(doc["seed"], "seed", 0)
         _integer(doc["decimate"], "decimate", 1)
         for axis in ("sigma", "omega"):
-            _number(doc["random_bounds"][axis], "random_bounds." + axis, least=0.0)
+            bound = _number(doc["random_bounds"][axis], "random_bounds." + axis, least=0.0)
+            if not math.isfinite(bound - -bound):  # the draws span [-bound, bound]
+                _fail("random_bounds." + axis, "the range 2 * bound is not finite")
         _number(doc["smoothing_rate"], "smoothing_rate")
         _number(doc["rate_leak"], "rate_leak")
         return cls(doc, topology, reference,

@@ -38,6 +38,13 @@ one array expression.  Each evaluation builds G(sigma) once: sigma_dot and
 the control law both read that matrix.  The inverse inertia J^-1 is formed
 once, when the Simulation is built.
 
+The state, each derivative, the J, J^-1 and gain stacks and the aggregation
+table are stored craft-contiguous: each is the transpose (`.T`) of a
+C-contiguous (field, craft[, member]) array, with the shapes above.  numpy
+keeps its operands' memory order through ufuncs and einsum, so every
+elementwise step of an evaluation loops along the craft axis rather than
+along a 3-long component axis, and a large fleet pays per craft, not per call.
+
 Each neighborhood average is an edge sum along the topology's edge list, each
 edge weighted by its share of the sum of its receiver's edges; the leader, row N
 of the table of source states, has edges only when tracking.  The table is
@@ -236,6 +243,12 @@ class TrajectoryLog:
         return self.times.shape[0]
 
 
+def _by_craft(x):
+    """x stored craft-contiguous: the transpose of a C-contiguous (field, craft[, member])
+    array, so elementwise work runs along the craft axis."""
+    return np.ascontiguousarray(x.T).T
+
+
 def _all_pairs(x):
     """max_ij |x_i - x_j| over every pair, in chunks of rows i so that no temporary
     grows with craft^2."""
@@ -332,14 +345,11 @@ class Simulation:
         craft = scenario.spacecraft
         self.n = len(craft)
         self.dt = scenario.dt
-        self.j_stack = np.stack([c.inertia.matrix for c in craft])
-        self.j_inv = np.linalg.inv(self.j_stack)
+        self.j_stack = _by_craft(np.stack([c.inertia.matrix for c in craft]))
+        self.j_inv = _by_craft(np.linalg.inv(self.j_stack))
         self.theta_true = np.stack([c.inertia.theta for c in craft])
-        self.gains = GainSet(
-            np.stack([c.gains.Lambda for c in craft]),
-            np.stack([c.gains.K for c in craft]),
-            np.stack([c.gains.Gamma for c in craft]),
-        )
+        self.gains = GainSet(*(_by_craft(np.stack([getattr(c.gains, k) for c in craft]))
+                               for k in ("Lambda", "K", "Gamma")))
         self.tracking = scenario.mode == "tracking"
         # the topology's edges j -> i by receiver, the leader (source N) last and only when
         # tracking; Scenario gives each receiver one, so no reduceat segment is empty
@@ -365,17 +375,17 @@ class Simulation:
         source's representation flip never jumps the aggregate; one segmented
         sum adds each receiver's weighted edges.
         """
-        table = np.empty(sigma.shape[:-2] + (self.n + self.tracking, 6))
+        table = np.empty((6, self.n + self.tracking) + sigma.shape[-3::-1]).T
         table[..., :self.n, :3], table[..., :self.n, 3:] = sigma, sigma_dot
         if self.tracking:  # the reference joins every member as source N
             table[..., self.n, :] = np.concatenate(self.ref.at(t)[:2])
-        edges = table.take(self._src, axis=-2)
+        edges = table.T.take(self._src, axis=1).T
         if self.scenario.shadow_switch:
             pos, rate = edges[..., :3], edges[..., 3:]
-            aligned = _closer_image(pos, rate, sigma.take(self._dst, axis=-2))
+            aligned = _closer_image(pos, rate, sigma.T.take(self._dst, axis=1).T)
             if aligned[0] is not pos:  # some edge flips
                 edges[..., :3], edges[..., 3:] = aligned
-        agg = np.add.reduceat(edges * self._w, self._starts, axis=-2)
+        agg = np.add.reduceat((edges * self._w).T, self._starts, axis=1).T
         return agg[..., :3], agg[..., 3:]
 
     def _eval(self, t, y):
@@ -397,10 +407,10 @@ class Simulation:
                         + self._gen_kp * (sigma_d - chi)
                         - self._gen_leak * chi_dot)
             sigma_d, sigma_d_dot, sigma_d_ddot = chi, chi_dot, chi_ddot
-            d_chi = (chi_dot, chi_ddot)
+            d_chi = (chi_dot.T, chi_ddot.T)
         else:
             sigma_d, sigma_d_dot, sigma_d_ddot = self.ref.at(t)
-            d_chi = (np.zeros(sigma.shape[:-1] + (6,)),)
+            d_chi = (np.zeros((6,) + sigma.shape[-2::-1]),)
         u, e, s, theta_dot = controller_outputs(sigma, sigma_dot, omega, g, sigma_d,
                                                 sigma_d_dot, sigma_d_ddot, theta_hat, self.gains)
         if not self.scenario.control_enabled:
@@ -408,7 +418,7 @@ class Simulation:
         if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
         omega_dot = angular_acceleration(self.j_stack, self.j_inv, omega, u)
-        return np.concatenate((sigma_dot, omega_dot, theta_dot) + d_chi, -1), u, e, s
+        return np.concatenate((sigma_dot.T, omega_dot.T, theta_dot.T) + d_chi).T, u, e, s
 
     def _rk4(self, t, y, k1):
         """One classical RK4 step of the packed state y, given its derivative k1."""
@@ -430,7 +440,7 @@ class Simulation:
         mask = np.einsum("...ni,...ni->...n", sigma, sigma) > 1.0
         if not mask.any():
             return y
-        out = y.copy()
+        out = y.T.copy().T
         out[_SIGMA] = np.where(mask[..., None], mrp_shadow(sigma), sigma)
         rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
         chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
@@ -522,7 +532,7 @@ class Simulation:
         logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
                 for b, sc in enumerate(self.scenarios)]
         healthy = np.ones((len(logs), 1), dtype=bool)
-        y = np.concatenate([sigma, omega, theta, sigma, mrp_rate(sigma, omega)], -1)
+        y = _by_craft(np.concatenate([sigma, omega, theta, sigma, mrp_rate(sigma, omega)], -1))
         r = 0
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):

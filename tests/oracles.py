@@ -12,6 +12,52 @@ from attsync.attmath import (
 )
 from attsync.rigid_body import angular_acceleration, h_star, mrp_rate
 
+# the constant-table kernels' direct forms, `x @ table` with flattened (input
+# entries, output entries) tables; the program takes each as `table.T @ x.T`
+_EPS = np.zeros((3, 3, 3))
+_EPS[(0, 1, 2), (1, 2, 0), (2, 0, 1)], _EPS[(0, 2, 1), (2, 1, 0), (1, 0, 2)] = 1.0, -1.0
+_JK = np.zeros((6, 3, 3))  # dJ / dtheta_p, theta = [J11, J12, J13, J22, J23, J33]
+_JK[range(6), (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)] = 1.0
+_JK = np.maximum(_JK, _JK.swapaxes(1, 2))
+_SKEW = np.einsum("ikj->kij", _EPS).reshape(3, 9)
+_L = np.einsum("pik->kip", _JK).reshape(3, 18)
+_F = np.einsum("ijm,pjk->mkip", _EPS, _JK).reshape(9, 18)
+
+
+def skew_direct(x):
+    return (x @ _SKEW).reshape(x.shape[:-1] + (3, 3))
+
+
+def l_operator_direct(a):
+    return (a @ _L).reshape(a.shape[:-1] + (3, 6))
+
+
+def f_operator_direct(x, v):
+    outer = v[..., :, None] * x[..., None, :]  # v_m x_k at [..., m, k]
+    lead = outer.shape[:-2]
+    return (outer.reshape(lead + (9,)) @ _F).reshape(lead + (3, 6))
+
+
+def inertia_from_theta_direct(theta):
+    return (theta @ _JK.reshape(6, 9)).reshape(theta.shape[:-1] + (3, 3))
+
+
+def kinematics_matrix_direct(sigma):
+    """G = 1/2 (iso - S(sigma) + sigma sigma^T), iso = (1 - sigma.sigma)/2 I."""
+    ss = np.einsum("...i,...i->...", sigma, sigma)
+    outer = sigma[..., :, None] * sigma[..., None, :]
+    iso = np.asarray((1.0 - ss) / 2.0)[..., None, None] * np.eye(3)
+    return 0.5 * (iso - skew_direct(sigma) + outer)
+
+
+def kinematics_matrix_dot_direct(sigma, sigma_dot):
+    """dG/dt = 1/2 (iso - S(sigma_dot) + cross + cross^T), iso = -(sigma.sigma_dot) I."""
+    dot = np.einsum("...i,...i->...", sigma, sigma_dot)
+    iso = np.asarray(dot)[..., None, None] * np.eye(3)
+    cross = sigma_dot[..., :, None] * sigma[..., None, :]
+    cross = cross + cross.swapaxes(-1, -2)
+    return 0.5 * (-iso - skew_direct(sigma_dot) + cross)
+
 
 def c_star(j, sigma, sigma_dot):
     """Coriolis-like matrix of the MRP-space Euler-Lagrange form.

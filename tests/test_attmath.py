@@ -17,6 +17,7 @@ from attsync.attmath import (
     theta_from_inertia,
 )
 from attsync.rigid_body import InertiaParams
+from tests import oracles
 from tests.conftest import attitudes, directions, inertias, rates
 from tests.oracles import mrp_from_axis_angle
 
@@ -182,6 +183,45 @@ def test_kernels_match_hand_written_entries(args):
     assert np.array_equal(f_operator(x, v), _f_operator_by_hand(x, v))
     assert np.array_equal(inertia_from_theta(theta), j)
     assert np.array_equal(theta_from_inertia(j), theta)
+
+
+@st.composite
+def laid_out(draw):
+    """(x, v, theta) from conftest's strategies with 0, 1 or 2 leading axes, C-contiguous
+    or craft-contiguous (the transpose of a C-contiguous array), as the simulator
+    stores its fleet."""
+    lead = draw(st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)]))
+    count = int(np.prod(lead, dtype=int))
+    craft = draw(st.booleans())
+
+    def stack(elements):
+        x = np.reshape(draw(st.lists(elements, min_size=count, max_size=count)), lead + (-1,))
+        return np.ascontiguousarray(x.T).T if craft else x
+    return stack(attitudes), stack(rates), stack(thetas)
+
+
+@given(laid_out())
+def test_table_kernels_equal_their_direct_forms_on_either_layout(args):
+    # each entry sums at most two exact terms, so `table.T @ x.T` keeps the
+    # bits of `x @ table`, and G and dG/dt those of 1/2 (iso - S + outer)
+    x, v, theta = args
+    for got, want in [(skew(x), oracles.skew_direct(x)),
+                      (l_operator(x), oracles.l_operator_direct(x)),
+                      (f_operator(x, v), oracles.f_operator_direct(x, v)),
+                      (inertia_from_theta(theta), oracles.inertia_from_theta_direct(theta)),
+                      (kinematics_matrix(x), oracles.kinematics_matrix_direct(x)),
+                      (kinematics_matrix_dot(x, v),
+                       oracles.kinematics_matrix_dot_direct(x, v))]:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_kinematics_matrix_dot_broadcasts_its_two_inputs():
+    # one attitude against a stack of rates, and a stack of attitudes against one rate
+    sigma, rates_ = RNG.normal(size=(2, 3)), RNG.normal(size=(4, 2, 3))
+    for a, b in [(sigma[0], rates_), (rates_, sigma[0]), (sigma, rates_)]:
+        assert np.array_equal(kinematics_matrix_dot(a, b),
+                              oracles.kinematics_matrix_dot_direct(a, b))
+        assert np.array_equal(f_operator(a, b), oracles.f_operator_direct(a, b))
 
 
 def test_mrp_from_axis_angle():

@@ -286,6 +286,9 @@ def test_held_source_on_a_cyclic_graph_fails_validation(tmp_path, capsys, relay,
     ([], {"gains": {"Gamma": [10 ** 400] + [1.0] * 5}}, "gains.Gamma[0]: must be finite"),
     ([], {"topology": {"adjacency": [[0.0, 10 ** 400], [1.0, 0.0]]}},
      "topology.adjacency[0][1]: must be finite"),
+    # a finite bound whose range overflows is refused before any draw
+    ([], {"random_bounds": {"sigma": 1.0e308}},
+     "random_bounds.sigma: the range 2 * bound is not finite"),
 ])
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, argv, extra, field):
     path = write_config(tmp_path, **extra)
@@ -293,6 +296,7 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, argv, extra, field
     err = capsys.readouterr().err
     assert err.startswith("config error: " + field)
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------- run outputs

@@ -372,6 +372,11 @@ def test_scalar_field_errors():
     assert "decimate" in error_message(minimal_dict(decimate=0))
     assert "shadow_switch" in error_message(minimal_dict(shadow_switch="yes"))
     assert "gains.K" in error_message(minimal_dict(gains={"K": "stiff"}))
+    # a finite bound whose range [-b, b] overflows is refused when parsed, not when drawn
+    assert (error_message(minimal_dict(random_bounds={"sigma": 1.0e308}))
+            == "random_bounds.sigma: the range 2 * bound is not finite")
+    # 2 * 8.9e307 is below the largest double, 1.797e308
+    ScenarioConfig.from_dict(minimal_dict(random_bounds={"omega": 8.9e307}))
 
 
 def test_huge_integers_are_refused_as_not_finite():

@@ -657,6 +657,59 @@ def test_ensemble_members_match_their_solo_runs(build):
         assert_same_log(log, Simulation(sc).run(decimate=3))
 
 
+def test_ensemble_members_match_their_solo_runs_at_70_craft():
+    # 3 x 70 craft: einsum and the ufuncs run their vector loops along the craft
+    # axis, which the 2- and 6-craft fleets above do not reach
+    base = ring_scenario(70, 0.05)
+    members = [base] + [with_states(base, random_initial_states(seed, 70, 0.5, 0.3))
+                        for seed in (1, 2)]
+    logs = Simulation(members).run(decimate=1)
+    for sc, log in zip(members, logs):
+        assert_same_log(log, Simulation(sc).run(decimate=1))
+
+
+def flipping_pair(duration=0.1):
+    """pair_scenario under shadow_switch with craft 1 spun out of the unit ball."""
+    sc = pair_scenario(duration=duration, shadow_switch=True)
+    spun = SpacecraftState(np.array([0.98, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
+    return with_states(sc, [spun, sc.spacecraft[1].initial_state])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pair_scenario(duration=0.1, shadow_switch=True),
+    lambda: ensemble(pair_scenario(duration=0.1, shadow_switch=True), 3),
+    lambda: sinusoid_tracking(duration=0.1, shadow_switch=True),
+    lambda: star_scenario(duration=0.1),
+    flipping_pair,
+], ids=["one", "ensemble", "tracking-sinusoid", "held", "shadow-flip"])
+def test_step_loop_keeps_the_state_craft_contiguous(monkeypatch, build):
+    # the state, every derivative and the per-craft stacks are the transpose of a
+    # C-contiguous (field, craft[, member]) array, so elementwise work runs along the
+    # craft axis; a copy or concatenate back to component-innermost fails here
+    evaluations, flips = [], []
+    evaluate, apply_shadow = Simulation._eval, Simulation._apply_shadow
+
+    def checked(self, t, y):
+        out = evaluate(self, t, y)
+        evaluations.append((y.T.flags.c_contiguous, out[0].T.flags.c_contiguous))
+        return out
+
+    def counted(self, y):
+        out = apply_shadow(self, y)
+        flips.append(out is not y)
+        return out
+
+    monkeypatch.setattr(Simulation, "_eval", checked)
+    monkeypatch.setattr(Simulation, "_apply_shadow", counted)
+    sim = Simulation(build())
+    for stack in (sim.j_stack, sim.j_inv, sim.gains.Lambda, sim.gains.K, sim.gains.Gamma):
+        assert stack.T.flags.c_contiguous
+    sim.run(decimate=1)
+    assert len(evaluations) == 1 + 4 * sim.scenario.n_steps
+    assert all(state and derivative for state, derivative in evaluations)
+    assert any(flips) == (build is flipping_pair)
+
+
 def test_diverged_member_is_reported_and_the_rest_finish():
     # at rest, a leaderless pair stays put at any step; the other member
     # blows up at dt = 0.5 exactly as it does alone
