@@ -82,8 +82,8 @@ def kinematics_matrix(sigma):
 
     G(sigma) = 1/2 * ((1 - sigma.sigma)/2 * I - S(sigma) + sigma sigma^T).
 
-    Satisfies G @ G^T = ((1 + sigma.sigma)/4)^2 * I, so G is never singular
-    and its inverse has the closed form used by `kinematics_matrix_inverse`.
+    Satisfies G @ G^T = ((1 + sigma.sigma)/4)^2 * I (Schaub & Junkins): G is
+    never singular and G^{-1} = G^T / |row 0 of G|^2, `inverse_from_kinematics`.
 
     Parameters
     ----------
@@ -107,16 +107,15 @@ def _half_table(table, v, p, c):
 
 
 def kinematics_matrix_inverse(sigma):
-    """Exact inverse of G(sigma): 16 / (1 + sigma.sigma)^2 * G(sigma)^T."""
-    return inverse_from_kinematics(sigma, kinematics_matrix(sigma))
+    """Exact inverse of G(sigma): G^T / |row 0 of G|^2, as `inverse_from_kinematics`."""
+    return inverse_from_kinematics(kinematics_matrix(sigma))
 
 
-def inverse_from_kinematics(sigma, g):
-    """G(sigma)^{-1} from g = G(sigma) already built, so G is formed once."""
-    sigma = np.asarray(sigma, dtype=float)
-    ss = np.einsum("...i,...i->...", sigma, sigma)
-    scale = 16.0 / np.square(1.0 + ss)
-    return np.asarray(scale)[..., None, None] * g.swapaxes(-1, -2)
+def inverse_from_kinematics(g):
+    """G^{-1} = G^T / |row 0 of G|^2, from g = G(sigma) already built: every row of G
+    has squared norm ((1 + sigma.sigma)/4)^2, so sigma.sigma is not formed again."""
+    row = g[..., 0, :]
+    return g.swapaxes(-1, -2) / np.einsum("...i,...i->...", row, row)[..., None, None]
 
 
 def kinematics_matrix_dot(sigma, sigma_dot):

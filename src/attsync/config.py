@@ -1,10 +1,10 @@
-"""Declarative scenario descriptions: YAML parsing, presets, serialization.
+"""Declarative scenario descriptions: YAML parsing and presets.
 
 A description is a mapping: a YAML file, a preset, or either with CLI
 overrides laid over its top-level keys.  `ScenarioConfig.from_dict` is the
 one parser for all of them.  The config keeps the mapping as given (`doc`,
 optional top-level keys filled from `DEFAULTS`) as its only serialized
-form, so `to_dict`/`to_yaml` return the description as written; beside it
+form, the description as written (`yaml.safe_dump` writes it); beside it
 the config holds only what parsing builds (`topology`, `reference`, `craft`),
 and scalars such as `seed` are read off `doc`; `to_scenario(seed)` realizes
 it at any seed, so a seed sweep parses it once.  Inertia may be given as a
@@ -30,7 +30,6 @@ K = 3 I, Gamma = 3 I, zero initial inertia estimates).
 
 from __future__ import annotations
 
-import copy
 import datetime
 import functools
 import gc
@@ -50,9 +49,6 @@ from .rigid_body import InertiaParams, SpacecraftState
 from .simulator import (ACCEL_SOURCES, MODES, Scenario, Spacecraft,
                         random_initial_states)
 from .topology import CommTopology
-
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
 
 # what PyYAML raises for a scalar it cannot construct, `!!int x`, besides YAMLError
 _SCALAR_ERRORS = (ValueError, LookupError, TypeError, AttributeError)
@@ -372,14 +368,6 @@ class ScenarioConfig:
             except UnicodeDecodeError as exc:
                 raise ConfigError("%s is not UTF-8 text: %s" % (path, exc)) from None
         return cls.from_yaml(text)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.doc)
-
-    def to_yaml(self) -> str:
-        return yaml.dump(self.doc, Dumper=_DUMPER, sort_keys=False)
 
     # -- realization -----------------------------------------------------
 

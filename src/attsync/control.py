@@ -141,7 +141,7 @@ def controller_outputs(sigma, sigma_dot, omega, g, sigma_d, sigma_d_dot, sigma_d
     lam_e = mat_vec(gains.Lambda, e)
     v_r = sigma_d_dot - lam_e
     a_r = sigma_d_ddot - mat_vec(gains.Lambda, e_dot)
-    g_inv = inverse_from_kinematics(sigma, g)
+    g_inv = inverse_from_kinematics(g)
     m = body_regression(sigma, sigma_dot, omega, g_inv, v_r, a_r)
     s = e_dot + lam_e
     u = mat_vec(m, theta_hat) - mat_vec(g.swapaxes(-1, -2), mat_vec(gains.K, s))

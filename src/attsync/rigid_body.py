@@ -114,6 +114,6 @@ def regression(sigma, sigma_dot, g, v_r, a_r):
     and g = G(sigma) as built by the caller.  Inertia-free by construction;
     the controller evaluates it from measured signals only.
     """
-    g_inv = inverse_from_kinematics(sigma, g)
+    g_inv = inverse_from_kinematics(g)
     m = body_regression(sigma, sigma_dot, mat_vec(g_inv, sigma_dot), g_inv, v_r, a_r)
     return g_inv.swapaxes(-1, -2) @ m

@@ -303,7 +303,7 @@ def _closer_image(x, x_dot, to):
 def _certificate(j, sigma, g, s, err, gamma_diag):
     """V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i over the
     craft axis of (..., craft, axis) arrays, H* = G^-T J G^-1 from g = G(sigma)."""
-    g_inv = inverse_from_kinematics(sigma, g)
+    g_inv = inverse_from_kinematics(g)
     h = g_inv.swapaxes(-1, -2) @ j @ g_inv
     return (0.5 * np.einsum("...ni,...nij,...nj->...", s, h, s)
             + 0.5 * (err * err / gamma_diag).reshape(sigma.shape[:-2] + (-1,)).sum(-1))

@@ -10,7 +10,8 @@ from attsync.attmath import (
     mrp_shadow,
     skew,
 )
-from attsync.rigid_body import angular_acceleration, h_star, mrp_rate
+from attsync.rigid_body import angular_acceleration, h_star, mrp_rate, regression
+from attsync.topology import aggregate_weights
 
 # the constant-table kernels' direct forms, `x @ table` with flattened (input
 # entries, output entries) tables; the program takes each as `table.T @ x.T`
@@ -153,6 +154,80 @@ def derived_series(log):
             out["tracking_error"][r] = np.linalg.norm(sigma - ref, axis=-1).max()
             out["tracking_rate"][r] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max()
     return out
+
+
+def _closer_image(x, x_dot, to):
+    """(x, x_dot), or its shadow pair when the shadow of x is the closer to `to`."""
+    d = to - x
+    return mrp_shadow(x, x_dot) if d @ d > 1.0 + to @ to else (x, x_dot)
+
+
+def _fleet_derivative(sc, w, t, state):
+    """d/dt of the (craft, 18) state [sigma | sigma_dot | theta_hat | chi | chi_dot]:
+    the smoothed generator on the dense-weight aggregates, the law
+    u = G^T (Y theta_hat - K s), theta_hat_dot = -Gamma Y^T s, and the plant
+    H* sigma_ddot = G^-T u - C* sigma_dot, one craft at a time."""
+    sources = [(x[0:3], x[3:6]) for x in state]
+    if sc.mode == "tracking":
+        sources.append(sc.reference.at(t)[:2])
+    wn, leak = sc.smoothing_rate, sc.rate_leak
+    out = np.empty_like(state)
+    for i, craft in enumerate(sc.spacecraft):
+        sigma, sigma_dot, theta, chi, chi_dot = np.split(state[i], [3, 6, 12, 15])
+        agg, agg_rate = np.zeros(3), np.zeros(3)
+        for j in np.flatnonzero(w[i]):
+            x, x_dot = sources[j]
+            if sc.shadow_switch:
+                x, x_dot = _closer_image(x, x_dot, sigma)
+            agg, agg_rate = agg + w[i, j] * x, agg_rate + w[i, j] * x_dot
+        chi_ddot = 2.0 * wn * (agg_rate - chi_dot) + wn * wn * (agg - chi) - leak * chi_dot
+        lam, k, gamma = craft.gains.Lambda, craft.gains.K, craft.gains.Gamma
+        e, e_dot = sigma - chi, sigma_dot - chi_dot
+        s = e_dot + lam @ e
+        g = kinematics_matrix(sigma)
+        y = regression(sigma, sigma_dot, g, chi_dot - lam @ e, chi_ddot - lam @ e_dot)
+        u = g.T @ (y @ theta - k @ s)
+        j = craft.inertia.matrix
+        force = kinematics_matrix_inverse(sigma).T @ u - c_star(j, sigma, sigma_dot) @ sigma_dot
+        out[i] = np.concatenate([sigma_dot, np.linalg.solve(h_star(j, sigma), force),
+                                 -gamma @ y.T @ s, chi_dot, chi_ddot])
+    return out
+
+
+def fleet_run(sc):
+    """Every step of a `smoothed` scenario with control and adaptation on, stepped
+    in the paper's MRP-space Euler-Lagrange form by its own RK4 over the state
+    (sigma, sigma_dot, theta_hat, chi, chi_dot), the generator seated at
+    chi(0) = sigma(0), chi_dot(0) = sigma_dot(0).  Under shadow_switch a craft
+    past the unit ball takes its shadow after each step, chi with it when
+    nonzero.  Returns sigma, omega = G^-1 sigma_dot and theta_hat, each
+    (step, craft, axis)."""
+    assert sc.accel_source == "smoothed" and sc.control_enabled and sc.adaptation_enabled
+    w = aggregate_weights(sc.topology, with_leader=sc.mode == "tracking")
+    sigma = np.array([c.initial_state.sigma for c in sc.spacecraft])
+    sigma_dot = mat_vec(kinematics_matrix(sigma), [c.initial_state.omega for c in sc.spacecraft])
+    theta = np.array([c.theta_hat0 for c in sc.spacecraft])
+    state = np.concatenate([sigma, sigma_dot, theta, sigma, sigma_dot], axis=1)
+    states = [state]
+    dt = sc.dt
+    for k in range(sc.n_steps):
+        t = k * dt
+        k1 = _fleet_derivative(sc, w, t, state)
+        k2 = _fleet_derivative(sc, w, t + dt / 2.0, state + dt / 2.0 * k1)
+        k3 = _fleet_derivative(sc, w, t + dt / 2.0, state + dt / 2.0 * k2)
+        k4 = _fleet_derivative(sc, w, t + dt, state + dt * k3)
+        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if sc.shadow_switch:
+            for x in state:
+                if x[0:3] @ x[0:3] > 1.0:
+                    x[0:3], x[3:6] = mrp_shadow(x[0:3], x[3:6])
+                    if x[12:15] @ x[12:15] > 0.0:
+                        x[12:15], x[15:18] = mrp_shadow(x[12:15], x[15:18])
+        states.append(state)
+    states = np.array(states)
+    sigma, sigma_dot = states[..., 0:3], states[..., 3:6]
+    omega = mat_vec(kinematics_matrix_inverse(sigma), sigma_dot)
+    return sigma, omega, states[..., 6:12]
 
 
 def draw_in_ball(rng, bound):

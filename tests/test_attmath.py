@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from attsync import simulator
 from attsync.attmath import (
     f_operator,
     inertia_from_theta,
+    inverse_from_kinematics,
     kinematics_matrix,
     kinematics_matrix_dot,
     kinematics_matrix_inverse,
@@ -65,6 +67,22 @@ def test_kinematics_matrix_inverse():
         sigma = RNG.uniform(-1.5, 1.5, 3)
         gi = kinematics_matrix_inverse(sigma)
         assert np.allclose(gi @ kinematics_matrix(sigma), np.eye(3), atol=1e-12)
+
+
+@given(st.sampled_from([(), (4,), (2, 3)]), st.data())
+def test_inverse_from_kinematics_inverts_g_in_either_layout(lead, data):
+    # G^-1 = G^T / |row 0 of G|^2 from G alone, on stacks with 0, 1 and 2 leading
+    # axes, C-contiguous and craft-contiguous as the simulator stores its fleet
+    count = int(np.prod(lead))
+    sigma = np.reshape(data.draw(st.lists(attitudes, min_size=count, max_size=count)),
+                       lead + (3,))
+    for layout in (np.ascontiguousarray, simulator._by_craft):
+        g = layout(kinematics_matrix(layout(sigma)))
+        inv = inverse_from_kinematics(g)
+        assert np.abs(inv @ g - np.eye(3)).max() <= 4e-15
+        ref = np.linalg.inv(g)
+        size = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(inv - ref) <= 1e-14 * size).all()
 
 
 def test_kinematics_matrix_dot_matches_differences():

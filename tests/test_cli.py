@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, file outputs, overrides, schemas."""
+import copy
 import hashlib
 import json
 import os
@@ -74,7 +75,7 @@ def test_validate_preset_ok(capsys):
 
 
 def test_validate_reports_missing_in_neighbor(tmp_path, capsys):
-    cfg = preset("paper-leaderless").to_dict()
+    cfg = copy.deepcopy(preset("paper-leaderless").doc)
     cfg["topology"]["adjacency"][0] = [0.0] * 6
     path = tmp_path / "broken.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -88,7 +89,7 @@ def test_validate_reports_missing_in_neighbor(tmp_path, capsys):
 
 
 def test_validate_reports_unreachable_leader(tmp_path, capsys):
-    cfg = preset("paper-tracking").to_dict()
+    cfg = copy.deepcopy(preset("paper-tracking").doc)
     cfg["topology"]["leader_weights"] = [0.0] * 6
     path = tmp_path / "unrooted.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -97,7 +98,7 @@ def test_validate_reports_unreachable_leader(tmp_path, capsys):
 
 
 def test_validate_reports_missing_reference(tmp_path, capsys):
-    cfg = preset("paper-tracking").to_dict()
+    cfg = copy.deepcopy(preset("paper-tracking").doc)
     del cfg["reference"]
     path = tmp_path / "no_reference.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -359,7 +360,8 @@ def rerun_from_summary(tmp_path, out):
     """Run the config a summary.json recorded; return the new trajectory bytes."""
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     path = tmp_path / "from_summary.yaml"
-    path.write_text(ScenarioConfig.from_dict(summary["config"]).to_yaml(), encoding="utf-8")
+    text = yaml.safe_dump(ScenarioConfig.from_dict(summary["config"]).doc, sort_keys=False)
+    path.write_text(text, encoding="utf-8")
     again = tmp_path / "again"
     assert main(["run", "--config", str(path), "--out", str(again)]) == 0
     return summary["config"], (again / "trajectory.csv").read_bytes()

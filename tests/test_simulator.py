@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attsync import attmath, simulator
+from attsync import attmath, control, simulator
 from attsync.attmath import (
     inverse_from_kinematics,
     kinematics_matrix,
@@ -23,6 +23,7 @@ from attsync.errors import ConfigError, SimulationDiverged
 from attsync.rigid_body import (
     InertiaParams,
     SpacecraftState,
+    body_regression,
     h_star,
     mrp_rate,
 )
@@ -434,7 +435,7 @@ def craft_stacks(draw):
 def test_inverse_from_a_shared_g_equals_kinematics_matrix_inverse(inputs):
     # regression and the record form G^-1 from the evaluation's G
     _, sigma, _, _ = inputs
-    got = inverse_from_kinematics(sigma, kinematics_matrix(sigma))
+    got = inverse_from_kinematics(kinematics_matrix(sigma))
     assert np.array_equal(got, kinematics_matrix_inverse(sigma))
 
 
@@ -1040,6 +1041,72 @@ def test_lyapunov_claim_holds_on_any_valid_graph(sc):
     log = Simulation(sc).run(decimate=1)  # raises SimulationDiverged on divergence
     assert v_slack_violation(log.lyapunov) <= 0.0, "V rose by more than V_SLACK = %g" % V_SLACK
     assert estimate_bound_margin(log) <= 1.0
+
+
+# max |program - oracle| over sigma, omega and theta_hat at dt 0.005 for 0.5 s: 4x
+# the largest gap measured over 540 `adaptive_fleets` draws (2.4e-4).  Halving dt
+# shrinks the gap 16-fold (median; 6.8-18 above rounding, the low end on the stiffest
+# draws), so it is the RK4 truncation error of the two forms
+ORACLE_GAP = 1e-3
+
+
+def shadowed_pair(mode):
+    """Craft 2 and 3 of the fleet as a pair from |sigma| up to 0.95, 0.5 s under
+    shadow_switch: chart alignment takes shadows on edges and one craft flips."""
+    sc = pair_scenario(duration=0.5, mode=mode, shadow_switch=True)
+    craft = tuple(dataclasses.replace(c, inertia=InertiaParams(np.array(j)))
+                  for c, j in zip(sc.spacecraft, FLEET_J[1:3]))
+    return with_states(dataclasses.replace(sc, spacecraft=craft),
+                       random_initial_states(1, 2, 0.95, 0.3))
+
+
+def assert_matches_oracle(sc):
+    log = Simulation(sc).run(decimate=1)
+    for name, got, want in zip(("sigma", "omega", "theta_hat"),
+                               (log.sigma, log.omega, log.theta_hat), oracles.fleet_run(sc)):
+        gap = np.abs(got - want).max()
+        assert gap <= ORACLE_GAP, "%s is %.3g from the MRP-space oracle" % (name, gap)
+
+
+@settings(deadline=None, max_examples=20)
+@given(adaptive_fleets())
+@example(shadowed_pair("leaderless")).via("chart alignment and a craft flip")
+@example(shadowed_pair("tracking")).via("chart alignment and a craft flip")
+def test_simulation_steps_as_the_mrp_space_euler_lagrange_oracle(sc):
+    # the body-frame loop, stepped whole, against the paper's MRP-space form
+    # H* sigma_ddot = G^-T u - C* sigma_dot with u = G^T (Y theta_hat - K s),
+    # integrated in sigma_dot rather than omega by an independent RK4
+    assert_matches_oracle(dataclasses.replace(sc, duration=0.5))
+
+
+def _flip_adaptation(*args):
+    u, e, s, theta_dot = controller_outputs(*args)
+    return u, e, s, -theta_dot
+
+
+def _drop_f_term(sigma, sigma_dot, omega, g_inv, v_r, a_r):
+    # M = L(alpha) - F(omega, omega_r), and F(0, omega_r) = S(J 0) omega_r = 0
+    return body_regression(sigma, sigma_dot, np.zeros_like(omega), g_inv, v_r, a_r)
+
+
+def _farther_image(x, x_dot, to):
+    d = to - x
+    flip = (np.einsum("...i,...i->...", d, d)
+            <= 1.0 + np.einsum("...i,...i->...", to, to))[..., None]
+    shadow, shadow_dot = mrp_shadow(x, x_dot)
+    return np.where(flip, shadow, x), np.where(flip, shadow_dot, x_dot)
+
+
+@pytest.mark.parametrize("module, name, mutant", [
+    (simulator, "controller_outputs", _flip_adaptation),
+    (control, "body_regression", _drop_f_term),
+    (simulator, "_closer_image", _farther_image),
+], ids=["theta-hat-dot-sign", "no-F-term", "farther-image"])
+def test_the_oracle_property_fails_on_a_mutated_loop(monkeypatch, module, name, mutant):
+    # each mutant replaces the program's binding only; the oracle calls none of them
+    monkeypatch.setattr(module, name, mutant)
+    with np.errstate(all="ignore"), pytest.raises((AssertionError, SimulationDiverged)):
+        assert_matches_oracle(shadowed_pair("tracking"))
 
 
 def test_filtered_error_bounded_by_initial_lyapunov_level():
