@@ -46,7 +46,7 @@ import numpy as np
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
 from .simulator import Simulation, metrics
-from .topology import graph_checks
+from .topology import graph_checks, in_degrees
 
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
@@ -66,7 +66,7 @@ def validity_report(cfg: ScenarioConfig, scenario=None) -> dict:
     report = {
         "mode": cfg.doc["mode"],
         "spacecraft": cfg.n,
-        "in_degrees": [float(d) for d in cfg.topology.adjacency.sum(axis=1)],
+        "in_degrees": in_degrees(cfg.topology).tolist(),
     }
     checks = graph_checks(cfg.topology, cfg.doc["mode"])
     if all(ok for ok, _ in checks):

@@ -61,13 +61,14 @@ the derived ones (V, D, T) are reduced from them after the loop, in blocks of
 records; D is exact, pruned from _PRUNE_MIN_CRAFT craft (see _max_pairwise).
 `metrics` only reduces the log to scalar finals.
 
-An ensemble (scenarios differing only in craft initial states: a seed sweep)
-takes a leading member axis, (B, N, 3), so an evaluation pays numpy's dispatch
-once for all B members; one scenario keeps plain (N, 3) arrays.  Each logged
-quantity is one (member, record, ...) allocation written for all members at
-once, and each member's log holds its slice of it, bit-identical to its solo
-run.  A diverged member keeps integrating with the rest, but its entry in the
-returned list is the first `SimulationDiverged` it raised.
+An ensemble (scenarios sharing all but their craft: a seed sweep, or a Monte
+Carlo over inertias, gains and priors) takes a leading member axis, (B, N, 3), so
+an evaluation pays numpy's dispatch once for all B members; one scenario keeps
+plain (N, 3) arrays.  `Simulation._stack` stacks every per-craft state and
+parameter.  Each logged quantity is one (member, record, ...) allocation, and
+each member's log holds its slice of it, bit-identical to its solo run.  A
+diverged member keeps integrating with the rest, but its entry in the returned
+list is the first `SimulationDiverged` it raised.
 """
 
 from __future__ import annotations
@@ -300,13 +301,13 @@ def _closer_image(x, x_dot, to):
     return np.where(flip, shadow, x), np.where(flip, shadow_dot, x_dot)
 
 
-def _certificate(j, sigma, g, s, err, gamma_diag):
+def _certificate(j, g, s, err, gamma_diag):
     """V = 1/2 sum_i s_i^T H*_i s_i + 1/2 sum_i err_i^T Gamma_i^-1 err_i over the
     craft axis of (..., craft, axis) arrays, H* = G^-T J G^-1 from g = G(sigma)."""
     g_inv = inverse_from_kinematics(g)
     h = g_inv.swapaxes(-1, -2) @ j @ g_inv
     return (0.5 * np.einsum("...ni,...nij,...nj->...", s, h, s)
-            + 0.5 * (err * err / gamma_diag).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
+            + 0.5 * (err * err / gamma_diag).reshape(s.shape[:-2] + (-1,)).sum(-1))
 
 
 def _same(a, b):
@@ -314,41 +315,29 @@ def _same(a, b):
     if a is b:
         return True
     if dataclasses.is_dataclass(a) and type(a) is type(b):
-        a, b = tuple(vars(a).values()), tuple(vars(b).values())
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
+        return all(map(_same, vars(a).values(), vars(b).values()))
     return bool(np.array_equal(a, b))
 
 
-def _settings(sc):
-    """(name, value) of all that ensemble members share: all but initial states."""
-    return ([(f.name, getattr(sc, f.name)) for f in dataclasses.fields(sc)][1:]
-            + [(k, tuple(getattr(c, k) for c in sc.spacecraft))
-               for k in ("inertia", "gains", "theta_hat0")])
-
-
 class Simulation:
-    """Stepper bound to one scenario, or to a sequence of them (an ensemble)
-    that may differ only in the craft initial states."""
+    """Stepper bound to one scenario, or to a sequence of them (an ensemble) whose
+    craft (inertias, gains, priors and initial states) may differ."""
 
     def __init__(self, scenario):
         self.ensemble = not isinstance(scenario, Scenario)
         self.scenarios = tuple(scenario) if self.ensemble else (scenario,)
         scenario = self.scenarios[0]
-        for other in self.scenarios[1:]:
-            for (name, a), (_, b) in zip(_settings(scenario), _settings(other)):
-                if not _same(a, b):
+        for other in self.scenarios[1:]:  # members share every field but the craft
+            for name in [f.name for f in dataclasses.fields(Scenario)][1:]:
+                if not _same(getattr(scenario, name), getattr(other, name)):
                     raise ConfigError("ensemble members differ in %s" % name)
-        # the leading ensemble axis (none for one member)
-        self.lead = (len(self.scenarios),) if len(self.scenarios) > 1 else ()
         self.scenario = scenario
-        craft = scenario.spacecraft
-        self.n = len(craft)
+        self.n = scenario.n
         self.dt = scenario.dt
-        self.j_stack = _by_craft(np.stack([c.inertia.matrix for c in craft]))
+        self.j_stack = _by_craft(self._stack(lambda c: c.inertia.matrix))
         self.j_inv = _by_craft(np.linalg.inv(self.j_stack))
-        self.theta_true = np.stack([c.inertia.theta for c in craft])
-        self.gains = GainSet(*(_by_craft(np.stack([getattr(c.gains, k) for c in craft]))
+        self.theta_true = self._stack(lambda c: c.inertia.theta)
+        self.gains = GainSet(*(_by_craft(self._stack(lambda c: getattr(c.gains, k)))
                                for k in ("Lambda", "K", "Gamma")))
         self.tracking = scenario.mode == "tracking"
         # the topology's edges j -> i by receiver, the leader (source N) last and only when
@@ -363,6 +352,12 @@ class Simulation:
         self._gen_kp = wn * wn
         self._gen_kd = 2.0 * wn
         self._gen_leak = scenario.rate_leak
+
+    def _stack(self, get):
+        """get(craft) of every member's craft: one C-contiguous (member, craft, ...)
+        array, no member axis for one scenario; what the loop reads is stored _by_craft."""
+        x = np.array([[get(c) for c in sc.spacecraft] for sc in self.scenarios])
+        return x if len(x) > 1 else x[0]
 
     # -- core evaluations ------------------------------------------------
 
@@ -484,8 +479,9 @@ class Simulation:
             g = kinematics_matrix(sigma)
             sigma_dot = mat_vec(g, out["omega"][rec])
             out["lyapunov"][rec] = _certificate(
-                self.j_stack, sigma, g, out["filtered_error"][rec],
-                self.theta_true - out["theta_hat"][rec], self.gains.gamma_diag)
+                np.expand_dims(self.j_stack, -4), g, out["filtered_error"][rec],
+                np.expand_dims(self.theta_true, -3) - out["theta_hat"][rec],
+                np.expand_dims(self.gains.gamma_diag, -3))
             out["disagreement"][rec] = _max_pairwise(sigma)
             out["disagreement_rate"][rec] = _max_pairwise(sigma_dot)
             if self.tracking:  # to the reference's image closer to each craft
@@ -512,11 +508,9 @@ class Simulation:
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
-        craft = [c for sc in self.scenarios for c in sc.spacecraft]
-        shape = self.lead + (self.n, -1)
-        sigma = np.reshape([c.initial_state.sigma for c in craft], shape)
-        omega = np.reshape([c.initial_state.omega for c in craft], shape)
-        theta = np.reshape([c.theta_hat0 for c in craft], shape)
+        sigma = self._stack(lambda c: c.initial_state.sigma)
+        omega = self._stack(lambda c: c.initial_state.omega)
+        theta = self._stack(lambda c: c.theta_hat0)
         n_steps = self.scenario.n_steps
         n_rec = 1 + -(-n_steps // decimate)  # initial state + ceil(n_steps / k)
         n3 = (self.n, 3)

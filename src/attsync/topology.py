@@ -108,6 +108,12 @@ def leader_reachable(topo: CommTopology) -> np.ndarray:
     return _reach_from(_out_edges(topo), [topo.n], np.zeros(topo.n + 1, bool))[:topo.n]
 
 
+def in_degrees(topo: CommTopology) -> np.ndarray:
+    """Each craft's weighted in-degree sum_j a_ij, summed along its craft edges."""
+    dst, src, w = topo.edges
+    return np.bincount(dst[src < topo.n], w[src < topo.n], minlength=topo.n)
+
+
 def graph_checks(topo: CommTopology, mode: str) -> list:
     """The graph condition of a control mode as a list of (ok, text) checks.
 
@@ -116,7 +122,7 @@ def graph_checks(topo: CommTopology, mode: str) -> list:
     """
     checks = []
     if mode == "leaderless":
-        for i in np.nonzero(topo.adjacency.sum(axis=1) == 0.0)[0]:
+        for i in np.nonzero(in_degrees(topo) == 0.0)[0]:
             checks.append((False, "node %d has no in-neighbor" % (i + 1)))
         checks.append((has_directed_spanning_tree(topo), "directed spanning tree exists"))
     elif topo.leader_weights is None:

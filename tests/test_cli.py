@@ -635,13 +635,17 @@ def test_readme_yaml_blocks_build_scenarios():
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):
-    # the README's Python block as written, on a 1 s horizon of its preset
+    # every Python block of the README as written, on a 1 s horizon of its preset;
+    # each prints one number
     monkeypatch.setattr("attsync.config.preset",
                         lambda name: preset(name).with_overrides(duration=1.0))
-    exec(readme_blocks("python")[0], {})
-    printed = capsys.readouterr().out.split()
-    assert len(printed) == 1
-    float(printed[0])
+    blocks = readme_blocks("python")
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(block, {})
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 1
+        float(printed[0])
 
 
 def test_readme_commands_validate(tmp_path, monkeypatch):

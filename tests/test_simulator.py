@@ -31,6 +31,7 @@ from attsync.simulator import (
     Scenario,
     Simulation,
     Spacecraft,
+    TrajectoryLog,
     metrics,
     random_initial_states,
 )
@@ -64,6 +65,26 @@ def ensemble(sc, size):
     """
     return [sc] + [with_states(sc, random_initial_states(seed, sc.n, 0.95, 0.3))
                    for seed in range(1, size)]
+
+
+def with_parameters(sc, seed):
+    """The scenario with seeded per-craft inertias 0.2 A A^T + 0.8 I, A in [-1, 1],
+    diagonal gains and estimate priors in place of its own; states unchanged."""
+    rng = np.random.default_rng(seed)
+    craft = []
+    for c in sc.spacecraft:
+        a = rng.uniform(-1.0, 1.0, (3, 3))
+        gains = GainSet(rng.uniform(0.5, 2.0) * np.eye(3), rng.uniform(1.0, 4.0) * np.eye(3),
+                        np.diag(rng.uniform(1.0, 4.0, 6)))
+        craft.append(dataclasses.replace(
+            c, inertia=InertiaParams(0.2 * a @ a.T + 0.8 * np.eye(3)), gains=gains,
+            theta_hat0=rng.uniform(-0.5, 0.5, 6)))
+    return dataclasses.replace(sc, spacecraft=tuple(craft))
+
+
+def parameter_ensemble(members):
+    """The members, each but the first given its own seeded craft parameters."""
+    return [sc if b == 0 else with_parameters(sc, b) for b, sc in enumerate(members)]
 
 
 # ----------------------------------------------------------- validation
@@ -448,7 +469,7 @@ def test_record_certificate_equals_the_h_star_form(inputs, data):
         sigma, s = sigma[None], s[None]
     err = data.draw(arrays(float, sigma.shape[:-1] + (6,), elements=st.floats(-10.0, 10.0)))
     gamma = data.draw(arrays(float, err.shape[-2:], elements=st.floats(0.5, 3.0)))
-    got = simulator._certificate(j, sigma, kinematics_matrix(sigma), s, err, gamma)
+    got = simulator._certificate(j, kinematics_matrix(sigma), s, err, gamma)
     want = (0.5 * np.einsum("...ni,...nij,...nj->...", s, h_star(j, sigma), s)
             + 0.5 * (err * err / gamma).reshape(sigma.shape[:-2] + (-1,)).sum(-1))
     assert np.array_equal(got, want, equal_nan=True)
@@ -650,7 +671,8 @@ def assert_same_log(a, b):
     lambda: star_scenario(duration=1.0),
 ], ids=["leaderless-aligned", "tracking", "held"])
 def test_ensemble_members_match_their_solo_runs(build):
-    members = ensemble(build(), 3)
+    # members differ in inertia, gains and theta_hat0 as well as in states
+    members = parameter_ensemble(ensemble(build(), 3))
     logs = Simulation(members).run(decimate=3)
     assert len(logs) == 3
     for sc, log in zip(members, logs):
@@ -662,8 +684,9 @@ def test_ensemble_members_match_their_solo_runs_at_70_craft():
     # 3 x 70 craft: einsum and the ufuncs run their vector loops along the craft
     # axis, which the 2- and 6-craft fleets above do not reach
     base = ring_scenario(70, 0.05)
-    members = [base] + [with_states(base, random_initial_states(seed, 70, 0.5, 0.3))
-                        for seed in (1, 2)]
+    members = parameter_ensemble(
+        [base] + [with_states(base, random_initial_states(seed, 70, 0.5, 0.3))
+                  for seed in (1, 2)])
     logs = Simulation(members).run(decimate=1)
     for sc, log in zip(members, logs):
         assert_same_log(log, Simulation(sc).run(decimate=1))
@@ -678,15 +701,16 @@ def flipping_pair(duration=0.1):
 
 @pytest.mark.parametrize("build", [
     lambda: pair_scenario(duration=0.1, shadow_switch=True),
-    lambda: ensemble(pair_scenario(duration=0.1, shadow_switch=True), 3),
+    lambda: parameter_ensemble(ensemble(pair_scenario(duration=0.1, shadow_switch=True), 3)),
     lambda: sinusoid_tracking(duration=0.1, shadow_switch=True),
     lambda: star_scenario(duration=0.1),
     flipping_pair,
 ], ids=["one", "ensemble", "tracking-sinusoid", "held", "shadow-flip"])
 def test_step_loop_keeps_the_state_craft_contiguous(monkeypatch, build):
-    # the state, every derivative and the per-craft stacks are the transpose of a
-    # C-contiguous (field, craft[, member]) array, so elementwise work runs along the
-    # craft axis; a copy or concatenate back to component-innermost fails here
+    # the state, every derivative and the per-craft J, J^-1 and gain stacks are the
+    # transpose of a C-contiguous (field, craft[, member]) array, so elementwise work
+    # runs along the craft axis; a copy or concatenate back to component-innermost
+    # fails here.  An ensemble's stacks carry the member axis: one J per member craft
     evaluations, flips = [], []
     evaluate, apply_shadow = Simulation._eval, Simulation._apply_shadow
 
@@ -702,9 +726,15 @@ def test_step_loop_keeps_the_state_craft_contiguous(monkeypatch, build):
 
     monkeypatch.setattr(Simulation, "_eval", checked)
     monkeypatch.setattr(Simulation, "_apply_shadow", counted)
-    sim = Simulation(build())
+    scenarios = build()
+    sim = Simulation(scenarios)
+    lead = (len(scenarios),) if isinstance(scenarios, list) else ()
     for stack in (sim.j_stack, sim.j_inv, sim.gains.Lambda, sim.gains.K, sim.gains.Gamma):
         assert stack.T.flags.c_contiguous
+        assert stack.shape[:-2] == lead + (sim.n,)
+    if lead:  # each member's own stacks, not one broadcast from member 0
+        assert not np.array_equal(sim.j_stack[0], sim.j_stack[1])
+        assert not np.array_equal(sim.gains.Gamma[0], sim.gains.Gamma[1])
     sim.run(decimate=1)
     assert len(evaluations) == 1 + 4 * sim.scenario.n_steps
     assert all(state and derivative for state, derivative in evaluations)
@@ -753,13 +783,19 @@ def test_diverged_member_is_reported_and_the_rest_finish():
         sc.spacecraft[1]))),
 ])
 def test_ensemble_members_must_match(field, change):
-    # only the craft initial states may differ; anything else names itself.  A
-    # leaderless run takes no leader weights, so a mode change changes the
-    # topology too, and the first setting that differs is named
+    # members may differ in their craft (inertia, gains, theta_hat0 and states), and
+    # each then equals its solo run; any other setting names itself.  A leaderless
+    # run takes no leader weights, so a mode change changes the topology too, and
+    # the first setting that differs is named
     base = pair_scenario(mode="tracking")
     if field == "accel_source":
         base = star_scenario(duration=2.0)
     Simulation([base, with_states(base, random_initial_states(5, 2))])
+    if field in ("inertia", "gains", "theta_hat0"):
+        members = [base, change(base)]
+        for sc, log in zip(members, Simulation(members).run()):
+            assert_same_log(log, Simulation(sc).run())
+        return
     first = "topology" if field == "mode" else field
     with pytest.raises(ConfigError, match="ensemble members differ in %s$" % first):
         Simulation([base, change(base)])
@@ -1005,10 +1041,11 @@ def test_lyapunov_nonincreasing_on_short_adaptive_run():
 
 
 @st.composite
-def adaptive_fleets(draw):
-    """A `smoothed` scenario on a valid graph of 2-6 craft in either mode, with
-    or without shadow_switch, a constant reference inside the 0.5 ball, and
-    per-craft inertias 10^[-1, 1] (A A^T + I), A in [-1, 1], and gains."""
+def adaptive_ensembles(draw, members=st.integers(2, 4)):
+    """`smoothed` scenarios sharing a valid graph of 2-6 craft in either mode, with
+    or without shadow_switch, a constant reference inside the 0.5 ball and the
+    generator; each member draws its own per-craft inertias 10^[-1, 1] (A A^T + I),
+    A in [-1, 1], gains and seeded states."""
     leader = draw(st.booleans())
     topo = draw(valid_graphs(leader, st.integers(2, 6)))
     ref = None
@@ -1017,30 +1054,42 @@ def adaptive_fleets(draw):
         assume(np.linalg.norm(direction) > 0.1)
         ref = ReferenceTrajectory("constant", value=draw(st.floats(0.0, 0.5))
                                   * direction / np.linalg.norm(direction))
+    shared = dict(topology=topo, reference=ref, duration=1.0,
+                  mode="tracking" if leader else "leaderless",
+                  shadow_switch=draw(st.booleans()),
+                  smoothing_rate=draw(st.floats(0.5, 6.0)),
+                  rate_leak=draw(st.floats(0.0, 0.5)))
     scale = st.floats(0.3, 5.0)
-    craft = [Spacecraft(
-        inertia=draw(st.builds(_spd, arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
-                               st.floats(-1.0, 1.0))),
-        initial_state=state,
-        gains=GainSet(draw(st.floats(0.3, 3.0)) * np.eye(3), draw(scale) * np.eye(3),
-                      np.diag(draw(arrays(float, 6, elements=scale)))))
-        for state in random_initial_states(draw(st.integers(0, 2**32 - 1)), topo.n)]
-    return Scenario(spacecraft=craft, topology=topo, reference=ref, duration=1.0,
-                    mode="tracking" if leader else "leaderless",
-                    shadow_switch=draw(st.booleans()),
-                    smoothing_rate=draw(st.floats(0.5, 6.0)),
-                    rate_leak=draw(st.floats(0.0, 0.5)))
+
+    def craft():
+        return [Spacecraft(
+            inertia=draw(st.builds(_spd, arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+                                   st.floats(-1.0, 1.0))),
+            initial_state=state,
+            gains=GainSet(draw(st.floats(0.3, 3.0)) * np.eye(3), draw(scale) * np.eye(3),
+                          np.diag(draw(arrays(float, 6, elements=scale)))))
+            for state in random_initial_states(draw(st.integers(0, 2**32 - 1)), topo.n)]
+
+    return [Scenario(spacecraft=craft(), **shared) for _ in range(draw(members))]
+
+
+def adaptive_fleets():
+    """One scenario of `adaptive_ensembles`."""
+    return adaptive_ensembles(st.just(1)).map(lambda members: members[0])
 
 
 @settings(deadline=None, max_examples=30)
-@given(adaptive_fleets())
-def test_lyapunov_claim_holds_on_any_valid_graph(sc):
+@given(adaptive_ensembles())
+def test_lyapunov_claim_holds_on_any_valid_graph(members):
     # under the smoothed source V is non-increasing up to integration error on
     # any valid digraph, and the estimates stay inside the V(0) cap: the
-    # gate's own slack and margin, over what the gate's presets fix
-    log = Simulation(sc).run(decimate=1)  # raises SimulationDiverged on divergence
-    assert v_slack_violation(log.lyapunov) <= 0.0, "V rose by more than V_SLACK = %g" % V_SLACK
-    assert estimate_bound_margin(log) <= 1.0
+    # gate's own slack and margin, over what the gate's presets fix.  The 2-4
+    # members of a graph, each with its own craft, run as one ensemble
+    for b, log in enumerate(Simulation(members).run(decimate=1)):
+        assert isinstance(log, TrajectoryLog), "member %d: %s" % (b, log)
+        assert v_slack_violation(log.lyapunov) <= 0.0, (
+            "member %d: V rose by more than V_SLACK = %g" % (b, V_SLACK))
+        assert estimate_bound_margin(log) <= 1.0, "member %d" % b
 
 
 # max |program - oracle| over sigma, omega and theta_hat at dt 0.005 for 0.5 s: 4x

@@ -13,6 +13,7 @@ from attsync.topology import (
     aggregate_weights,
     graph_checks,
     has_directed_spanning_tree,
+    in_degrees,
     leader_reachable,
     leader_rooted_valid,
     leaderless_valid,
@@ -206,6 +207,32 @@ def test_edge_list_is_the_row_major_order_of_a_and_b(topo):
         assert not have.flags.writeable
     leaderless = CommTopology(topo.adjacency)
     assert np.array_equal(leaderless.edges[1], src[src < topo.n])
+
+
+@st.composite
+def sparse_digraphs(draw, weight):
+    """CommTopology on 2..40 craft, each hearing up to 5 others with weights from
+    `weight`, with leader weights or none."""
+    n = draw(st.integers(2, 40))
+    adj = np.zeros((n, n))
+    for i in range(n):
+        for j in draw(st.lists(st.integers(0, n - 2), max_size=5, unique=True)):
+            adj[i, j + (j >= i)] = draw(weight)
+    return CommTopology(adj, draw(st.none() | arrays(float, n, elements=st.floats(0.0, 2.0))))
+
+
+@given(sparse_digraphs(st.integers(1, 2**20).map(float)))
+def test_in_degrees_equal_the_dense_row_sums_on_integer_weights(topo):
+    # the edge sum adds each craft's in-edges in order, the dense sum a whole row
+    # pairwise: on integers both are exact.  Leader weights are no in-degree
+    assert np.array_equal(in_degrees(topo), topo.adjacency.sum(axis=1))
+
+
+@given(sparse_digraphs(st.floats(1e-6, 1e6)))
+def test_in_degrees_are_within_4_ulp_of_the_dense_row_sums(topo):
+    # at most 5 positive terms: each sum is within 2 ulp of the exact one
+    got, want = in_degrees(topo), topo.adjacency.sum(axis=1)
+    assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want))).all()
 
 
 def test_leaderless_check_is_linear_on_a_late_root_graph():
