@@ -9,7 +9,10 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   distance to the reference) in tracking mode.  T, like the tracking rate
   of summary.json, is taken to whichever of the reference and its shadow
   (the same attitude) lies closer to each craft.  Full double precision,
-  '.' decimal separator.
+  '.' decimal separator.  A helper process (`attsync.csvwriter`) formats it
+  while the run integrates, each block of records as soon as it is derived,
+  into trajectory.csv.part; the file appears under its name only when it is
+  complete, and a diverged run leaves none.
 * summary.json, compact JSON on one line: the scenario description the run
   used (as written, with defaults and flag overrides applied;
   `ScenarioConfig.from_dict` of it reproduces the run), step count, validity
@@ -28,8 +31,10 @@ the whole sweep's integration wall, never a share of it.
 
 Exit status: 0 on success, 1 on a failed validity or convergence check,
 2 on config errors (--seed with --seeds, say) or an unusable path, found before
-integrating, 3 when a trajectory diverges (the maximum over seeds).  A run
-refused with exit 2 leaves behind no directory that it created.
+integrating, or when the trajectory.csv helper process fails, 3 when a
+trajectory diverges (the maximum over seeds).  A run refused with exit 2 leaves
+behind no directory that it created, and no run that returns leaves a .part
+file or a process behind.
 """
 
 from __future__ import annotations
@@ -38,20 +43,24 @@ import argparse
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 
 import numpy as np
 
+from . import csvwriter
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
-from .simulator import Simulation, metrics
+from .simulator import Simulation, TrajectoryLog, metrics
 from .topology import graph_checks, in_degrees
 
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
 DEFAULT_CONVERGED_TOL = 1e-2
 _CSV_BLOCK = 64  # records per block of trajectory.csv
+# the process that formats a run's trajectory.csv files; -S: it imports no site packages
+_WRITER_COMMAND = (sys.executable, "-S", csvwriter.__file__)
 
 
 # -- validity reporting --------------------------------------------------
@@ -105,21 +114,108 @@ def csv_header(n: int, tracking: bool) -> list:
     return cols
 
 
-def write_trajectory_csv(log, path) -> None:
-    """Write the documented column schema, full double precision, formatting
-    `_CSV_BLOCK` records at a time straight from the log's arrays."""
+def _table(log, rows):
+    """Records `rows` (a slice) of the log as trajectory.csv's float64 rows."""
+    per_craft = np.concatenate([log.sigma[rows], log.omega[rows], log.torque[rows],
+                                log.theta_hat[rows]], axis=2)
+    series = [log.lyapunov, log.disagreement]
+    if log.tracking_error is not None:
+        series.append(log.tracking_error)
+    return np.column_stack([log.times[rows], per_craft.reshape(len(per_craft), -1)]
+                           + [x[rows] for x in series])
+
+
+def write_trajectory_csv(log, path, writer=None) -> None:
+    """Write `log` to `path` as trajectory.csv: the documented column schema, full
+    double precision, `_CSV_BLOCK` records at a time straight from the log's arrays,
+    each row by `csvwriter.format_rows`.
+
+    Given a `CsvWriter`, hand all of the log's rows to its process instead, which
+    appends them to `path`'s part file: `run` streams each record block of a run
+    through here."""
+    if writer is not None:
+        writer.append(path, _table(log, slice(None)))
+        return
     n_rec, n = log.sigma.shape[:2]
-    tracking = log.tracking_error is not None
-    series = [log.lyapunov, log.disagreement] + ([log.tracking_error] if tracking else [])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(csv_header(n, tracking)) + "\n")
+        fh.write(",".join(csv_header(n, log.tracking_error is not None)) + "\n")
         for r in range(0, n_rec, _CSV_BLOCK):
-            rows = slice(r, r + _CSV_BLOCK)
-            per_craft = np.concatenate([log.sigma[rows], log.omega[rows], log.torque[rows],
-                                        log.theta_hat[rows]], axis=2)
-            table = np.column_stack([log.times[rows], per_craft.reshape(len(per_craft), -1)]
-                                    + [x[rows] for x in series])
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+            fh.write(csvwriter.format_rows(_table(log, slice(r, r + _CSV_BLOCK)).tolist()))
+
+
+class CsvWriter:
+    """The helper process that writes a run's trajectory.csv files, formatting rows
+    (see `attsync.csvwriter`) on another core while the run integrates.
+
+    Each file is written as `path + ".part"`; `commit` renames it into place.
+    The process starts at the first `append`.  `close` reaps it, killing it if it
+    still runs, and removes every part file not committed.
+    """
+
+    def __init__(self, paths, header):
+        self.parts = {path: path + ".part" for path in paths}
+        self._index = {path: i for i, path in enumerate(paths)}
+        self._header = header
+        self._proc = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def append(self, path, table) -> None:
+        """Send the rows of `table`, a float64 (row, column) array, to `path`'s file."""
+        if self._proc is None:
+            self._proc = subprocess.Popen(_WRITER_COMMAND, stdin=subprocess.PIPE)
+            spec = {"paths": list(self.parts.values()), "header": self._header}
+            self._send(json.dumps(spec).encode("utf-8") + b"\n")
+        payload = table.tobytes()
+        self._send(csvwriter.FRAME.pack(self._index[path], len(payload)), payload)
+
+    def _send(self, *chunks) -> None:
+        try:
+            for chunk in chunks:
+                self._proc.stdin.write(chunk)
+            self._proc.stdin.flush()  # the process formats each block as it comes
+        except BrokenPipeError:  # the process is gone
+            raise _writer_failed(self._end(kill=True)) from None
+
+    def _end(self, kill=False) -> int:
+        """Close the stream and reap the process, killing it first if `kill` and it
+        still runs; its exit status."""
+        if kill and self._proc.poll() is None:
+            self._proc.kill()
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:
+            pass  # rows left in the buffer of a process that is gone
+        return self._proc.wait()
+
+    def finish(self) -> None:
+        """End the stream and wait for every file to be written; OSError if the
+        process failed."""
+        status = self._end() if self._proc is not None else 0
+        if status:
+            raise _writer_failed(status)
+
+    def commit(self, path) -> None:
+        """Rename `path`'s finished part file into place."""
+        os.replace(self.parts.pop(path), path)
+
+    def close(self) -> None:
+        if self._proc is None:
+            return  # nor is any part file
+        self._end(kill=True)
+        for part in self.parts.values():
+            try:
+                os.remove(part)
+            except FileNotFoundError:
+                pass
+
+
+def _writer_failed(status) -> OSError:
+    return OSError("the trajectory.csv writer exited with status %d" % status)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -155,8 +251,9 @@ def _write_summary(out_dir, summary) -> None:
         fh.write(json.dumps(summary) + "\n")  # no indent, so json uses its C encoder
 
 
-def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol) -> int:
-    """Write one run's files from its log or from the divergence that stopped it."""
+def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol, writer) -> int:
+    """Write one run's files from its log or from the divergence that stopped it; the
+    log's trajectory.csv is the part file `writer` finished."""
     summary = {"config": doc, "step_count": scenario.n_steps}
     if isinstance(result, SimulationDiverged):
         summary["validity"] = report
@@ -167,7 +264,7 @@ def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol) -> int:
         return 3
     finals = metrics(result)
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(result, csv_path)
+    writer.commit(csv_path)
     summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall, validity=report)
     _write_summary(out_dir, summary)
     print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, result.n_records, wall))
@@ -208,24 +305,34 @@ def cmd_run(args) -> int:
     if args.seeds is not None:
         runs = [(s, os.path.join(out_base, "seed_%d" % s)) for s in _parse_seeds(args.seeds)]
     scenarios = [cfg.to_scenario(s) for s, _ in runs]  # one parse, realized per seed
-    created = []  # a run refused before its first step leaves none of these
-    try:
-        for _, out_dir in runs:  # an unusable path fails before the integration
-            _make_dirs(out_dir, created)
-        t0 = time.perf_counter()
-        results = Simulation(scenarios).run(decimate=cfg.doc["decimate"])
-    except (ConfigError, OSError):
-        for path in filter(os.path.isdir, reversed(created)):
-            os.rmdir(path)
-        raise
-    wall = time.perf_counter() - t0  # every seed reports the whole integration
-    report = validity_report(cfg, scenarios[0])  # the seed draws no part of it
-    status = 0
-    for (s, out_dir), scenario, result in zip(runs, scenarios, results):
-        if args.seeds is not None:
-            print("seed %d -> %s" % (s, out_dir))
-        status = max(status, _write_run({**cfg.doc, "seed": s}, report, scenario, result,
-                                        wall, out_dir, args.assert_converged))
+    csv_paths = [os.path.join(out_dir, "trajectory.csv") for _, out_dir in runs]
+    header = ",".join(csv_header(cfg.n, cfg.doc["mode"] == "tracking"))
+    created = []  # a run refused, or whose writer fails, leaves none of these
+    with CsvWriter(csv_paths, header) as writer:
+        def stream(blocks):  # each member's rows, as soon as they are derived
+            for path, block in zip(csv_paths, blocks):
+                if isinstance(block, TrajectoryLog):
+                    write_trajectory_csv(block, path, writer)
+
+        try:
+            for _, out_dir in runs:  # an unusable path fails before the integration
+                _make_dirs(out_dir, created)
+            t0 = time.perf_counter()
+            results = Simulation(scenarios).run(decimate=cfg.doc["decimate"], sink=stream)
+            wall = time.perf_counter() - t0  # every seed reports the whole integration
+            writer.finish()
+        except (ConfigError, OSError):
+            writer.close()  # its part files, before the directories that hold them
+            for path in filter(os.path.isdir, reversed(created)):
+                os.rmdir(path)
+            raise
+        report = validity_report(cfg, scenarios[0])  # the seed draws no part of it
+        status = 0
+        for (s, out_dir), scenario, result in zip(runs, scenarios, results):
+            if args.seeds is not None:
+                print("seed %d -> %s" % (s, out_dir))
+            status = max(status, _write_run({**cfg.doc, "seed": s}, report, scenario, result,
+                                            wall, out_dir, args.assert_converged, writer))
     return status
 
 

@@ -57,9 +57,10 @@ tracking rate are taken to the reference's closer image by the same rule, so
 neither depends on its chart.
 
 A record copies the raw series, from the state and the loop's evaluation of it;
-the derived ones (V, D, T) are reduced from them after the loop, in blocks of
-records; D is exact, pruned from _PRUNE_MIN_CRAFT craft (see _max_pairwise).
-`metrics` only reduces the log to scalar finals.
+the derived ones (V, D, T) are reduced from them per block of records
+(_BLOCK_ELEMENTS craft pairs), as soon as each block fills, and `run` can hand
+each block to a sink then; D is exact, pruned from _PRUNE_MIN_CRAFT craft (see
+_max_pairwise).  `metrics` only reduces the log to scalar finals.
 
 An ensemble (scenarios sharing all but their craft: a seed sweep, or a Monte
 Carlo over inertias, gains and priors) takes a leading member axis, (B, N, 3), so
@@ -82,7 +83,7 @@ import numpy as np
 from .attmath import inverse_from_kinematics, kinematics_matrix, mat_vec, mrp_shadow
 from .control import GainSet, ReferenceTrajectory, controller_outputs
 from .errors import ConfigError, SimulationDiverged
-from .rigid_body import InertiaParams, SpacecraftState, angular_acceleration, mrp_rate
+from .rigid_body import InertiaParams, SpacecraftState, angular_acceleration
 from .topology import CommTopology, graph_checks
 
 MODES = ("leaderless", "tracking")
@@ -469,30 +470,28 @@ class Simulation:
                 craft_index=i, time=t, quantity=name or "sigma")
         return found
 
-    def _derive(self, out, n_rec):
-        """Fill V, D, D's rate, and when tracking T and its rate, of records [0, n_rec)
-        of every member from the raw series, in blocks of _BLOCK_ELEMENTS craft pairs."""
-        block = max(1, _BLOCK_ELEMENTS // (len(self.scenarios) * self.n ** 2))
-        for a in range(0, n_rec, block):
-            rec = np.s_[:, a:a + block]
-            sigma = out["sigma"][rec]
-            g = kinematics_matrix(sigma)
-            sigma_dot = mat_vec(g, out["omega"][rec])
-            out["lyapunov"][rec] = _certificate(
-                np.expand_dims(self.j_stack, -4), g, out["filtered_error"][rec],
-                np.expand_dims(self.theta_true, -3) - out["theta_hat"][rec],
-                np.expand_dims(self.gains.gamma_diag, -3))
-            out["disagreement"][rec] = _max_pairwise(sigma)
-            out["disagreement_rate"][rec] = _max_pairwise(sigma_dot)
-            if self.tracking:  # to the reference's image closer to each craft
-                ref = np.array([self.ref.at(t)[:2] for t in out["times"][0, a:a + block]])
-                ref, ref_rate = _closer_image(ref[:, None, 0], ref[:, None, 1], sigma)
-                out["tracking_error"][rec] = np.linalg.norm(sigma - ref, axis=-1).max(-1)
-                out["tracking_rate"][rec] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max(-1)
+    def _derive(self, out, rec):
+        """Fill V, D, D's rate, and when tracking T and its rate, of the records `rec`
+        (a slice) of every member from the raw series."""
+        times, rec = out["times"][0, rec], np.s_[:, rec]
+        sigma = out["sigma"][rec]
+        g = kinematics_matrix(sigma)
+        sigma_dot = mat_vec(g, out["omega"][rec])
+        out["lyapunov"][rec] = _certificate(
+            np.expand_dims(self.j_stack, -4), g, out["filtered_error"][rec],
+            np.expand_dims(self.theta_true, -3) - out["theta_hat"][rec],
+            np.expand_dims(self.gains.gamma_diag, -3))
+        out["disagreement"][rec] = _max_pairwise(sigma)
+        out["disagreement_rate"][rec] = _max_pairwise(sigma_dot)
+        if self.tracking:  # to the reference's image closer to each craft
+            ref = np.array([self.ref.at(t)[:2] for t in times])
+            ref, ref_rate = _closer_image(ref[:, None, 0], ref[:, None, 1], sigma)
+            out["tracking_error"][rec] = np.linalg.norm(sigma - ref, axis=-1).max(-1)
+            out["tracking_rate"][rec] = np.linalg.norm(sigma_dot - ref_rate, axis=-1).max(-1)
 
     # -- public stepping -------------------------------------------------
 
-    def run(self, decimate: int = 10):
+    def run(self, decimate: int = 10, sink=None):
         """Integrate the full horizon and return the decimated history.
 
         Records are kept every `decimate` steps, always including the
@@ -503,8 +502,15 @@ class Simulation:
         bandwidth.  A single scenario returns its TrajectoryLog or raises
         SimulationDiverged; an ensemble returns a list of, per member, either
         of the two.  Each accepted state is evaluated once, for its record and
-        the next step's first RK4 stage; a record copies its raw series,
-        `_derive` reduces the rest after the loop.
+        the next step's first RK4 stage; a record copies its raw series, and
+        `_derive` reduces the rest per block of _BLOCK_ELEMENTS craft pairs,
+        as soon as the block's last record is copied.
+
+        `sink`, if given, is called with each block once it is derived, in
+        record order: a list with, per member (one for a single scenario),
+        the TrajectoryLog of the block's records (views of the returned
+        logs), or the SimulationDiverged the member has raised.  It runs
+        under the caller's numpy error settings.
         """
         if decimate < 1:
             raise ValueError("decimate must be a positive integer")
@@ -525,8 +531,22 @@ class Simulation:
             raise ConfigError("a log of %.6g records cannot be allocated (%s)" % (n_rec, exc))
         logs = [TrajectoryLog(scenario=sc, **{k: v[b] for k, v in out.items()})
                 for b, sc in enumerate(self.scenarios)]
+        block = max(1, _BLOCK_ELEMENTS // (len(self.scenarios) * self.n ** 2))
+        caller_errstate = np.geterr()
+
+        def derive(a, b):  # records [a, b), then the sink's view of them
+            self._derive(out, np.s_[a:b])
+            if sink is None:
+                return
+            blocks = [dataclasses.replace(log, **{k: v[m, a:b] for k, v in out.items()})
+                      if isinstance(log, TrajectoryLog) else log for m, log in enumerate(logs)]
+            with np.errstate(**caller_errstate):
+                sink(blocks)
+
         healthy = np.ones((len(logs), 1), dtype=bool)
-        y = _by_craft(np.concatenate([sigma, omega, theta, sigma, mrp_rate(sigma, omega)], -1))
+        y = _by_craft(np.concatenate([sigma, omega, theta, sigma, np.empty_like(sigma)], -1))
+        # chi_dot(0) is sigma_dot(0) as `_eval` forms it, so e(0) and s(0) are exactly zero
+        y[_CHI_DOT] = mat_vec(kinematics_matrix(y[_SIGMA]), y[_OMEGA])
         r = 0
         # a diverging state overflows before the guard stops the run
         with np.errstate(all="ignore"):
@@ -548,7 +568,10 @@ class Simulation:
                     for name, x in zip(_RAW, (t, y[_SIGMA], y[_OMEGA], y[_THETA], u, e, s)):
                         out[name][:, r] = x
                     r += 1
-            self._derive(out, r)
+                    if r % block == 0:
+                        derive(r - block, r)
+            if r % block:
+                derive(r - r % block, r)
         if not self.ensemble and isinstance(logs[0], SimulationDiverged):
             raise logs[0]
         return logs if self.ensemble else logs[0]

@@ -4,6 +4,9 @@ import hashlib
 import json
 import os
 import re
+import signal
+import sys
+import time
 import tracemalloc
 import types
 import warnings
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from attsync import cli
+from attsync import cli, simulator
 from attsync.cli import (
     _apply_overrides,
     _load_config,
@@ -23,7 +26,8 @@ from attsync.cli import (
     main,
 )
 from attsync.config import ScenarioConfig, preset
-from attsync.errors import ConfigError
+from attsync.errors import ConfigError, SimulationDiverged
+from attsync.simulator import Simulation
 from tests.conftest import FLEET_J
 
 
@@ -573,6 +577,109 @@ def test_seed_sweep_reports_each_divergence_in_its_own_directory(tmp_path, capsy
             assert code == 0 and summary["metrics"] == solo["metrics"]
             assert sha256(swept / "trajectory.csv") == sha256(alone / "trajectory.csv")
     assert diverged == [3]
+
+
+def ring_config(tmp_path, n=70):
+    """A leaderless directed ring of n craft with seeded states, 0.05 s long."""
+    ring = np.roll(np.eye(n), 1, axis=1).tolist()
+    return write_config(tmp_path, duration=0.05, topology={"adjacency": ring},
+                        spacecraft=[{"inertia": FLEET_J[i % 6]} for i in range(n)])
+
+
+def diverging_sweep(tmp_path):
+    """At dt = 0.25 seed 3 blows up while seeds 2 and 4 run to the end."""
+    return ["run", "--config", write_config(tmp_path, dt=0.25, duration=5.0),
+            "--seeds", "2..4"]
+
+
+def assert_nothing_outlives_main(tmp_path):
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.rglob("*.part")) == []
+
+
+@pytest.mark.parametrize("case", ["blocks", "tracking", "ring70", "diverging-sweep"])
+def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch, case):
+    # the helper process writes the bytes write_trajectory_csv writes from the
+    # finished log: over many blocks, with the T column, one record a block, and
+    # for the members of a sweep that finish beside a diverging one
+    if case == "blocks":  # 201 records, 10 a block
+        monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", 40)
+        argv = ["run", "--config", write_config(tmp_path), "--decimate", "1"]
+    elif case == "tracking":
+        argv = ["run", "--preset", "paper-tracking", "--duration", "1", "--seed", "3"]
+    elif case == "ring70":
+        argv = ["run", "--config", ring_config(tmp_path)]
+    else:
+        argv = diverging_sweep(tmp_path)
+    argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    capsys.readouterr()
+    args = build_parser().parse_args(argv)
+    cfg = _apply_overrides(_load_config(args), args)
+    seeds = _parse_seeds(args.seeds) if args.seeds else [cfg.doc["seed"]]
+    logs = Simulation([cfg.to_scenario(s) for s in seeds]).run(decimate=cfg.doc["decimate"])
+    finished = 0
+    for s, log in zip(seeds, logs):
+        out = tmp_path / "out" / ("seed_%d" % s if args.seeds else "")
+        if isinstance(log, SimulationDiverged):
+            assert not (out / "trajectory.csv").exists()
+            continue
+        cli.write_trajectory_csv(log, tmp_path / "expected.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        finished += 1
+    assert (code, finished) == ((3, 2) if case == "diverging-sweep" else (0, 1))
+    assert_nothing_outlives_main(tmp_path)
+
+
+@pytest.mark.parametrize("case", ["clean", "diverged", "diverging-sweep"])
+def test_no_process_or_part_file_outlives_main(tmp_path, capsys, case):
+    if case == "diverging-sweep":
+        argv = diverging_sweep(tmp_path)
+    else:  # test_divergence_exits_3's run diverges
+        extra = {"dt": 0.5, "duration": 5.0} if case == "diverged" else {}
+        argv = ["run", "--config", write_config(tmp_path, **extra)]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == (0 if case == "clean" else 3)
+    assert_nothing_outlives_main(tmp_path)
+
+
+@pytest.mark.parametrize("failure", ["exits-1", "killed"])
+def test_a_failed_writer_exits_2_and_removes_what_the_run_made(tmp_path, capsys,
+                                                               monkeypatch, failure):
+    # the writer fails after making its part files: it writes them all, then exits 1,
+    # or it is killed once it has made them
+    monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", 40)  # 5 records a block of 2 members
+    if failure == "exits-1":
+        program = ("import sys; sys.path.insert(0, %r); import csvwriter; csvwriter.main(); "
+                   "sys.exit(1)" % os.path.dirname(cli.csvwriter.__file__))
+        monkeypatch.setattr(cli, "_WRITER_COMMAND", (sys.executable, "-c", program))
+    else:
+        append = cli.CsvWriter.append
+
+        def append_then_kill(writer, path, table):
+            append(writer, path, table)
+            if not hasattr(writer, "killed"):
+                deadline = time.monotonic() + 10.0
+                while not os.path.exists(writer.parts[path]) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(writer._proc.pid, signal.SIGKILL)
+                writer.killed = True
+
+        monkeypatch.setattr(cli.CsvWriter, "append", append_then_kill)
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "new" / "out", tmp_path / "kept"):
+        code = main(["run", "--config", write_config(tmp_path), "--decimate", "1",
+                     "--seeds", "1..2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the trajectory.csv writer exited with status ")
+        assert_nothing_outlives_main(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "scenario.yaml"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_assert_converged_gates_exit_status(tmp_path, capsys):

@@ -359,9 +359,9 @@ def test_controller_outputs_runs_once_per_rhs_evaluation(monkeypatch, build):
 
 
 def derived_blocks(members, n_records):
-    """Blocks of records the derived-series pass of `Simulation.run` takes."""
+    """The last record of each block the derived-series pass of `Simulation.run` takes."""
     block = max(1, simulator._BLOCK_ELEMENTS // (len(members) * members[0].n ** 2))
-    return -(-n_records // block)
+    return [min(a + block, n_records) - 1 for a in range(0, n_records, block)]
 
 
 @pytest.mark.parametrize("build", [
@@ -372,10 +372,10 @@ def derived_blocks(members, n_records):
 def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
     # each evaluation builds G(sigma) once; sigma_dot and the control law share
     # it.  One more call seats the generator, chi_dot(0) =
-    # sigma_dot(0), and the derived-series pass after the step loop builds one
-    # per block of records for V and sigma_dot.  The step loop forms no V and
-    # no D: every _certificate and _max_pairwise call comes after the last
-    # evaluation, one and two per block
+    # sigma_dot(0), and the derived-series pass builds one per block of records
+    # for V and sigma_dot.  The step loop forms V and D only per block: each
+    # block makes one _certificate and two _max_pairwise calls, right after
+    # the evaluation of its last record and before the next evaluation
     calls = {"g": 0, "rhs": 0, "certificate": [], "max_pairwise": []}
 
     def counting(fn, key):
@@ -406,12 +406,14 @@ def test_kinematics_matrix_is_built_once_per_rhs_evaluation(monkeypatch, build):
             calls.update(g=0, rhs=0, certificate=[], max_pairwise=[])
             Simulation(scenario).run(decimate=d)
             members = scenario if isinstance(scenario, list) else [scenario]
-            blocks = derived_blocks(members, 1 + -(-n // d))
-            assert (blocks > 1) == (block_elements == 8)
+            last = derived_blocks(members, 1 + -(-n // d))
+            assert (len(last) > 1) == (block_elements == 8)
             assert calls["rhs"] == 1 + 4 * n
-            assert calls["g"] == calls["rhs"] + 1 + blocks
-            assert calls["certificate"] == [calls["rhs"]] * blocks
-            assert calls["max_pairwise"] == [calls["rhs"]] * (2 * blocks)
+            assert calls["g"] == calls["rhs"] + 1 + len(last)
+            # record r is the state of step min(r d, n), evaluated 1 + 4 step times
+            evaluated = [1 + 4 * min(r * d, n) for r in last]
+            assert calls["certificate"] == evaluated
+            assert calls["max_pairwise"] == [e for e in evaluated for _ in range(2)]
 
 
 @pytest.mark.parametrize("build", [pair_scenario, star_scenario], ids=["smoothed", "held"])
@@ -759,6 +761,31 @@ def test_diverged_member_is_reported_and_the_rest_finish():
                 str(solo.value)))
 
 
+def test_sink_gets_each_block_as_it_is_derived(monkeypatch):
+    # the blocks, copied when the sink sees them, make up the returned log: each
+    # series is final by then.  A member's entry is its SimulationDiverged from the
+    # first block handed over after it diverged, and the sink runs under the
+    # caller's numpy error settings, not the step loop's
+    monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", 8)  # 1 record a block
+    diverging = pair_scenario(dt=0.5, duration=5.0)  # diverges at t = 0.5 s
+    rest = with_states(diverging, [SpacecraftState(np.zeros(3), np.zeros(3))] * 2)
+    seen = []
+
+    def sink(blocks):
+        assert np.geterr()["over"] == "raise"
+        kept, other = blocks
+        seen.append(({name: np.copy(getattr(kept, name)) for name in LOG_ARRAYS[:-2]}, other))
+
+    with np.errstate(over="raise"):
+        kept, exc = Simulation([rest, diverging]).run(decimate=1, sink=sink)
+    for name in LOG_ARRAYS[:-2]:  # leaderless: no T
+        assert np.array_equal(np.concatenate([b[name] for b, _ in seen]), getattr(kept, name))
+    handed_over = [b["times"][-1] for b, _ in seen]
+    assert handed_over == [0.5 * k for k in range(11)]
+    assert [other is exc for _, other in seen] == [exc.time <= t for t in handed_over]
+    assert exc.time == 0.5
+
+
 @pytest.mark.parametrize("field, change", [
     ("topology", lambda sc: dataclasses.replace(sc, topology=CommTopology(
         2.0 * sc.topology.adjacency, leader_weights=sc.topology.leader_weights))),
@@ -1015,6 +1042,18 @@ def test_lyapunov_initial_value_smoothed_is_estimate_term_only():
         0.5 * c.inertia.theta @ c.inertia.theta / 3.0 for c in sc.spacecraft
     )
     assert abs(log.lyapunov[0] - want) <= 1e-12 * (1.0 + want)
+
+
+def test_seated_generator_gives_exactly_zero_initial_errors():
+    # chi_dot(0) is formed as the first evaluation forms sigma_dot(0), bit for bit,
+    # so e(0) and s(0) are exactly zero, not zero to rounding
+    tracking = preset("paper-tracking").with_overrides(duration=0.05)
+    leaderless = preset("paper-leaderless").with_overrides(duration=0.05, shadow_switch=True)
+    runs = [Simulation(tracking.to_scenario(seed)).run() for seed in range(1, 9)]
+    runs.append(Simulation(leaderless.to_scenario()).run())
+    runs += Simulation([tracking.to_scenario(seed) for seed in (2, 4, 5)]).run()
+    for log in runs:
+        assert not log.sync_error[0].any() and not log.filtered_error[0].any()
 
 
 def test_lyapunov_positive_and_zero_exactly_at_rest():
