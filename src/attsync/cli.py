@@ -11,8 +11,11 @@ else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
   (the same attitude) lies closer to each craft.  Full double precision,
   '.' decimal separator.  A helper process (`attsync.csvwriter`) formats it
   while the run integrates, each block of records as soon as it is derived,
-  into trajectory.csv.part; the file appears under its name only when it is
-  complete, and a diverged run leaves none.
+  into trajectory.csv.part.  Its stdin pipe is widened to hold a run's blocks
+  (1 MiB where the platform allows), so the run does not wait on it, and it
+  drains the last ones while the summaries are built.  The files land only
+  after that: trajectory.csv appears under its name when it is complete, and
+  a diverged run leaves none, removing one that an earlier run left there.
 * summary.json, compact JSON on one line: the scenario description the run
   used (as written, with defaults and flag overrides applied;
   `ScenarioConfig.from_dict` of it reproduces the run), step count, validity
@@ -47,9 +50,15 @@ import subprocess
 import sys
 import time
 
+try:
+    import fcntl
+except ImportError:  # not a POSIX platform: the writer keeps the default pipe
+    fcntl = None
+
 import numpy as np
 
 from . import csvwriter
+from .csvwriter import csv_header
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
 from .simulator import Simulation, TrajectoryLog, metrics
@@ -61,6 +70,9 @@ DEFAULT_CONVERGED_TOL = 1e-2
 _CSV_BLOCK = 64  # records per block of trajectory.csv
 # the process that formats a run's trajectory.csv files; -S: it imports no site packages
 _WRITER_COMMAND = (sys.executable, "-S", csvwriter.__file__)
+# the writer's stdin pipe, Linux's default pipe-max-size: it holds the whole float64
+# stream of a run such as a 200-craft, 21-record one (504 KB), so the run never waits
+_PIPE_BYTES = 1 << 20
 
 
 # -- validity reporting --------------------------------------------------
@@ -101,19 +113,6 @@ def _print_report(report):
 
 # -- trajectory output ---------------------------------------------------
 
-def csv_header(n: int, tracking: bool) -> list:
-    cols = ["t"]
-    for i in range(1, n + 1):
-        cols += ["sigma_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["omega_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["u_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["theta_hat_%d_%d" % (i, k) for k in range(1, 7)]
-    cols += ["V", "D"]
-    if tracking:
-        cols.append("T")
-    return cols
-
-
 def _table(log, rows):
     """Records `rows` (a slice) of the log as trajectory.csv's float64 rows."""
     per_craft = np.concatenate([log.sigma[rows], log.omega[rows], log.torque[rows],
@@ -147,15 +146,17 @@ class CsvWriter:
     """The helper process that writes a run's trajectory.csv files, formatting rows
     (see `attsync.csvwriter`) on another core while the run integrates.
 
-    Each file is written as `path + ".part"`; `commit` renames it into place.
-    The process starts at the first `append`.  `close` reaps it, killing it if it
-    still runs, and removes every part file not committed.
+    Each file, of `n` craft with the T column when `tracking`, is written as
+    `path + ".part"`; `commit` renames it into place.  The process starts at the
+    first `append`, its stdin pipe widened to `_PIPE_BYTES` where the platform
+    allows.  `close` reaps it, killing it if it still runs, and removes every part
+    file not committed.
     """
 
-    def __init__(self, paths, header):
+    def __init__(self, paths, n, tracking):
         self.parts = {path: path + ".part" for path in paths}
         self._index = {path: i for i, path in enumerate(paths)}
-        self._header = header
+        self._args = (str(n), "1" if tracking else "0")
         self._proc = None
 
     def __enter__(self):
@@ -167,9 +168,13 @@ class CsvWriter:
     def append(self, path, table) -> None:
         """Send the rows of `table`, a float64 (row, column) array, to `path`'s file."""
         if self._proc is None:
-            self._proc = subprocess.Popen(_WRITER_COMMAND, stdin=subprocess.PIPE)
-            spec = {"paths": list(self.parts.values()), "header": self._header}
-            self._send(json.dumps(spec).encode("utf-8") + b"\n")
+            self._proc = subprocess.Popen(_WRITER_COMMAND + self._args, stdin=subprocess.PIPE)
+            try:  # AttributeError: no fcntl, or no F_SETPIPE_SZ
+                fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (AttributeError, OSError):
+                pass  # the default pipe carries the same bytes, with waits
+            names = b"\0".join(map(os.fsencode, self.parts.values()))
+            self._send(csvwriter.FRAME.pack(len(self.parts), len(names)), names)
         payload = table.tobytes()
         self._send(csvwriter.FRAME.pack(self._index[path], len(payload)), payload)
 
@@ -246,30 +251,21 @@ def _parse_seeds(text):
     return list(range(lo, hi + 1))
 
 
-def _write_summary(out_dir, summary) -> None:
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary) + "\n")  # no indent, so json uses its C encoder
-
-
-def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol, writer) -> int:
-    """Write one run's files from its log or from the divergence that stopped it; the
-    log's trajectory.csv is the part file `writer` finished."""
+def _summarize(doc, report, scenario, result, wall, csv_path, assert_tol):
+    """One run's summary.json text (one line with no indent, so json uses its C
+    encoder), the message it prints and its exit status, from its log or from the
+    divergence that stopped it."""
     summary = {"config": doc, "step_count": scenario.n_steps}
     if isinstance(result, SimulationDiverged):
         summary["validity"] = report
         summary["diverged"] = {"craft": result.craft_index + 1, "quantity": result.quantity,
                                "time": result.time, "message": str(result)}
-        _write_summary(out_dir, summary)
-        print("error: %s" % result, file=sys.stderr)
-        return 3
+        return json.dumps(summary) + "\n", "error: %s" % result, 3
     finals = metrics(result)
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    writer.commit(csv_path)
     summary.update(metrics=finals, records=result.n_records, wall_clock_s=wall, validity=report)
-    _write_summary(out_dir, summary)
-    print("wrote %s (%d records, %.2f s wall clock)" % (csv_path, result.n_records, wall))
-    for key in sorted(finals):
-        print("  %s: %s" % (key, finals[key]))
+    lines = ["wrote %s (%d records, %.2f s wall clock)" % (csv_path, result.n_records, wall)]
+    lines += ["  %s: %s" % (key, finals[key]) for key in sorted(finals)]
+    status = 0
     if assert_tol is not None:
         if doc["mode"] == "leaderless":
             ok = (finals["disagreement_final"] < assert_tol
@@ -277,10 +273,23 @@ def _write_run(doc, report, scenario, result, wall, out_dir, assert_tol, writer)
         else:
             ok = (finals["tracking_error_final"] < assert_tol
                   and finals["tracking_rate_final"] < assert_tol)
-        print("converged (tol %g): %s" % (assert_tol, "yes" if ok else "no"))
-        if not ok:
-            return 1
-    return 0
+        lines.append("converged (tol %g): %s" % (assert_tol, "yes" if ok else "no"))
+        status = 0 if ok else 1
+    return json.dumps(summary) + "\n", "\n".join(lines), status
+
+
+def _write_run(out_dir, csv_path, result, text, writer) -> None:
+    """Put one run's files in place: its summary.json `text`, and the trajectory.csv
+    part file `writer` finished; a diverged run leaves none, not even an older run's."""
+    if isinstance(result, SimulationDiverged):
+        try:
+            os.remove(csv_path)
+        except FileNotFoundError:
+            pass
+    else:
+        writer.commit(csv_path)
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _make_dirs(path, created):
@@ -306,9 +315,8 @@ def cmd_run(args) -> int:
         runs = [(s, os.path.join(out_base, "seed_%d" % s)) for s in _parse_seeds(args.seeds)]
     scenarios = [cfg.to_scenario(s) for s, _ in runs]  # one parse, realized per seed
     csv_paths = [os.path.join(out_dir, "trajectory.csv") for _, out_dir in runs]
-    header = ",".join(csv_header(cfg.n, cfg.doc["mode"] == "tracking"))
     created = []  # a run refused, or whose writer fails, leaves none of these
-    with CsvWriter(csv_paths, header) as writer:
+    with CsvWriter(csv_paths, cfg.n, cfg.doc["mode"] == "tracking") as writer:
         def stream(blocks):  # each member's rows, as soon as they are derived
             for path, block in zip(csv_paths, blocks):
                 if isinstance(block, TrajectoryLog):
@@ -320,19 +328,26 @@ def cmd_run(args) -> int:
             t0 = time.perf_counter()
             results = Simulation(scenarios).run(decimate=cfg.doc["decimate"], sink=stream)
             wall = time.perf_counter() - t0  # every seed reports the whole integration
-            writer.finish()
+            # the writer drains its last blocks while the summaries are built
+            report = validity_report(cfg, scenarios[0])  # the seed draws no part of it
+            outcomes = [_summarize({**cfg.doc, "seed": s}, report, scenario, result, wall,
+                                   csv_path, args.assert_converged)
+                        for (s, _), scenario, result, csv_path
+                        in zip(runs, scenarios, results, csv_paths)]
+            writer.finish()  # files land only once every trajectory.csv is written
         except (ConfigError, OSError):
             writer.close()  # its part files, before the directories that hold them
             for path in filter(os.path.isdir, reversed(created)):
                 os.rmdir(path)
             raise
-        report = validity_report(cfg, scenarios[0])  # the seed draws no part of it
         status = 0
-        for (s, out_dir), scenario, result in zip(runs, scenarios, results):
+        for (s, out_dir), csv_path, result, (text, message, code) in zip(
+                runs, csv_paths, results, outcomes):
             if args.seeds is not None:
                 print("seed %d -> %s" % (s, out_dir))
-            status = max(status, _write_run({**cfg.doc, "seed": s}, report, scenario, result,
-                                            wall, out_dir, args.assert_converged, writer))
+            _write_run(out_dir, csv_path, result, text, writer)
+            print(message, file=sys.stderr if code == 3 else sys.stdout)
+            status = max(status, code)
     return status
 
 

@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, file outputs, overrides, schemas."""
 import copy
+import errno
 import hashlib
 import json
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -579,11 +581,35 @@ def test_seed_sweep_reports_each_divergence_in_its_own_directory(tmp_path, capsy
     assert diverged == [3]
 
 
-def ring_config(tmp_path, n=70):
-    """A leaderless directed ring of n craft with seeded states, 0.05 s long."""
-    ring = np.roll(np.eye(n), 1, axis=1).tolist()
-    return write_config(tmp_path, duration=0.05, topology={"adjacency": ring},
-                        spacecraft=[{"inertia": FLEET_J[i % 6]} for i in range(n)])
+def test_a_diverged_rerun_leaves_no_older_trajectory(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path), "--out", out]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+    diverging = write_config(tmp_path, "diverging.yaml", dt=0.5, duration=5.0)
+    assert main(["run", "--config", diverging, "--out", out]) == 3
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert "diverged" in summary
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.json"]
+
+
+def test_a_diverging_sweep_over_used_directories_leaves_no_older_trajectory(tmp_path, capsys):
+    out = tmp_path / "out"
+    clean = write_config(tmp_path, "clean.yaml", duration=0.5)
+    assert main(["run", "--config", clean, "--seeds", "2..4", "--out", str(out)]) == 0
+    assert main(diverging_sweep(tmp_path) + ["--out", str(out)]) == 3
+    capsys.readouterr()
+    for s in (2, 3, 4):
+        member = out / ("seed_%d" % s)
+        summary = json.loads((member / "summary.json").read_text(encoding="utf-8"))
+        assert summary["config"]["dt"] == 0.25
+        if s == 3:
+            assert "diverged" in summary
+            assert sorted(p.name for p in member.iterdir()) == ["summary.json"]
+        else:  # this run's file, not the clean sweep's
+            lines = (member / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 1 + summary["records"]
+            assert float(lines[-1].split(",")[0]) == 5.0
 
 
 def diverging_sweep(tmp_path):
@@ -592,17 +618,27 @@ def diverging_sweep(tmp_path):
             "--seeds", "2..4"]
 
 
+def ring_config(tmp_path, n=70):
+    """A leaderless directed ring of n craft with seeded states, 0.05 s long."""
+    ring = np.roll(np.eye(n), 1, axis=1).tolist()
+    return write_config(tmp_path, duration=0.05, topology={"adjacency": ring},
+                        spacecraft=[{"inertia": FLEET_J[i % 6]} for i in range(n)])
+
+
 def assert_nothing_outlives_main(tmp_path):
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
     assert list(tmp_path.rglob("*.part")) == []
 
 
-@pytest.mark.parametrize("case", ["blocks", "tracking", "ring70", "diverging-sweep"])
+@pytest.mark.parametrize("case", ["blocks", "tracking", "ring70", "diverging-sweep",
+                                  "refused-pipe-size"])
 def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch, case):
     # the helper process writes the bytes write_trajectory_csv writes from the
-    # finished log: over many blocks, with the T column, one record a block, and
-    # for the members of a sweep that finish beside a diverging one
+    # finished log, header included: over many blocks, with the T column, one
+    # record a block, for the members of a sweep that finish beside a diverging
+    # one, and through the default pipe when widening it is refused
+    refused = []
     if case == "blocks":  # 201 records, 10 a block
         monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", 40)
         argv = ["run", "--config", write_config(tmp_path), "--decimate", "1"]
@@ -610,8 +646,19 @@ def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch
         argv = ["run", "--preset", "paper-tracking", "--duration", "1", "--seed", "3"]
     elif case == "ring70":
         argv = ["run", "--config", ring_config(tmp_path)]
-    else:
+    elif case == "diverging-sweep":
         argv = diverging_sweep(tmp_path)
+    else:  # a stream larger than the default 64 KiB pipe
+        if cli.fcntl is None:
+            pytest.skip("no fcntl on this platform")
+
+        def refuse(*args):
+            refused.append(args)
+            raise OSError(errno.EPERM, "refused")
+
+        monkeypatch.setattr(cli.fcntl, "fcntl", refuse)
+        argv = ["run", "--preset", "paper-tracking", "--duration", "2", "--seed", "3",
+                "--decimate", "1"]
     argv += ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -628,10 +675,43 @@ def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch
             assert not (out / "trajectory.csv").exists()
             continue
         cli.write_trajectory_csv(log, tmp_path / "expected.csv")
-        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        streamed = (out / "trajectory.csv").read_bytes()
+        assert streamed == (tmp_path / "expected.csv").read_bytes()
+        header = csv_header(cfg.n, cfg.doc["mode"] == "tracking")
+        assert streamed.split(b"\n", 1)[0].decode("utf-8") == ",".join(header)
         finished += 1
     assert (code, finished) == ((3, 2) if case == "diverging-sweep" else (0, 1))
+    assert len(refused) == (case == "refused-pipe-size")
     assert_nothing_outlives_main(tmp_path)
+
+
+def test_the_writer_starts_without_json_numpy_or_yaml():
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", cli.csvwriter.__file__,
+                           "2", "0"], stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "struct" in names  # the report lists the writer's own imports
+    assert not {name.split(".")[0] for name in names} & {"json", "numpy", "yaml"}
+
+
+def test_the_writer_pipe_holds_a_run_of_blocks(tmp_path, capsys, monkeypatch):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("no F_GETPIPE_SZ on this platform")
+    sizes = []
+    append = cli.CsvWriter.append
+
+    def append_and_measure(writer, path, table):
+        append(writer, path, table)
+        sizes.append(fcntl.fcntl(writer._proc.stdin.fileno(), fcntl.F_GETPIPE_SZ))
+
+    monkeypatch.setattr(cli.CsvWriter, "append", append_and_measure)
+    assert main(["run", "--config", write_config(tmp_path), "--seeds", "1..2",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(sizes) == 2 and min(sizes) >= 1 << 20
 
 
 @pytest.mark.parametrize("case", ["clean", "diverged", "diverging-sweep"])
@@ -680,6 +760,38 @@ def test_a_failed_writer_exits_2_and_removes_what_the_run_made(tmp_path, capsys,
         assert_nothing_outlives_main(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "scenario.yaml"]
     assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_a_writer_failing_after_the_summaries_are_built_writes_no_summary(tmp_path, capsys,
+                                                                         monkeypatch):
+    # every member's summary.json text is built while the writer drains; the files
+    # land only after it finishes, so a writer killed then leaves nothing behind
+    events = []
+    summarize, finish = cli._summarize, cli.CsvWriter.finish
+
+    def spy_summarize(*args):
+        events.append("summary")
+        return summarize(*args)
+
+    def kill_then_finish(writer):
+        events.append("finish")
+        os.kill(writer._proc.pid, signal.SIGKILL)
+        finish(writer)
+
+    monkeypatch.setattr(cli, "_summarize", spy_summarize)
+    monkeypatch.setattr(cli.CsvWriter, "finish", kill_then_finish)
+    path = write_config(tmp_path)
+    for out, seeds in ((tmp_path / "kept", []), (tmp_path / "kept_sweep", ["--seeds", "1..2"])):
+        for d in ([out] if not seeds else [out, out / "seed_1", out / "seed_2"]):
+            d.mkdir()
+        events.clear()
+        code = main(["run", "--config", path, "--out", str(out)] + seeds)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the trajectory.csv writer exited with status ")
+        assert events == ["summary"] * (2 if seeds else 1) + ["finish"]
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert_nothing_outlives_main(tmp_path)
 
 
 def test_assert_converged_gates_exit_status(tmp_path, capsys):
