@@ -17,10 +17,12 @@ Conventions fixed across the package:
 Every structured matrix (S, L, F and J(theta)) is one product of its
 input with a constant table of 0/+-1 entries, built at import from the
 packing order and the Levi-Civita symbol; so are G and dG/dt, over the
-rate-like vector, their 3x3 product term and their isotropic coefficient.
-Each output entry sums at most two nonzero terms, each an input entry (for
-F, a product of two) times +-1, so its value does not depend on the order
-the product sums in, nor on the layout of the input.  A table product is
+rate-like vector, their 3x3 product term and their isotropic coefficient,
+with their factor 1/2 folded into the table (entries +-1/2 and 1/4).  Each
+output entry sums at most two nonzero terms, each an input entry (for F, a
+product of two) times a signed power of two, so every product is exact and
+the entry's value does not depend on the order the product sums in, nor on
+the layout of the input.  A table product is
 taken as ``table @ x.T``, so it returns the transpose of a C-contiguous
 array: the craft-contiguous layout the simulator keeps its fleet in, where
 every elementwise kernel here keeps its input's layout.
@@ -47,10 +49,10 @@ _J = np.einsum("pij->jip", _JK).reshape(9, 6)            # J(theta)_ij = theta_p
 _L = _JK.reshape(18, 3)                                  # (J a)_i = J_ik a_k
 # S(J x) v = -S(v) J x: entry i is eps_ijm v_m J_jk x_k, linear in v_m x_k
 _F = np.einsum("ijm,pjk->pimk", _EPS, _JK).reshape(18, 9)
-# G and dG/dt are 1/2 (-S(v) + P +- c I): one table over [v | P | c], with P the
-# kernel's 3x3 product term and c its isotropic coefficient
-_KIN, _KIN_DOT = (np.hstack([-_SKEW, np.eye(9), sign * _EYE.reshape(9, 1)])
-                  for sign in (1, -1))
+# G and dG/dt are (-S(v) + P) / 2 + w c I: one table over [v | P | c], with P the
+# kernel's 3x3 product term, c its isotropic coefficient and w = 1/4 for G, -1/2 for dG/dt
+_KIN, _KIN_DOT = (np.hstack([-0.5 * _SKEW, 0.5 * np.eye(9), w * _EYE.reshape(9, 1)])
+                  for w in (0.25, -0.5))
 
 
 def mat_vec(m, v):
@@ -96,13 +98,12 @@ def kinematics_matrix(sigma):
     sigma = np.asarray(sigma, dtype=float)
     ss = np.einsum("...i,...i->...", sigma, sigma)
     s = sigma.T
-    return _half_table(_KIN, s, s[:, None] * s[None], ((1.0 - ss) / 2.0).T)
+    return _table_product(_KIN, s, s[:, None] * s[None], (1.0 - ss).T)
 
 
-def _half_table(table, v, p, c):
-    """1/2 table @ [v | p | c], given transposed: v (3, ...), p (3, 3, ...), c (...)."""
+def _table_product(table, v, p, c):
+    """table @ [v | p | c], given transposed: v (3, ...), p (3, 3, ...), c (...)."""
     g = table.dot(np.concatenate((v.reshape(3, -1), p.reshape(9, -1), c.reshape(1, -1))))
-    g *= 0.5
     return g.reshape(p.shape).T
 
 
@@ -139,7 +140,7 @@ def kinematics_matrix_dot(sigma, sigma_dot):
     dot = np.einsum("...i,...i->...", sigma, sigma_dot)
     s, v = sigma.T, sigma_dot.T
     cross = s[:, None] * v[None]  # sigma_dot sigma^T; its transpose is the other term
-    return _half_table(_KIN_DOT, v, cross + cross.swapaxes(0, 1), dot.T)
+    return _table_product(_KIN_DOT, v, cross + cross.swapaxes(0, 1), dot.T)
 
 
 def l_operator(a):

@@ -51,10 +51,12 @@ of the table of source states, has edges only when tracking.  The table is
 gathered per edge; under shadow_switch each edge carries its source's image
 closer to the receiving craft (`_closer_image`: the shadow of x is closer to y
 iff |y - x|^2 > 1 + |y|^2, so shadows are built only when an edge flips); one
-segmented sum over the receiver-grouped edges gives every average.  A valid
-scenario gives every receiver an edge, so no segment is empty.  T and the
-tracking rate are taken to the reference's closer image by the same rule, so
-neither depends on its chart.
+segmented sum over the receiver-grouped edges gives every average.  No edge can
+flip while every source has |x|^2 <= _FLIP_FREE_SQ, so the per-edge test runs
+only when the largest source |x|^2, over every member's craft and the
+reference, exceeds it.  A valid scenario gives every receiver an edge, so no
+segment is empty.  T and the tracking rate are taken to the reference's closer
+image by the same rule, so neither depends on its chart.
 
 A record copies the raw series, from the state and the loop's evaluation of it;
 the derived ones (V, D, T) are reduced from them per block of records
@@ -96,9 +98,15 @@ _BLOCK_ELEMENTS, _PAIRWISE_ELEMENTS = 2048, 65536
 # `_max_pairwise` prunes from this many craft on, keeping radii within this margin
 _PRUNE_MIN_CRAFT, _PRUNE_MARGIN = 64, 1e-9
 
-# fields of the packed state along its last axis: [sigma | omega | theta_hat | chi | chi_dot]
-_SIGMA, _OMEGA, _THETA, _CHI, _CHI_DOT = (
-    np.s_[..., a:b] for a, b in ((0, 3), (3, 6), (6, 12), (12, 15), (15, 18)))
+# chart alignment flips no edge while every source has |x|^2 <= R^2 = _FLIP_FREE_SQ: for
+# a receiver y and a source x, |y - x|^2 <= |y|^2 + 2|y||x| + |x|^2 <= |y|^2 + 3 R^2,
+# and 3 R^2 = 0.9 < 1 leaves a margin far above the rounding of the computed test
+_FLIP_FREE_SQ = 0.3
+
+# fields of the packed state along its last axis: [sigma | omega | theta_hat | chi | chi_dot],
+# with omega and theta_hat adjacent, as the divergence guard reads them
+_SIGMA, _OMEGA, _THETA, _CHI, _CHI_DOT, _OMEGA_THETA = (
+    np.s_[..., a:b] for a, b in ((0, 3), (3, 6), (6, 12), (12, 15), (15, 18), (3, 12)))
 # the log series copied from the step loop; `Simulation._derive` reduces the rest
 _RAW = ("times", "sigma", "omega", "theta_hat", "torque", "sync_error", "filtered_error")
 
@@ -368,15 +376,19 @@ class Simulation:
         The sources are the craft, plus the reference as leader in tracking
         mode.  A table of source states is gathered per edge; chart alignment
         gives each edge the source image closer to its receiver, so a
-        source's representation flip never jumps the aggregate; one segmented
-        sum adds each receiver's weighted edges.
+        source's representation flip never jumps the aggregate, and is tested
+        edge by edge only when some source lies outside |x|^2 <= _FLIP_FREE_SQ
+        (a nan or inf is outside); one segmented sum adds each receiver's
+        weighted edges.
         """
         table = np.empty((6, self.n + self.tracking) + sigma.shape[-3::-1]).T
         table[..., :self.n, :3], table[..., :self.n, 3:] = sigma, sigma_dot
         if self.tracking:  # the reference joins every member as source N
             table[..., self.n, :] = np.concatenate(self.ref.at(t)[:2])
         edges = table.T.take(self._src, axis=1).T
-        if self.scenario.shadow_switch:
+        if self.scenario.shadow_switch and not (
+                np.einsum("...i,...i->...", table[..., :3], table[..., :3]).max()
+                <= _FLIP_FREE_SQ):
             pos, rate = edges[..., :3], edges[..., 3:]
             aligned = _closer_image(pos, rate, sigma.T.take(self._dst, axis=1).T)
             if aligned[0] is not pos:  # some edge flips
@@ -425,35 +437,36 @@ class Simulation:
         k4 = self._eval(t + dt, y + dt * k3)[0]
         return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def _apply_shadow(self, y):
+    def _apply_shadow(self, y, ss):
         """Flip craft beyond the unit ball to the equivalent representation.
 
-        The desired-trajectory generator state is mapped through the same
-        transform so the craft's errors stay continuous across its flip.
-        The state is copied only when some craft flips.
+        ss is each craft's |sigma|^2.  The desired-trajectory generator state
+        is mapped through the same transform so the craft's errors stay
+        continuous across its flip.  Returns the state and its ss, both
+        copied and formed again only when some craft flips.
         """
         sigma, chi, chi_dot = y[_SIGMA], y[_CHI], y[_CHI_DOT]
-        mask = np.einsum("...ni,...ni->...n", sigma, sigma) > 1.0
+        mask = ss > 1.0
         if not mask.any():
-            return y
+            return y, ss
         out = y.T.copy().T
         out[_SIGMA] = np.where(mask[..., None], mrp_shadow(sigma), sigma)
         rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
         chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
         out[_CHI] = np.where(rows, chi_sh, chi)
         out[_CHI_DOT] = np.where(rows, chi_sh_dot, chi_dot)
-        return out
+        return out, np.einsum("...ni,...ni->...n", out[_SIGMA], out[_SIGMA])
 
-    def _check_state(self, t, sigma, omega, theta_hat, healthy=True):
+    def _check_state(self, t, y, ss, healthy=True):
         """{b: SimulationDiverged naming the first bad craft and quantity} for each
-        member b with healthy[b] whose state is not finite or left the ball."""
+        member b with healthy[b] whose packed state y is not finite or left the
+        ball; ss is each craft's |sigma|^2."""
         # |sigma|^2 <= limit^2 implies |sigma| <= limit and rules out nan and inf
-        if ((np.einsum("...ni,...ni->...n", sigma, sigma) <= DIVERGENCE_SIGMA_NORM ** 2).all()
-                and np.isfinite(omega).all() and np.isfinite(theta_hat).all()):
+        if (ss <= DIVERGENCE_SIGMA_NORM ** 2).all() and np.isfinite(y[_OMEGA_THETA]).all():
             return {}
-        finite = [np.isfinite(x).all(axis=-1).reshape(-1, self.n)
-                  for x in (sigma, omega, theta_hat)]
-        norms = np.sqrt(np.einsum("...ni,...ni->...n", sigma, sigma)).reshape(-1, self.n)
+        finite = [np.isfinite(y[x]).all(axis=-1).reshape(-1, self.n)
+                  for x in (_SIGMA, _OMEGA, _THETA)]
+        norms = np.sqrt(ss).reshape(-1, self.n)
         bad = (~(finite[0] & finite[1] & finite[2]) | (norms > DIVERGENCE_SIGMA_NORM)) & healthy
         if not bad.any():
             return {}
@@ -554,15 +567,17 @@ class Simulation:
                 t = k * self.dt
                 if k:
                     y = self._rk4((k - 1) * self.dt, y, dy)
-                    if self.scenario.shadow_switch:
-                        y = self._apply_shadow(y)
+                ss = np.einsum("...ni,...ni->...n", y[_SIGMA], y[_SIGMA])
+                if k and self.scenario.shadow_switch:
+                    y, ss = self._apply_shadow(y, ss)
                 # a diverged member keeps integrating, unchecked, its log dropped
-                bad = self._check_state(t, y[_SIGMA], y[_OMEGA], y[_THETA], healthy)
-                for b, exc in bad.items():
-                    logs[b] = exc
-                    healthy[b] = False
-                if not healthy.any():
-                    break
+                bad = self._check_state(t, y, ss, healthy)
+                if bad:
+                    for b, exc in bad.items():
+                        logs[b] = exc
+                        healthy[b] = False
+                    if not healthy.any():
+                        break
                 dy, u, e, s = self._eval(t, y)
                 if k % decimate == 0 or k == n_steps:
                     for name, x in zip(_RAW, (t, y[_SIGMA], y[_OMEGA], y[_THETA], u, e, s)):

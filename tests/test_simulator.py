@@ -647,13 +647,25 @@ def test_divergence_guard_reports_craft_and_time():
 def test_divergence_guard_names_the_quantity(bad, quantity, how):
     i, name, value = bad
     sc = pair_scenario(duration=1.0)
-    state = {"sigma": np.zeros((2, 3)), "omega": np.zeros((2, 3)),
-             "theta_hat": np.zeros((2, 6))}
-    state[name][i, 0] = value
-    exc = Simulation(sc)._check_state(0.25, **state)[0]
+    y = np.zeros((2, 18))  # the packed state, each field's first entry at this column
+    y[i, {"sigma": 0, "omega": 3, "theta_hat": 6}[name]] = value
+    exc = Simulation(sc)._check_state(0.25, y, np.einsum("ni,ni->n", y[:, :3], y[:, :3]))[0]
     assert isinstance(exc, SimulationDiverged)
     assert exc.craft_index == i and exc.quantity == quantity
     assert str(exc) == "spacecraft %d diverged at t = 0.25 s (%s)" % (i + 1, how)
+
+
+def test_a_flipped_craft_is_guarded_at_its_shadow():
+    # the step loop forms |sigma|^2 once per accepted state and again only after a
+    # shadow flip, so a craft at |sigma| = 2000 is guarded at its shadow, 1/2000
+    sim = Simulation(pair_scenario(shadow_switch=True))
+    y = np.zeros((2, 18))
+    y[0, 0], y[1, :3] = 2000.0, [0.1, 0.2, 0.3]
+    y[:, 12:15] = y[:, :3]  # the generator seated on each craft
+    out, ss = sim._apply_shadow(y, np.einsum("ni,ni->n", y[:, :3], y[:, :3]))
+    assert out is not y and out[0, 0] == -1.0 / 2000.0
+    assert np.array_equal(ss, np.einsum("ni,ni->n", out[:, :3], out[:, :3]))
+    assert sim._check_state(0.25, out, ss) == {}
 
 
 LOG_ARRAYS = ("times", "sigma", "omega", "torque", "theta_hat", "sync_error",
@@ -667,14 +679,28 @@ def assert_same_log(a, b):
         assert (x is None and y is None) or np.array_equal(x, y), name
 
 
-@pytest.mark.parametrize("build", [
-    lambda: pair_scenario(duration=1.0, shadow_switch=True),
-    lambda: pair_scenario(duration=1.0, mode="tracking"),
-    lambda: star_scenario(duration=1.0),
-], ids=["leaderless-aligned", "tracking", "held"])
-def test_ensemble_members_match_their_solo_runs(build):
+def straddling_ensemble():
+    """Three shadow_switch pairs: the middle one has a craft outside the chart-alignment
+    fleet bound |sigma|^2 <= _FLIP_FREE_SQ, the other two lie inside it, so at t = 0 that
+    member takes the per-edge test alone and all three take it together."""
+    sc = pair_scenario(duration=1.0, shadow_switch=True)
+    return [with_states(sc, random_initial_states(seed, sc.n, bound, 0.3))
+            for seed, bound in ((1, 0.5), (2, 0.95), (3, 0.5))]
+
+
+@pytest.mark.parametrize("members", [
+    lambda: ensemble(pair_scenario(duration=1.0, shadow_switch=True), 3),
+    lambda: ensemble(pair_scenario(duration=1.0, mode="tracking"), 3),
+    lambda: ensemble(star_scenario(duration=1.0), 3),
+    straddling_ensemble,
+], ids=["leaderless-aligned", "tracking", "held", "leaderless-straddling"])
+def test_ensemble_members_match_their_solo_runs(members):
     # members differ in inertia, gains and theta_hat0 as well as in states
-    members = parameter_ensemble(ensemble(build(), 3))
+    members = parameter_ensemble(members())
+    if members[0].shadow_switch:  # some member starts outside the fleet bound, some inside
+        radii = [max(c.initial_state.sigma @ c.initial_state.sigma for c in sc.spacecraft)
+                 for sc in members]
+        assert min(radii) <= simulator._FLIP_FREE_SQ < max(radii)
     logs = Simulation(members).run(decimate=3)
     assert len(logs) == 3
     for sc, log in zip(members, logs):
@@ -721,9 +747,9 @@ def test_step_loop_keeps_the_state_craft_contiguous(monkeypatch, build):
         evaluations.append((y.T.flags.c_contiguous, out[0].T.flags.c_contiguous))
         return out
 
-    def counted(self, y):
-        out = apply_shadow(self, y)
-        flips.append(out is not y)
+    def counted(self, y, ss):
+        out = apply_shadow(self, y, ss)
+        flips.append(out[0] is not y)
         return out
 
     monkeypatch.setattr(Simulation, "_eval", checked)
@@ -969,6 +995,87 @@ def test_edge_weights_are_each_receivers_shares(data):
     assert np.array_equal(sim._dst, dst) and np.array_equal(sim._src, src)
     got, want = sim._w[:, 0], w[dst, src]
     assert np.array_equal(got, want) if integer else np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def ball_points(draw, shape):
+    """Attitudes with |x|^2 <= _FLIP_FREE_SQ, some of them on its sphere (within
+    rounding, inside) and some the antipode of an earlier one."""
+    x = draw(arrays(float, shape + (3,), elements=st.floats(-1.0, 1.0)))
+    x = x.reshape(-1, 3)
+    for k in range(len(x)):
+        norm = np.linalg.norm(x[k])
+        if norm < 1e-3:
+            continue
+        radius = draw(st.sampled_from([np.sqrt(simulator._FLIP_FREE_SQ), None]))
+        x[k] *= (radius / norm) if radius else min(1.0, np.sqrt(simulator._FLIP_FREE_SQ) / norm)
+        while x[k] @ x[k] > simulator._FLIP_FREE_SQ:  # rounding put it just outside
+            x[k] *= 1.0 - 2.0 ** -52
+        if k and draw(st.booleans()):
+            x[k] = -x[draw(st.integers(0, k - 1))]
+    return x.reshape(shape + (3,))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_no_edge_flips_inside_the_fleet_bound(data):
+    # with every craft and the reference in |x|^2 <= _FLIP_FREE_SQ, antipodal pairs
+    # on its sphere included, no edge passes the flip test |to - x|^2 > 1 + |to|^2,
+    # and the aggregates that skip the test equal the per-edge path bit for bit
+    leader = data.draw(st.booleans())
+    topo = data.draw(valid_graphs(leader))
+    n = topo.n
+    lead = data.draw(st.sampled_from([(), (3,)]))
+    sources = ball_points(data.draw, lead + (n + 1,))
+    sigma, ref = sources[..., :n, :], sources.reshape(-1, 3)[-1]
+    sigma_dot = data.draw(arrays(float, lead + (n, 3), elements=st.floats(-2.0, 2.0)))
+    craft = [Spacecraft(inertia=InertiaParams(np.array(j)),
+                        initial_state=SpacecraftState(np.zeros(3), np.zeros(3)),
+                        gains=PAPER_GAINS)
+             for j in FLEET_J[:n]]
+    sim = Simulation(Scenario(
+        spacecraft=craft, topology=topo, mode="tracking" if leader else "leaderless",
+        reference=ReferenceTrajectory("constant", value=ref) if leader else None,
+        shadow_switch=True))
+    table = np.concatenate([sigma, np.broadcast_to(ref, lead + (1, 3))], -2)
+    x, to = table[..., sim._src, :], sigma[..., sim._dst, :]
+    assert not (np.einsum("...i,...i->...", to - x, to - x)
+                > 1.0 + np.einsum("...i,...i->...", to, to)).any()
+    got = sim._aggregates(0.5, sigma, sigma_dot)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_FLIP_FREE_SQ", -np.inf)  # every evaluation tests every edge
+        want = sim._aggregates(0.5, sigma, sigma_dot)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_closer_image_runs_only_outside_the_fleet_bound(monkeypatch):
+    # the per-edge test runs once the largest source |x|^2, over every member's
+    # craft and the reference, exceeds _FLIP_FREE_SQ, or any source is not finite
+    calls = []
+    closer_image = simulator._closer_image
+    monkeypatch.setattr(simulator, "_closer_image",
+                        lambda *args: calls.append(1) or closer_image(*args))
+    inside = np.array([[0.3, 0.2, 0.1], [-0.4, 0.1, 0.2]])  # |sigma|^2 0.14 and 0.21
+    outside = inside.copy()
+    outside[1] = [0.5, -0.2, 0.15]  # 0.3125
+    rates = np.full((2, 3), 0.1)
+    leaderless = Simulation(pair_scenario(shadow_switch=True))
+    tracking = pair_scenario(mode="tracking", shadow_switch=True)
+    far_reference = dataclasses.replace(
+        tracking, reference=ReferenceTrajectory("constant", value=[0.6, 0.0, 0.0]))
+    with np.errstate(all="ignore"):
+        for sim, sigma, want in [
+                (leaderless, inside, 0),
+                (leaderless, outside, 1),
+                (leaderless, np.stack([inside, inside, inside]), 0),
+                (leaderless, np.stack([inside, outside, inside]), 1),
+                (leaderless, np.stack([inside, np.full((2, 3), np.nan), inside]), 1),
+                (leaderless, np.stack([inside, np.full((2, 3), np.inf), inside]), 1),
+                (Simulation(tracking), inside, 0),
+                (Simulation(far_reference), inside, 1)]:
+            calls.clear()
+            sim._aggregates(0.5, sigma, np.broadcast_to(rates, sigma.shape))
+            assert len(calls) == want
 
 
 @given(st.data())
