@@ -26,9 +26,28 @@ the layout of the input.  A table product is
 taken as ``table @ x.T``, so it returns the transpose of a C-contiguous
 array: the craft-contiguous layout the simulator keeps its fleet in, where
 every elementwise kernel here keeps its input's layout.
+
+The kernels take numpy arrays (or what np.asarray turns into one).  `einsum`
+and `concatenate` here are numpy's own implementations, bound once through
+``inspect.unwrap`` (numpy marks each dispatched function's implementation as
+its ``__wrapped__``), and every einsum and concatenate of this module and of
+the simulator calls them: the public ``np.einsum`` first runs the NEP 18
+``__array_function__`` override lookup, about 0.5 us a call against 1.6 us for
+the whole einsum of a fleet of six, and an RHS evaluation makes 21 such calls.
+The same implementation runs, so every result is bit for bit the public
+function's.  What this gives up: a duck array that overrides
+``__array_function__`` (dask, cupy) is no longer handed its own einsum or
+concatenate; numpy's implementation converts it or refuses it.  A numpy that
+sets no ``__wrapped__`` hands back the public function itself: slower, the same
+results.
 """
 
+import inspect
+
 import numpy as np
+
+# numpy's own implementations, below the __array_function__ override lookup
+einsum, concatenate = inspect.unwrap(np.einsum), inspect.unwrap(np.concatenate)
 
 _ROW, _COL = (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)
 _EYE = np.eye(3)
@@ -44,11 +63,11 @@ _JK[range(6), _ROW, _COL] = _JK[range(6), _COL, _ROW] = 1.0
 
 # the kernels' constant tables, transposed: (output entries, input entries), the output
 # entries taken in reverse axis order, so `table @ x.T` is the transpose of the result
-_SKEW = np.einsum("ikj->jik", _EPS).reshape(9, 3)        # S(x)_ij = eps_ikj x_k
-_J = np.einsum("pij->jip", _JK).reshape(9, 6)            # J(theta)_ij = theta_p _JK[p]_ij
+_SKEW = einsum("ikj->jik", _EPS).reshape(9, 3)           # S(x)_ij = eps_ikj x_k
+_J = einsum("pij->jip", _JK).reshape(9, 6)               # J(theta)_ij = theta_p _JK[p]_ij
 _L = _JK.reshape(18, 3)                                  # (J a)_i = J_ik a_k
 # S(J x) v = -S(v) J x: entry i is eps_ijm v_m J_jk x_k, linear in v_m x_k
-_F = np.einsum("ijm,pjk->pimk", _EPS, _JK).reshape(18, 9)
+_F = einsum("ijm,pjk->pimk", _EPS, _JK).reshape(18, 9)
 # G and dG/dt are (-S(v) + P) / 2 + w c I: one table over [v | P | c], with P the
 # kernel's 3x3 product term, c its isotropic coefficient and w = 1/4 for G, -1/2 for dG/dt
 _KIN, _KIN_DOT = (np.hstack([-0.5 * _SKEW, 0.5 * np.eye(9), w * _EYE.reshape(9, 1)])
@@ -60,7 +79,7 @@ def mat_vec(m, v):
 
     ``m`` has shape (..., i, j), ``v`` shape (..., j); returns (..., i).
     """
-    return np.einsum("...ij,...j->...i", m, v)
+    return einsum("...ij,...j->...i", m, v)
 
 
 def skew(x):
@@ -96,14 +115,14 @@ def kinematics_matrix(sigma):
     ndarray, shape (..., 3, 3)
     """
     sigma = np.asarray(sigma, dtype=float)
-    ss = np.einsum("...i,...i->...", sigma, sigma)
+    ss = einsum("...i,...i->...", sigma, sigma)
     s = sigma.T
     return _table_product(_KIN, s, s[:, None] * s[None], (1.0 - ss).T)
 
 
 def _table_product(table, v, p, c):
     """table @ [v | p | c], given transposed: v (3, ...), p (3, 3, ...), c (...)."""
-    g = table.dot(np.concatenate((v.reshape(3, -1), p.reshape(9, -1), c.reshape(1, -1))))
+    g = table.dot(concatenate((v.reshape(3, -1), p.reshape(9, -1), c.reshape(1, -1))))
     return g.reshape(p.shape).T
 
 
@@ -116,7 +135,7 @@ def inverse_from_kinematics(g):
     """G^{-1} = G^T / |row 0 of G|^2, from g = G(sigma) already built: every row of G
     has squared norm ((1 + sigma.sigma)/4)^2, so sigma.sigma is not formed again."""
     row = g[..., 0, :]
-    return g.swapaxes(-1, -2) / np.einsum("...i,...i->...", row, row)[..., None, None]
+    return g.swapaxes(-1, -2) / einsum("...i,...i->...", row, row)[..., None, None]
 
 
 def kinematics_matrix_dot(sigma, sigma_dot):
@@ -137,7 +156,7 @@ def kinematics_matrix_dot(sigma, sigma_dot):
     sigma_dot = np.asarray(sigma_dot, dtype=float)
     if sigma.shape != sigma_dot.shape:  # the transposes below line up equal shapes only
         sigma, sigma_dot = np.broadcast_arrays(sigma, sigma_dot)
-    dot = np.einsum("...i,...i->...", sigma, sigma_dot)
+    dot = einsum("...i,...i->...", sigma, sigma_dot)
     s, v = sigma.T, sigma_dot.T
     cross = s[:, None] * v[None]  # sigma_dot sigma^T; its transpose is the other term
     return _table_product(_KIN_DOT, v, cross + cross.swapaxes(0, 1), dot.T)
@@ -221,9 +240,9 @@ def mrp_shadow(sigma, sigma_dot=None):
     that trajectory.  Not finite at sigma = 0.
     """
     sigma = np.asarray(sigma, dtype=float)
-    ss = np.einsum("...i,...i->...", sigma, sigma)[..., None]
+    ss = einsum("...i,...i->...", sigma, sigma)[..., None]
     shadow = -sigma / ss
     if sigma_dot is None:
         return shadow
-    radial = np.einsum("...i,...i->...", sigma, sigma_dot)[..., None]
+    radial = einsum("...i,...i->...", sigma, sigma_dot)[..., None]
     return shadow, (-sigma_dot * ss + 2.0 * sigma * radial) / np.square(ss)

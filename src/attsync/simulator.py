@@ -78,11 +78,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attmath import inverse_from_kinematics, kinematics_matrix, mat_vec, mrp_shadow
+from .attmath import (concatenate, einsum, inverse_from_kinematics, kinematics_matrix, mat_vec,
+                      mrp_shadow)
 from .control import GainSet, ReferenceTrajectory, controller_outputs
 from .errors import ConfigError, SimulationDiverged
 from .rigid_body import InertiaParams, SpacecraftState, angular_acceleration
@@ -266,7 +268,7 @@ def _all_pairs(x):
     sq = []
     for a in range(0, x.shape[-2], chunk):
         diff = x[..., a:a + chunk, None, :] - x[..., None, :, :]
-        sq.append(np.einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
+        sq.append(einsum("...ijk,...ijk->...ij", diff, diff).max(axis=(-2, -1)))
     return np.sqrt(np.max(sq, axis=0))
 
 
@@ -285,9 +287,9 @@ def _max_pairwise(x):
         return _all_pairs(x)
     flat = x.reshape(-1, n, x.shape[-1])
     d = flat - 0.5 * (flat.min(axis=1) + flat.max(axis=1))[:, None]
-    r = np.sqrt(np.einsum("mij,mij->mi", d, d))
+    r = np.sqrt(einsum("mij,mij->mi", d, d))
     d = flat - flat[np.arange(len(flat)), r.argmax(axis=1)][:, None]  # from p
-    lower, radius = np.sqrt(np.einsum("mij,mij->mi", d, d).max(axis=1)), r.max(axis=1)
+    lower, radius = np.sqrt(einsum("mij,mij->mi", d, d).max(axis=1)), r.max(axis=1)
     keep = r >= (lower - radius - _PRUNE_MARGIN * (lower + radius))[:, None]
     pruned = (lower > 1e-100) & (lower < 1e100)
     out = np.empty(len(flat))
@@ -302,8 +304,8 @@ def _closer_image(x, x_dot, to):
     """x, or its shadow -x/|x|^2 where closer to `to` (iff |to - x|^2 > 1 + |to|^2,
     never at x = 0), with the matching rate; x and x_dot as given if none flips."""
     d = to - x
-    flip = (np.einsum("...i,...i->...", d, d)
-            > 1.0 + np.einsum("...i,...i->...", to, to))[..., None]
+    flip = (einsum("...i,...i->...", d, d)
+            > 1.0 + einsum("...i,...i->...", to, to))[..., None]
     if not flip.any():
         return x, x_dot
     shadow, shadow_dot = mrp_shadow(x, x_dot)
@@ -315,7 +317,7 @@ def _certificate(j, g, s, err, gamma_diag):
     craft axis of (..., craft, axis) arrays, H* = G^-T J G^-1 from g = G(sigma)."""
     g_inv = inverse_from_kinematics(g)
     h = g_inv.swapaxes(-1, -2) @ j @ g_inv
-    return (0.5 * np.einsum("...ni,...nij,...nj->...", s, h, s)
+    return (0.5 * einsum("...ni,...nij,...nj->...", s, h, s)
             + 0.5 * (err * err / gamma_diag).reshape(s.shape[:-2] + (-1,)).sum(-1))
 
 
@@ -384,10 +386,10 @@ class Simulation:
         table = np.empty((6, self.n + self.tracking) + sigma.shape[-3::-1]).T
         table[..., :self.n, :3], table[..., :self.n, 3:] = sigma, sigma_dot
         if self.tracking:  # the reference joins every member as source N
-            table[..., self.n, :] = np.concatenate(self.ref.at(t)[:2])
+            table[..., self.n, :] = concatenate(self.ref.at(t)[:2])
         edges = table.T.take(self._src, axis=1).T
         if self.scenario.shadow_switch and not (
-                np.einsum("...i,...i->...", table[..., :3], table[..., :3]).max()
+                einsum("...i,...i->...", table[..., :3], table[..., :3]).max()
                 <= _FLIP_FREE_SQ):
             pos, rate = edges[..., :3], edges[..., 3:]
             aligned = _closer_image(pos, rate, sigma.T.take(self._dst, axis=1).T)
@@ -426,7 +428,7 @@ class Simulation:
         if not (self.scenario.control_enabled and self.scenario.adaptation_enabled):
             theta_dot = np.zeros_like(theta_hat)
         omega_dot = angular_acceleration(self.j_stack, self.j_inv, omega, u)
-        return np.concatenate((sigma_dot.T, omega_dot.T, theta_dot.T) + d_chi).T, u, e, s
+        return concatenate((sigma_dot.T, omega_dot.T, theta_dot.T) + d_chi).T, u, e, s
 
     def _rk4(self, t, y, k1):
         """One classical RK4 step of the packed state y, given its derivative k1."""
@@ -451,11 +453,11 @@ class Simulation:
             return y, ss
         out = y.T.copy().T
         out[_SIGMA] = np.where(mask[..., None], mrp_shadow(sigma), sigma)
-        rows = (mask & (np.einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
+        rows = (mask & (einsum("...ni,...ni->...n", chi, chi) > 0.0))[..., None]
         chi_sh, chi_sh_dot = mrp_shadow(chi, chi_dot)
         out[_CHI] = np.where(rows, chi_sh, chi)
         out[_CHI_DOT] = np.where(rows, chi_sh_dot, chi_dot)
-        return out, np.einsum("...ni,...ni->...n", out[_SIGMA], out[_SIGMA])
+        return out, einsum("...ni,...ni->...n", out[_SIGMA], out[_SIGMA])
 
     def _check_state(self, t, y, ss, healthy=True):
         """{b: SimulationDiverged naming the first bad craft and quantity} for each
@@ -525,7 +527,7 @@ class Simulation:
         logs), or the SimulationDiverged the member has raised.  It runs
         under the caller's numpy error settings.
         """
-        if decimate < 1:
+        if not isinstance(decimate, numbers.Integral) or decimate < 1:
             raise ValueError("decimate must be a positive integer")
         sigma = self._stack(lambda c: c.initial_state.sigma)
         omega = self._stack(lambda c: c.initial_state.omega)
@@ -557,7 +559,7 @@ class Simulation:
                 sink(blocks)
 
         healthy = np.ones((len(logs), 1), dtype=bool)
-        y = _by_craft(np.concatenate([sigma, omega, theta, sigma, np.empty_like(sigma)], -1))
+        y = _by_craft(concatenate([sigma, omega, theta, sigma, np.empty_like(sigma)], -1))
         # chi_dot(0) is sigma_dot(0) as `_eval` forms it, so e(0) and s(0) are exactly zero
         y[_CHI_DOT] = mat_vec(kinematics_matrix(y[_SIGMA]), y[_OMEGA])
         r = 0
@@ -567,7 +569,7 @@ class Simulation:
                 t = k * self.dt
                 if k:
                     y = self._rk4((k - 1) * self.dt, y, dy)
-                ss = np.einsum("...ni,...ni->...n", y[_SIGMA], y[_SIGMA])
+                ss = einsum("...ni,...ni->...n", y[_SIGMA], y[_SIGMA])
                 if k and self.scenario.shadow_switch:
                     y, ss = self._apply_shadow(y, ss)
                 # a diverged member keeps integrating, unchecked, its log dropped
@@ -627,7 +629,7 @@ def random_initial_states(seed, n, sigma_bound=0.5, omega_bound=0.5):
                         k += 1
             break
         except ValueError:  # the tries ran out: the stream goes on
-            u = np.concatenate([u, rng.random(u.shape)])
+            u = concatenate([u, rng.random(u.shape)])
     sigma, omega = (v[p] if b != 0.0 else np.zeros((n, 3))
                     for v, p, b in zip(tries, picks, bounds))
     return [SpacecraftState(s, w) for s, w in zip(sigma, omega)]

@@ -329,6 +329,19 @@ def test_record_counts_and_times():
         Simulation(sc).run(decimate=0)
 
 
+@pytest.mark.parametrize("decimate", [2.0, 2.5, True, 0, -1, np.int64(3)],
+                         ids=["float-whole", "float", "True", "zero", "negative", "int64"])
+def test_decimate_must_be_a_positive_integer(decimate):
+    # a float is refused by run itself, not by numpy's log allocation; True is 1
+    sc = pair_scenario(duration=0.1)
+    if isinstance(decimate, float) or decimate < 1:
+        with pytest.raises(ValueError, match="decimate must be a positive integer"):
+            Simulation(sc).run(decimate=decimate)
+    else:
+        assert_same_log(Simulation(sc).run(decimate=decimate),
+                        Simulation(sc).run(decimate=int(decimate)))
+
+
 @pytest.mark.parametrize("build", [
     pair_scenario,
     lambda **kw: pair_scenario(control_enabled=False, **kw),
@@ -767,6 +780,43 @@ def test_step_loop_keeps_the_state_craft_contiguous(monkeypatch, build):
     assert len(evaluations) == 1 + 4 * sim.scenario.n_steps
     assert all(state and derivative for state, derivative in evaluations)
     assert any(flips) == (build is flipping_pair)
+
+
+def test_kernels_and_step_loop_skip_the_array_function_dispatch(monkeypatch):
+    # attmath binds numpy's own einsum and concatenate, and every call in attmath and
+    # the simulator goes through those bindings: with the public functions raising, a
+    # run still reaches the derived pass, chart alignment, shadow flips, the tracking
+    # reference, the held source, an ensemble and D's pruned path
+    assert attmath.einsum is not np.einsum
+    assert attmath.concatenate is not np.concatenate
+    # built first: Simulation's setup calls np.diff, which concatenates through numpy
+    runs = [Simulation(scenario) for scenario in (
+        flipping_pair(),
+        sinusoid_tracking(duration=0.1, shadow_switch=True),
+        star_scenario(duration=0.1),
+        parameter_ensemble(ensemble(pair_scenario(duration=0.1, shadow_switch=True), 3)),
+        ring_scenario(70, 0.05),
+    )]
+    sigma = np.array([[0.2, -0.1, 0.4], [0.9, 0.5, -0.3]])
+    rate = np.array([[0.1, 0.3, -0.2], [-0.4, 0.2, 0.1]])
+    called = []
+
+    def refused(name):
+        def public(*args, **kwargs):
+            called.append(name)
+            raise AssertionError("numpy.%s called through its dispatcher" % name)
+        return public
+
+    monkeypatch.setattr(np, "einsum", refused("einsum"))
+    monkeypatch.setattr(np, "concatenate", refused("concatenate"))
+    for sim in runs:
+        sim.run(decimate=1)
+    g = kinematics_matrix(sigma)
+    attmath.mat_vec(g, rate)
+    attmath.kinematics_matrix_dot(sigma, rate)
+    inverse_from_kinematics(g)
+    mrp_shadow(sigma, rate)
+    assert called == []
 
 
 def test_diverged_member_is_reported_and_the_rest_finish():
