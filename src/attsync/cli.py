@@ -3,19 +3,19 @@
 Runs write two files per scenario into the output directory (flag --out,
 else the ATTSYNC_OUT_DIR environment variable, else ./attsync-out):
 
-* trajectory.csv: one row per logged step; columns t, then per craft i the
-  blocks sigma_i_{x,y,z}, omega_i_{x,y,z}, u_i_{x,y,z}, theta_hat_i_{1..6},
-  then V (Lyapunov), D (max pairwise attitude distance), and T (max
-  distance to the reference) in tracking mode.  T, like the tracking rate
-  of summary.json, is taken to whichever of the reference and its shadow
-  (the same attitude) lies closer to each craft.  Full double precision,
-  '.' decimal separator.  A helper process (`attsync.csvwriter`) formats it
-  while the run integrates, each block of records as soon as it is derived,
-  into trajectory.csv.part.  Its stdin pipe is widened to hold a run's blocks
-  (1 MiB where the platform allows), so the run does not wait on it, and it
-  drains the last ones while the summaries are built.  The files land only
-  after that: trajectory.csv appears under its name when it is complete, and
-  a diverged run leaves none, removing one that an earlier run left there.
+* trajectory.csv: one row per logged step, full double precision, '.' decimal
+  separator; columns (laid out in `attsync.csvwriter`) t, each craft's sigma,
+  omega, u (torque) and theta_hat, then V (Lyapunov), D (max pairwise attitude
+  distance) and, tracking, T (max distance to the reference or, like the
+  tracking rate of summary.json, its shadow, whichever is closer).  Its one
+  writer, a helper process (`attsync.csvwriter`), formats each block of
+  records into trajectory.csv.part as soon as it is derived, while the run
+  integrates, opening one file at a time, so no open-file limit bounds a
+  sweep.  Its stdin pipe is widened to hold a run's blocks (1 MiB where the
+  platform allows), so the run does not wait on it, and it drains the last
+  ones while the summaries are built.  The files land only after that:
+  trajectory.csv appears under its name when it is complete, and a diverged
+  run leaves none, removing one that an earlier run left there.
 * summary.json, compact JSON on one line: the scenario description the run
   used (as written, with defaults and flag overrides applied;
   `ScenarioConfig.from_dict` of it reproduces the run), step count, validity
@@ -58,7 +58,6 @@ except ImportError:  # not a POSIX platform: the writer keeps the default pipe
 import numpy as np
 
 from . import csvwriter
-from .csvwriter import csv_header
 from .config import ScenarioConfig, preset, preset_names
 from .errors import ConfigError, SimulationDiverged
 from .simulator import Simulation, TrajectoryLog, metrics
@@ -67,7 +66,6 @@ from .topology import graph_checks, in_degrees
 ENV_OUT_DIR = "ATTSYNC_OUT_DIR"
 DEFAULT_OUT_DIR = "attsync-out"
 DEFAULT_CONVERGED_TOL = 1e-2
-_CSV_BLOCK = 64  # records per block of trajectory.csv
 # the process that formats a run's trajectory.csv files; -S: it imports no site packages
 _WRITER_COMMAND = (sys.executable, "-S", csvwriter.__file__)
 # the writer's stdin pipe, Linux's default pipe-max-size: it holds the whole float64
@@ -113,33 +111,13 @@ def _print_report(report):
 
 # -- trajectory output ---------------------------------------------------
 
-def _table(log, rows):
-    """Records `rows` (a slice) of the log as trajectory.csv's float64 rows."""
-    per_craft = np.concatenate([log.sigma[rows], log.omega[rows], log.torque[rows],
-                                log.theta_hat[rows]], axis=2)
-    series = [log.lyapunov, log.disagreement]
-    if log.tracking_error is not None:
-        series.append(log.tracking_error)
-    return np.column_stack([log.times[rows], per_craft.reshape(len(per_craft), -1)]
-                           + [x[rows] for x in series])
-
-
-def write_trajectory_csv(log, path, writer=None) -> None:
-    """Write `log` to `path` as trajectory.csv: the documented column schema, full
-    double precision, `_CSV_BLOCK` records at a time straight from the log's arrays,
-    each row by `csvwriter.format_rows`.
-
-    Given a `CsvWriter`, hand all of the log's rows to its process instead, which
-    appends them to `path`'s part file: `run` streams each record block of a run
-    through here."""
-    if writer is not None:
-        writer.append(path, _table(log, slice(None)))
-        return
-    n_rec, n = log.sigma.shape[:2]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(csv_header(n, log.tracking_error is not None)) + "\n")
-        for r in range(0, n_rec, _CSV_BLOCK):
-            fh.write(csvwriter.format_rows(_table(log, slice(r, r + _CSV_BLOCK)).tolist()))
+def write_trajectory_csv(log, path, writer) -> None:
+    """Hand `log`'s records to `writer`, a `CsvWriter`, for `path`: float64 rows in the
+    column order of `csvwriter`'s schema.  `run` streams each record block of a run here."""
+    per_craft = np.concatenate([getattr(log, f) for f, _, _ in csvwriter.PER_CRAFT], axis=2)
+    fleet = csvwriter.fleet_columns(log.tracking_error is not None)
+    writer.append(path, np.column_stack([log.times, per_craft.reshape(len(per_craft), -1)]
+                                        + [getattr(log, f) for f, _ in fleet]))
 
 
 class CsvWriter:

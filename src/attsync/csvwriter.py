@@ -1,12 +1,14 @@
-"""trajectory.csv's header and row formatting, and the helper process that writes
-streamed rows.
+"""trajectory.csv's one writer: its column schema, its row formatter, and the
+helper process that writes a run's trajectory.csv files.
 
-`csv_header` names trajectory.csv's columns and `format_rows` is its one row
-formatter: every value by `repr` (the shortest text that reads back as the same
-double), ',' between values and '\\n' after each row.
-`attsync.cli.write_trajectory_csv` formats with them in process; `attsync run`
-streams each record block of a run to this module run as a script, which builds
-the header itself and formats the rows while the run integrates:
+`PER_CRAFT` and `FLEET` state the column layout once: t, then per craft i a
+column STEM_i_C for each (log field, STEM, components) and component C, then
+the fleet-wide (log field, name) columns, T only in a tracking run.  Both
+`csv_header` and `attsync.cli.write_trajectory_csv` read them.  `format_rows`
+formats rows: every value by `repr` (the shortest text that reads back as the
+same double), ',' between values and '\\n' after each row.  `attsync run`
+streams each record block of a run to this module run as a script, which
+formats the rows while the run integrates:
 
     python3 -S csvwriter.py CRAFT TRACKING < stream
 
@@ -14,12 +16,13 @@ CRAFT is the craft count and TRACKING is 1 for a tracking run (a T column), else
 The stream, on stdin, is frames: a little-endian (index, byte count) pair of
 uint32, then that many bytes.  The first frame holds the paths of the files to
 write, each `os.fsencode`d, separated by NUL bytes; its index is their count.
-Each later frame holds float64 values, native byte order, whole rows of the
-header's width, for the file of its index.  Each file gets the header line,
-then the rows of its frames in the order sent.  At end of input the files are
-closed and the process exits 0; any error exits non-zero.  The module imports
-nothing outside the standard library, and neither json nor numpy, so the
-process starts in about the time of a bare interpreter.
+Each file is created with the header line.  Each later frame holds float64
+values, native byte order, whole rows of the header's width, appended to the
+file of its index, open for that frame only: one file is open at a time, so the
+open-file limit does not bound the file count.  At end of input the process
+exits 0; any error exits non-zero.  The module imports nothing outside the
+standard library, and neither json nor numpy, so the process starts in about
+the time of a bare interpreter.
 """
 
 from __future__ import annotations
@@ -29,20 +32,21 @@ import struct
 import sys
 
 FRAME = struct.Struct("<II")  # file index (path count in the first frame), payload bytes
+PER_CRAFT = (("sigma", "sigma", "xyz"), ("omega", "omega", "xyz"), ("torque", "u", "xyz"),
+             ("theta_hat", "theta_hat", "123456"))
+FLEET = (("lyapunov", "V"), ("disagreement", "D"), ("tracking_error", "T"))
+
+
+def fleet_columns(tracking: bool) -> tuple:
+    """The `FLEET` entries of a run, with T when `tracking`."""
+    return FLEET if tracking else FLEET[:-1]
 
 
 def csv_header(n: int, tracking: bool) -> list:
     """trajectory.csv's column names for `n` craft, with T when `tracking`."""
-    cols = ["t"]
-    for i in range(1, n + 1):
-        cols += ["sigma_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["omega_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["u_%d_%s" % (i, ax) for ax in "xyz"]
-        cols += ["theta_hat_%d_%d" % (i, k) for k in range(1, 7)]
-    cols += ["V", "D"]
-    if tracking:
-        cols.append("T")
-    return cols
+    per_craft = ["%s_%d_%s" % (stem, i, c) for i in range(1, n + 1)
+                 for _, stem, components in PER_CRAFT for c in components]
+    return ["t"] + per_craft + [name for _, name in fleet_columns(tracking)]
 
 
 def format_rows(rows) -> str:
@@ -75,18 +79,14 @@ def main() -> None:
     paths = names.split(b"\0")
     if len(paths) != count:
         raise ValueError("the paths frame holds %d paths, not %d" % (len(paths), count))
-    files = []
-    try:
-        for path in paths:
-            files.append(open(path, "w", encoding="utf-8", newline=""))
-            files[-1].write(",".join(header) + "\n")
-        while (frame := _frame(stdin)) is not None:
-            index, payload = frame
-            rows = memoryview(payload).cast("d", (len(payload) // (8 * width), width)).tolist()
-            files[index].write(format_rows(rows))
-    finally:
-        for fh in files:
-            fh.close()
+    for path in paths:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+    while (frame := _frame(stdin)) is not None:
+        index, payload = frame
+        rows = memoryview(payload).cast("d", (len(payload) // (8 * width), width)).tolist()
+        with open(paths[index], "a", encoding="utf-8", newline="") as fh:
+            fh.write(format_rows(rows))
 
 
 if __name__ == "__main__":

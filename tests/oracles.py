@@ -246,3 +246,35 @@ def random_initial_states(seed, n, sigma_bound, omega_bound):
     rng = np.random.default_rng(seed)
     return [(draw_in_ball(rng, sigma_bound), draw_in_ball(rng, omega_bound))
             for _ in range(n)]
+
+
+def trajectory_csv_header(n, tracking):
+    """trajectory.csv's column names, written out craft by craft."""
+    cols = ["t"]
+    for i in range(1, n + 1):
+        cols += ["sigma_%d_%s" % (i, ax) for ax in "xyz"]
+        cols += ["omega_%d_%s" % (i, ax) for ax in "xyz"]
+        cols += ["u_%d_%s" % (i, ax) for ax in "xyz"]
+        cols += ["theta_hat_%d_%d" % (i, k) for k in range(1, 7)]
+    cols += ["V", "D"]
+    if tracking:
+        cols.append("T")
+    return cols
+
+
+def trajectory_csv_text(log):
+    """The whole trajectory.csv of `log`, a row per record straight from its fields,
+    every value by repr."""
+    tracking = log.tracking_error is not None
+    n_rec, n = log.sigma.shape[:2]
+    lines = [",".join(trajectory_csv_header(n, tracking))]
+    for r in range(n_rec):
+        row = [log.times[r]]
+        for i in range(n):
+            for field in (log.sigma, log.omega, log.torque, log.theta_hat):
+                row += list(field[r, i])
+        row += [log.lyapunov[r], log.disagreement[r]]
+        if tracking:
+            row.append(log.tracking_error[r])
+        lines.append(",".join(map(repr, map(float, row))))
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 import copy
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -18,18 +19,19 @@ import numpy as np
 import pytest
 import yaml
 
-from attsync import cli, simulator
+from attsync import cli, csvwriter, simulator
 from attsync.cli import (
     _apply_overrides,
     _load_config,
     _parse_seeds,
     build_parser,
-    csv_header,
     main,
 )
 from attsync.config import ScenarioConfig, preset
+from attsync.csvwriter import csv_header
 from attsync.errors import ConfigError, SimulationDiverged
 from attsync.simulator import Simulation
+from tests import oracles
 from tests.conftest import FLEET_J
 
 
@@ -336,30 +338,36 @@ def test_run_writes_trajectory_and_summary(tmp_path, capsys):
         float(csv_lines[-1].split(",")[-1]))
 
 
-def test_trajectory_csv_peak_does_not_grow_with_the_record_count(tmp_path):
-    # the writer formats a block of records at a time, so its Python allocation
-    # peak is the same for 4096 records as for 256
+def test_trajectory_csv_peak_does_not_grow_with_the_record_count(tmp_path, monkeypatch):
+    # the writer process formats a frame of records at a time, so its Python
+    # allocation peak is the same for 4096 records, in 64-record frames, as for 256
+    path = tmp_path / "trajectory.csv"
+    names = os.fsencode(path)
+    width = len(csv_header(6, tracking=True))
     peaks = []
     for n_rec in (256, 4096):
-        rng = np.random.default_rng(n_rec)
-        log = types.SimpleNamespace(
-            times=rng.random(n_rec), sigma=rng.random((n_rec, 6, 3)),
-            omega=rng.random((n_rec, 6, 3)), torque=rng.random((n_rec, 6, 3)),
-            theta_hat=rng.random((n_rec, 6, 6)), lyapunov=rng.random(n_rec),
-            disagreement=rng.random(n_rec), tracking_error=rng.random(n_rec))
+        table = np.random.default_rng(n_rec).random((n_rec, width))
+        stream = csvwriter.FRAME.pack(1, len(names)) + names + b"".join(
+            csvwriter.FRAME.pack(0, 64 * width * 8) + table[r:r + 64].tobytes()
+            for r in range(0, n_rec, 64))
+        monkeypatch.setattr(sys, "argv", ["csvwriter.py", "6", "1"])
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(stream)))
         tracemalloc.start()
         try:
-            cli.write_trajectory_csv(log, tmp_path / "trajectory.csv")
+            csvwriter.main()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + n_rec
-        per_craft = np.concatenate([log.sigma, log.omega, log.torque, log.theta_hat], axis=2)
-        last = [log.times[-1], *per_craft[-1].ravel(), log.lyapunov[-1],
-                log.disagreement[-1], log.tracking_error[-1]]
-        assert np.array_equal(np.array(lines[-1].split(","), dtype=float), last)
+        assert np.array_equal(np.array(lines[-1].split(","), dtype=float), table[-1])
     assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_csv_header_equals_the_oracle_header():
+    for n in (1, 2, 6, 200):
+        for tracking in (False, True):
+            assert csv_header(n, tracking) == oracles.trajectory_csv_header(n, tracking)
 
 
 def rerun_from_summary(tmp_path, out):
@@ -633,11 +641,11 @@ def assert_nothing_outlives_main(tmp_path):
 
 @pytest.mark.parametrize("case", ["blocks", "tracking", "ring70", "diverging-sweep",
                                   "refused-pipe-size"])
-def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch, case):
-    # the helper process writes the bytes write_trajectory_csv writes from the
-    # finished log, header included: over many blocks, with the T column, one
-    # record a block, for the members of a sweep that finish beside a diverging
-    # one, and through the default pipe when widening it is refused
+def test_streamed_csv_equals_the_oracle(tmp_path, capsys, monkeypatch, case):
+    # the helper process writes the oracle's text of the finished log, header
+    # included: over many blocks, with the T column, one record a block, for the
+    # members of a sweep that finish beside a diverging one, and through the
+    # default pipe when widening it is refused
     refused = []
     if case == "blocks":  # 201 records, 10 a block
         monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", 40)
@@ -674,11 +682,8 @@ def test_streamed_csv_equals_the_in_process_writer(tmp_path, capsys, monkeypatch
         if isinstance(log, SimulationDiverged):
             assert not (out / "trajectory.csv").exists()
             continue
-        cli.write_trajectory_csv(log, tmp_path / "expected.csv")
-        streamed = (out / "trajectory.csv").read_bytes()
-        assert streamed == (tmp_path / "expected.csv").read_bytes()
-        header = csv_header(cfg.n, cfg.doc["mode"] == "tracking")
-        assert streamed.split(b"\n", 1)[0].decode("utf-8") == ",".join(header)
+        expected = oracles.trajectory_csv_text(log).encode("utf-8")
+        assert (out / "trajectory.csv").read_bytes() == expected
         finished += 1
     assert (code, finished) == ((3, 2) if case == "diverging-sweep" else (0, 1))
     assert len(refused) == (case == "refused-pipe-size")
@@ -712,6 +717,33 @@ def test_the_writer_pipe_holds_a_run_of_blocks(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert len(sizes) == 2 and min(sizes) >= 1 << 20
+
+
+def test_a_sweep_writes_more_files_than_the_open_file_limit(tmp_path):
+    # the writer keeps one trajectory.csv open at a time, so a 100-member sweep
+    # runs in a process whose soft limit is 64 open files
+    resource = pytest.importorskip("resource")
+
+    def limit_open_files():  # in the child, before it runs
+        resource.setrlimit(resource.RLIMIT_NOFILE,
+                           (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "attsync.cli", "run", "--preset", "paper-tracking",
+            "--duration", "0.05"]
+    many, alone = tmp_path / "many", tmp_path / "alone"
+    proc = subprocess.run(argv + ["--seeds", "1..100", "--out", str(many)], env=env,
+                          preexec_fn=limit_open_files, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.parent.name for p in many.glob("seed_*/trajectory.csv")) == sorted(
+        "seed_%d" % s for s in range(1, 101))
+    subprocess.run(argv + ["--seed", "2", "--out", str(alone)], env=env, check=True,
+                   capture_output=True, timeout=600)
+    assert (many / "seed_2" / "trajectory.csv").read_bytes() == (
+        alone / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", ["clean", "diverged", "diverging-sweep"])
